@@ -83,6 +83,25 @@ fn cold_and_warm_runs_match_caches_off_across_configs() {
                 "{}",
                 q.id
             );
+            // Cached postings are counted like fresh ones: per-operator
+            // `fetched` never depends on cache state.  Only a hash join
+            // whose build side came out of the build cache (on the warm
+            // run, or from an earlier branch of the same query) did less
+            // work — it enumerated nothing.
+            let ops = |o: &xqjg_core::Outcome| o.exec_stats.clone().expect("join graph").operators;
+            let ref_ops = ops(&reference);
+            for (run, got) in [("cold", ops(&cold)), ("warm", ops(&warm))] {
+                assert_eq!(got.len(), ref_ops.len(), "{}: {run}", q.id);
+                for (g, r) in got.iter().zip(&ref_ops) {
+                    let expected = if g.cache_hits > 0 { 0 } else { r.fetched };
+                    assert_eq!(g.fetched, expected, "{}: {run} {}", q.id, g.name);
+                }
+            }
+            for o in [&reference, &cold, &warm] {
+                let s = o.exec_stats.as_ref().expect("join graph");
+                let fetched: usize = s.operators.iter().map(|o| o.fetched).sum();
+                assert_eq!(fetched, s.index_rows + s.scan_rows, "{}", q.id);
+            }
             // The caches actually engaged: the repeat run served its plans
             // from the plan cache.
             assert!(

@@ -10,27 +10,108 @@
 //! tiling selectivity, one-row cardinality floor) must keep Q2 on a
 //! blowup-free order — these tests pin that via the measured `OpStats`, so
 //! they hold regardless of how aliases are numbered.
+//!
+//! They also pin the *complexity* of upward steps, not their milliseconds:
+//! a step from an attribute or child up to its owner probes `nkp` with
+//! `pre < x` and used to walk every same-named entry before `x` — rows
+//! examined per Q2 result grew with the document (60 → 383 → 3 015 at
+//! scale 0.1 / 1 / 8).  With the lower bound derived from the `max(size)`
+//! extent statistic each such probe walks at most its window, so the ratio
+//! is a constant of the query.
 
 use xqjg_bench::{queries, Workload};
-use xqjg_engine::{optimize, ExecStats, QueryRequest};
-use xqjg_store::{Database, ExecConfig};
+use xqjg_engine::{optimize, Access, ExecStats, JoinNode, PhysPlan, QueryRequest, SqlExpr};
+use xqjg_store::{Database, ExecConfig, Value};
 
-fn q2_stats(scale: f64) -> (usize, ExecStats) {
-    let mut workload = Workload::new(scale);
-    let q = queries().into_iter().find(|q| q.id == "Q2").unwrap();
-    let prepared = workload.processor(&q).prepare(q.text).expect("Q2 prepares");
+/// Optimize and run one Table VIII query sequentially: its plans (one per
+/// SQL branch), result row count and merged work counters.
+fn run(workload: &mut Workload, id: &str) -> (Vec<PhysPlan>, usize, ExecStats) {
+    let q = queries().into_iter().find(|q| q.id == id).unwrap();
+    let prepared = workload.processor(&q).prepare(q.text).expect("prepares");
     let db: &Database = workload.processor(&q).database();
+    let mut plans = Vec::new();
     let mut rows = 0usize;
     let mut stats = ExecStats::default();
     for b in &prepared.branches {
-        let plan = optimize(&b.isolated.query, db).expect("Q2 optimizes");
+        let plan = optimize(&b.isolated.query, db).expect("optimizes");
         let out = QueryRequest::new(&plan, db)
             .config(&ExecConfig::sequential())
             .expect_run();
         rows += out.rows.len();
         stats.merge(&out.stats);
+        plans.push(plan);
     }
+    (plans, rows, stats)
+}
+
+fn q2_stats(scale: f64) -> (usize, ExecStats) {
+    let (_, rows, stats) = run(&mut Workload::new(scale), "Q2");
     (rows, stats)
+}
+
+/// The windows of a plan's derived-lower-bound probes, as `(operator
+/// position, max(size) of the probed group)`: the optimizer spells the
+/// derived bound `x + -max`.
+fn derived_windows(plan: &PhysPlan) -> Vec<(usize, usize)> {
+    fn walk(node: &JoinNode, out: &mut Vec<(usize, usize)>) -> usize {
+        let JoinNode::Join { outer, access, .. } = node else {
+            return 0;
+        };
+        let position = walk(outer, out) + 1;
+        if let Access::IndexScan { bounds, .. } = access {
+            if let Some((SqlExpr::Add(_, k), _)) = &bounds.lower {
+                if let SqlExpr::Lit(Value::Int(neg_max)) = **k {
+                    out.push((position, neg_max.unsigned_abs() as usize));
+                }
+            }
+        }
+        position
+    }
+    let mut out = Vec::new();
+    walk(&plan.root, &mut out);
+    out
+}
+
+/// Index rows Q2 may examine per result row, at any scale (measured: 9).
+const Q2_INDEX_ROWS_PER_RESULT: usize = 16;
+
+fn assert_upward_steps_cost_their_window(workload: &mut Workload) {
+    let scale = workload.scale;
+    let (plans, rows, stats) = run(workload, "Q2");
+    assert!(rows > 0, "Q2 returns rows at scale {scale}");
+    assert!(
+        stats.index_rows <= rows * Q2_INDEX_ROWS_PER_RESULT,
+        "Q2 at scale {scale}: {} index rows for {rows} results",
+        stats.index_rows
+    );
+    // Every probe with a derived lower bound fetches at most the subtree
+    // extent of its group, `max(size) + 1` entries — Q2 has two at least
+    // (`item` and `category` from their `@id`).
+    let windows = derived_windows(&plans[0]);
+    assert!(windows.len() >= 2, "Q2 at scale {scale}: {windows:?}");
+    for (position, max_size) in windows {
+        let op = &stats.operators[position];
+        assert!(
+            op.fetched <= op.probes * (max_size + 1),
+            "Q2 at scale {scale}: {} exceeds its window of {max_size}",
+            op.render()
+        );
+    }
+    // Q3 starts at `@id = "person0"` and walks up: a handful of probes
+    // instead of one per person.
+    let (_, rows, stats) = run(workload, "Q3");
+    assert_eq!(rows, 1);
+    assert!(
+        stats.index_rows < 100,
+        "Q3 at scale {scale}: {} index rows",
+        stats.index_rows
+    );
+}
+
+#[test]
+fn upward_steps_cost_their_window_at_every_scale() {
+    assert_upward_steps_cost_their_window(&mut Workload::new(0.1));
+    assert_upward_steps_cost_their_window(&mut Workload::new(1.0));
 }
 
 #[test]

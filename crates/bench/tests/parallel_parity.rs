@@ -69,6 +69,17 @@ fn join_graph_results_and_actuals_identical_across_dop() {
                 &ExecConfig::sequential().with_vectorize(false),
             );
             assert_eq!(t_row, t_ref, "{}: rows differ across executors", q.id);
+            // `fetched` is an `OpStats` field, so the equalities below hold
+            // it DOP-, morsel- and executor-invariant; here, that it is the
+            // per-operator split of the query totals.
+            let fetched: usize = s_ref.operators.iter().map(|o| o.fetched).sum();
+            assert!(fetched > 0, "{}: no operator reports fetch work", q.id);
+            assert_eq!(
+                fetched,
+                s_ref.index_rows + s_ref.scan_rows,
+                "{}: per-operator fetched does not add up",
+                q.id
+            );
             assert_eq!(
                 sans_kernels(&s_row),
                 sans_kernels(&s_ref),

@@ -46,6 +46,10 @@ fn assert_stats_match_modulo_spill(got: &ExecStats, reference: &ExecStats, what:
         .map(OpStats::sans_spill)
         .collect();
     assert_eq!(sans, sans_ref, "{what}: operator actuals modulo spill");
+    // `sans_spill` keeps `fetched`, so the line above pins it per operator;
+    // it must also still be the split of the totals on every path.
+    let fetched: usize = got.operators.iter().map(|o| o.fetched).sum();
+    assert_eq!(fetched, got.index_rows + got.scan_rows, "{what}: fetched");
 }
 
 /// Per-query optimized plans (one per decomposed SQL branch).

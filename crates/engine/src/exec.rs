@@ -1878,8 +1878,16 @@ fn run_with_caches(
         },
     )?;
     let mut operators = merge_worker_stats(&per_morsel_ops, cap);
+    // Fetch work done once on the coordinator — the IXSCAN leaf's range
+    // scan, fresh hash-join build enumerations — belongs to its operator.
+    if let (Some(leaf), LeafDomain::Postings(rids)) = (operators.first_mut(), &ctx.domain) {
+        leaf.fetched += rids.len();
+    }
     for (i, (op, build)) in operators.iter_mut().zip(&ctx.builds).enumerate() {
         if let Some(b) = build {
+            if !ctx.build_hits[i] {
+                op.fetched += b.fetched_scan + b.fetched_index;
+            }
             op.build_rows += b.build_rows;
             op.spill_runs += b.spill_runs;
             op.spill_bytes += b.spill_bytes;
@@ -2260,6 +2268,7 @@ impl Operator for MorselLeaf<'_> {
 
     fn close(&mut self) {
         self.agg.borrow_mut().scan_rows += self.scan_rows;
+        self.stats.fetched = self.scan_rows;
         self.sink.borrow_mut().push(self.stats.clone());
     }
 
@@ -2418,6 +2427,7 @@ impl Operator for NestedLoopJoin<'_> {
     fn close(&mut self) {
         self.feed.input.close();
         self.stats.rows_in = self.feed.rows_in;
+        self.stats.fetched = self.fetched_scan + self.fetched_index;
         {
             let mut agg = self.agg.borrow_mut();
             agg.probes += self.stats.probes;
@@ -2737,6 +2747,7 @@ impl ColOperator for ColMorselLeaf<'_> {
 
     fn close(&mut self) {
         self.agg.borrow_mut().scan_rows += self.scan_rows;
+        self.stats.fetched = self.scan_rows;
         self.sink.borrow_mut().push(self.stats.clone());
         self.trace.borrow_mut().extend(self.sizer.trace());
     }
@@ -3044,6 +3055,7 @@ impl ColOperator for ColNLJoin<'_> {
 
     fn close(&mut self) {
         self.input.close();
+        self.stats.fetched = self.fetched_scan + self.fetched_index;
         {
             let mut agg = self.agg.borrow_mut();
             agg.probes += self.stats.probes;
@@ -3773,6 +3785,10 @@ mod tests {
             assert_eq!(pstats.scan_rows, mstats.scan_rows, "{sql}");
             assert_eq!(pstats.probes, mstats.probes, "{sql}");
             assert_eq!(pstats.bindings, mstats.bindings, "{sql}");
+            // `fetched` is the per-operator split of those totals — leaf
+            // scans, per-probe inners and hash-join builds all included.
+            let fetched: usize = pstats.operators.iter().map(|o| o.fetched).sum();
+            assert_eq!(fetched, pstats.index_rows + pstats.scan_rows, "{sql}");
         }
     }
 

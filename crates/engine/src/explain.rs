@@ -8,7 +8,21 @@
 //! [`explain_with_stats`] appends the per-operator *actuals* recorded by
 //! the executor.  Besides the raw counters (`rows_in`, `rows_out`,
 //! `batches`, `probes`, `build_rows`, `cache_hits`), each line shows the
-//! memory-governor counters when the operator went external
+//! access-path work
+//!
+//! * `fetched` — index entries plus table rows the operator examined
+//!   before its residual predicates ran (an `IXSCAN`'s range-scan entries
+//!   — leaf, per-probe inner or hash-join build enumeration alike — and
+//!   the rows a `TBSCAN` kept past its pushed-down filters); over all
+//!   operators it sums to the query totals `index_rows + scan_rows`.  A
+//!   build side served from the build cache fetched nothing, and
+//! * `fetched/probe` — `fetched / probes` for probing operators: how many
+//!   entries one probe of the inner access path walks.  A containment
+//!   window (`pre > x, pre <= x + size`, or an upward step's `pre >= x -
+//!   max(size), pre < x`) keeps this at the subtree extent; a one-sided
+//!   bound shows up here as thousands,
+//!
+//! the memory-governor counters when the operator went external
 //!
 //! * `spill_runs` — sorted runs (SORT tail) or partition files (Grace
 //!   hash-join build, repartitioning passes included) written to disk
@@ -67,6 +81,8 @@
 
 use crate::exec::ExecStats;
 use crate::physical::{Access, JoinMethod, JoinNode, PhysPlan};
+use crate::sql::SqlExpr;
+use xqjg_store::Value;
 
 /// Render a plan as an indented operator tree.
 pub fn explain(plan: &PhysPlan) -> String {
@@ -219,10 +235,12 @@ fn access_label(access: &Access) -> String {
             }
             if let Some(rc) = &bounds.range_col {
                 if let Some((e, inc)) = &bounds.lower {
-                    parts.push(format!("{rc} {} {e}", if *inc { ">=" } else { ">" }));
+                    let op = if *inc { ">=" } else { ">" };
+                    parts.push(format!("{rc} {op} {}", bound_expr(e)));
                 }
                 if let Some((e, inc)) = &bounds.upper {
-                    parts.push(format!("{rc} {} {e}", if *inc { "<=" } else { "<" }));
+                    let op = if *inc { "<=" } else { "<" };
+                    parts.push(format!("{rc} {op} {}", bound_expr(e)));
                 }
             }
             let mut s = format!("IXSCAN {index} ({})", parts.join(", "));
@@ -234,11 +252,23 @@ fn access_label(access: &Access) -> String {
     }
 }
 
+/// A probe-bound expression; `x + -15` (how the optimizer spells the lower
+/// bound it derives from an extent statistic) reads as `x - 15`.
+fn bound_expr(e: &SqlExpr) -> String {
+    match e {
+        SqlExpr::Add(x, k) => match **k {
+            SqlExpr::Lit(Value::Int(n)) if n < 0 => format!("{x} - {}", n.unsigned_abs()),
+            _ => e.to_string(),
+        },
+        _ => e.to_string(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::physical::Bounds;
-    use crate::sql::{ColRef, SelectItem, SqlExpr};
+    use crate::sql::{ColRef, SelectItem};
 
     fn sample_plan() -> PhysPlan {
         let leaf = JoinNode::Leaf {
@@ -298,6 +328,25 @@ mod tests {
         assert!(text.contains("IXSCAN nkspl"));
         assert!(text.contains("pre > d1.pre"));
         assert!(text.contains("join order: d1 -> d2"));
+    }
+
+    #[test]
+    fn derived_lower_bounds_render_as_subtraction() {
+        let mut p = sample_plan();
+        if let JoinNode::Join {
+            access: Access::IndexScan { bounds, .. },
+            ..
+        } = &mut p.root
+        {
+            bounds.lower = Some((SqlExpr::col("d1", "pre") + SqlExpr::lit(-15i64), true));
+            bounds.upper = Some((SqlExpr::col("d1", "pre"), false));
+        }
+        let text = explain(&p);
+        assert!(text.contains("pre >= d1.pre - 15, pre < d1.pre"), "{text}");
+        assert_eq!(
+            bound_expr(&(SqlExpr::col("d1", "pre") + SqlExpr::lit(2i64))),
+            "d1.pre + 2"
+        );
     }
 
     #[test]

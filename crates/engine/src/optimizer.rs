@@ -6,7 +6,11 @@
 //! * **access path selection** — match each alias's predicates against the
 //!   available composite-key B-tree indexes (equality prefix + one range
 //!   column), estimate selectivities from table statistics, or fall back to
-//!   a table scan, and
+//!   a table scan.  A range column bounded from one side only gets its
+//!   other side from the catalog's column-group extent statistic when a
+//!   containment partner allows it (see [`Planner::implied_lower`]) — the
+//!   step that makes walking *up* from a selective leaf cost a window, not
+//!   half an index partition — and
 //! * **join tree planning** — dynamic programming over connected sub-plans
 //!   (Selinger-style, left-deep), choosing nested-loop (index probe) or hash
 //!   joins per step.
@@ -86,17 +90,14 @@ pub fn optimize(query: &SfwQuery, db: &Database) -> Result<PhysPlan, OptimizeErr
         return Err(OptimizeError::new("too many FROM items (max 63)"));
     }
 
-    let planner = Planner::new(query, db);
-    let root = planner.plan_joins()?;
-    let est_rows = root.est_rows();
-    let est_cost = planner.tree_cost(&root);
+    let DpEntry { cost, card, plan } = Planner::new(query, db).plan_joins()?;
     Ok(PhysPlan {
-        root,
+        root: plan,
         select: query.select.clone(),
         distinct: query.distinct,
         order_by: query.order_by.iter().map(|o| o.col.clone()).collect(),
-        est_cost,
-        est_rows,
+        est_cost: cost,
+        est_rows: card,
     })
 }
 
@@ -155,30 +156,16 @@ impl<'a> Planner<'a> {
     }
 
     /// Dynamic programming over connected sub-plans; falls back to greedy
-    /// when the state space explodes.
-    fn plan_joins(&self) -> Result<JoinNode, OptimizeError> {
+    /// when the state space explodes.  The winning entry carries the cost
+    /// it won with — the number EXPLAIN reports.
+    fn plan_joins(&self) -> Result<DpEntry, OptimizeError> {
         let n = self.aliases.len();
         let full: u64 = if n == 64 { u64::MAX } else { (1 << n) - 1 };
         let mut table: HashMap<u64, DpEntry> = HashMap::new();
 
         // Seed with singletons.
-        for (i, info) in self.aliases.iter().enumerate() {
-            let bound = HashSet::new();
-            let (access, probe_cost, _) = self.best_access(&info.alias, &info.table, &bound);
-            let card = info.local_rows.max(1.0);
-            table.insert(
-                1 << i,
-                DpEntry {
-                    cost: probe_cost,
-                    card,
-                    plan: JoinNode::Leaf {
-                        alias: info.alias.clone(),
-                        table: info.table.clone(),
-                        access,
-                        est_rows: card,
-                    },
-                },
-            );
+        for i in 0..n {
+            table.insert(1 << i, self.leaf_entry(i));
         }
 
         // Grow subsets one alias at a time.  Process states in sorted
@@ -227,13 +214,12 @@ impl<'a> Planner<'a> {
 
         table
             .remove(&full)
-            .map(|e| e.plan)
             .ok_or_else(|| OptimizeError::new("join enumeration failed to cover all aliases"))
     }
 
     /// Greedy fallback: repeatedly add the connected alias yielding the
     /// smallest intermediate cardinality.
-    fn plan_greedy(&self) -> Result<JoinNode, OptimizeError> {
+    fn plan_greedy(&self) -> Result<DpEntry, OptimizeError> {
         let n = self.aliases.len();
         // Start with the most selective alias.
         let mut order: Vec<usize> = (0..n).collect();
@@ -244,18 +230,7 @@ impl<'a> Planner<'a> {
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
         let first = order[0];
-        let info = &self.aliases[first];
-        let (access, probe_cost, _) = self.best_access(&info.alias, &info.table, &HashSet::new());
-        let mut entry = DpEntry {
-            cost: probe_cost,
-            card: info.local_rows.max(1.0),
-            plan: JoinNode::Leaf {
-                alias: info.alias.clone(),
-                table: info.table.clone(),
-                access,
-                est_rows: info.local_rows.max(1.0),
-            },
-        };
+        let mut entry = self.leaf_entry(first);
         let mut mask = 1u64 << first;
         while (mask.count_ones() as usize) < n {
             let connected = self.connected_extensions(mask);
@@ -276,7 +251,25 @@ impl<'a> Planner<'a> {
             mask |= 1 << best.0;
             entry = best.1;
         }
-        Ok(entry.plan)
+        Ok(entry)
+    }
+
+    /// The single-alias plan the enumeration starts from: alias `i` through
+    /// its cheapest constant-only access path.
+    fn leaf_entry(&self, i: usize) -> DpEntry {
+        let info = &self.aliases[i];
+        let (access, cost, _) = self.best_access(&info.alias, &info.table, &HashSet::new());
+        let card = info.local_rows.max(1.0);
+        DpEntry {
+            cost,
+            card,
+            plan: JoinNode::Leaf {
+                alias: info.alias.clone(),
+                table: info.table.clone(),
+                access,
+                est_rows: card,
+            },
+        }
     }
 
     /// Aliases outside `mask` connected to it by at least one join predicate.
@@ -507,11 +500,13 @@ impl<'a> Planner<'a> {
         let stats = self.db.stats(table);
         match p.op {
             SqlCmp::Eq => {
-                // column = column: 1 / max distinct.
-                let col = p
-                    .lhs
-                    .as_column_of(alias)
-                    .or_else(|| p.rhs.as_column_of(alias));
+                // column = column: 1 / max distinct.  The alias's column
+                // may sit inside a computed side: `a.level + 1 = b.level`
+                // must estimate the same whether the step is planned from
+                // `a` down or from `b` up (seen from `a` it used to fall
+                // through to FALLBACK_EQ_SEL, rating every upward step
+                // ~100x more selective than its downward twin).
+                let col = column_within(&p.lhs, alias).or_else(|| column_within(&p.rhs, alias));
                 if let (Some(col), Some(stats)) = (col, stats) {
                     if let Some(cs) = stats.column(col) {
                         if cs.distinct > 0 {
@@ -672,7 +667,7 @@ impl<'a> Planner<'a> {
         );
 
         for ix in self.db.indexes_on(table) {
-            let (bounds, consumed) = match_index_bounds(alias, &ix.def.key_columns, &avail);
+            let (mut bounds, consumed) = match_index_bounds(alias, &ix.def.key_columns, &avail);
             if bounds.matched_columns() == 0 {
                 continue;
             }
@@ -683,7 +678,14 @@ impl<'a> Planner<'a> {
             let bound_sel = self.grouped_selectivity(alias, &consumed_refs, |p| {
                 predicate_selectivity(self.db, table, alias, p)
             });
-            let scanned_entries = (total_rows * bound_sel).max(1.0);
+            let mut scanned_entries = (total_rows * bound_sel).max(1.0);
+            // A one-sided range closed by the extent statistic walks at
+            // most the window, however large the group.
+            if let Some((lower, window)) = self.implied_lower(alias, &ix.def.name, &bounds, &avail)
+            {
+                bounds.lower = Some(lower);
+                scanned_entries = scanned_entries.min(window);
+            }
             let residual: Vec<SqlPredicate> = avail
                 .iter()
                 .filter(|p| !consumed.contains(p))
@@ -708,14 +710,55 @@ impl<'a> Planner<'a> {
         best
     }
 
-    /// Total cost of a finished join tree (re-derived for reporting).
-    fn tree_cost(&self, node: &JoinNode) -> f64 {
-        match node {
-            JoinNode::Leaf { est_rows, .. } => *est_rows,
-            JoinNode::Join {
-                outer, est_rows, ..
-            } => self.tree_cost(outer) + est_rows.max(1.0),
+    /// The lower bound a containment partner implies for a range column the
+    /// available predicates bound only from above.
+    ///
+    /// Shape: the index's equality prefix is bound to literals, its range
+    /// column `R` has `R < X` (or `<=`) but no lower bound, and `avail`
+    /// holds `X' <= R + W` (or `<`) with `W` a column of the same alias —
+    /// the upward half of a `(pre, pre + size]` containment window.  Every
+    /// row of the prefix's group has `W <= max(W | prefix)`, so the partner
+    /// implies `R >= X' - max(W | prefix)`.  The partner itself stays in
+    /// the residual: the bound is a prefilter that cannot change answers,
+    /// only how many index entries a probe walks.  Returns the bound and
+    /// the number of `R` values it leaves (`max + 1`).
+    fn implied_lower(
+        &self,
+        alias: &str,
+        index: &str,
+        bounds: &Bounds,
+        avail: &[SqlPredicate],
+    ) -> Option<((SqlExpr, bool), f64)> {
+        if bounds.lower.is_some() || bounds.upper.is_none() || bounds.eq.is_empty() {
+            return None;
         }
+        let range_col = bounds.range_col.as_deref()?;
+        let group: Vec<&xqjg_store::Value> = bounds
+            .eq
+            .iter()
+            .map(|(_, e)| match e {
+                SqlExpr::Lit(v) => Some(v),
+                _ => None,
+            })
+            .collect::<Option<_>>()?;
+        avail.iter().find_map(|p| {
+            // Orient the predicate as `x op a + b`.
+            let (x, op, a, b) = match (&p.lhs, &p.rhs) {
+                (x, SqlExpr::Add(a, b)) => (x, p.op, a, b),
+                (SqlExpr::Add(a, b), x) => (x, p.op.flip(), a, b),
+                _ => return None,
+            };
+            if !matches!(op, SqlCmp::Lt | SqlCmp::Le) || expr_references(x, alias) {
+                return None;
+            }
+            let w = match (a.as_column_of(alias)?, b.as_column_of(alias)?) {
+                (r, w) | (w, r) if r == range_col => w,
+                _ => return None,
+            };
+            let max = self.db.group_max(index, group.len(), w)?.max_for(&group)?;
+            let lower = x.clone() + SqlExpr::lit(max.checked_neg()?);
+            Some(((lower, op == SqlCmp::Le), (max as f64 + 1.0).max(1.0)))
+        })
     }
 }
 
@@ -723,6 +766,15 @@ fn expr_references(e: &SqlExpr, alias: &str) -> bool {
     let mut ts = HashSet::new();
     e.tables(&mut ts);
     ts.contains(alias)
+}
+
+/// The column of `alias` an expression compares on: the bare column, or the
+/// one inside a computed side such as `level + 1`.
+fn column_within<'e>(e: &'e SqlExpr, alias: &str) -> Option<&'e str> {
+    match e {
+        SqlExpr::Add(a, b) => column_within(a, alias).or_else(|| column_within(b, alias)),
+        _ => e.as_column_of(alias),
+    }
 }
 
 /// Is the comparison an inequality (range-style) operator?
@@ -1119,6 +1171,245 @@ mod tests {
         }
         assert_eq!(plan.join_order(), vec!["d1".to_string(), "d2".to_string()]);
         assert!(plan.distinct);
+    }
+
+    /// A document-shaped table with real subtree extents: a DOC root over
+    /// `groups` `sec` elements, the i-th holding `1 + i % 4` `par` children
+    /// (so `max(size | sec, ELEM)` is 4), each `par` carrying its ordinal
+    /// in `data`.  Indexed like the default set: `nkp` and `nkdp`.
+    fn extent_db(groups: i64) -> Database {
+        let mut t = Table::new(Schema::new([
+            "pre", "size", "level", "kind", "name", "value", "data",
+        ]));
+        let total: i64 = (0..groups).map(|i| 2 + i % 4).sum();
+        let row = |pre: i64, size: i64, level: i64, kind: &str, name: &str, data: Value| {
+            vec![
+                Value::Int(pre),
+                Value::Int(size),
+                Value::Int(level),
+                Value::str(kind),
+                Value::str(name),
+                Value::Null,
+                data,
+            ]
+        };
+        t.push(row(0, total, 0, "DOC", "d.xml", Value::Null));
+        let (mut pre, mut ordinal) = (1, 0);
+        for i in 0..groups {
+            let kids = 1 + i % 4;
+            t.push(row(pre, kids, 1, "ELEM", "sec", Value::Null));
+            pre += 1;
+            for _ in 0..kids {
+                t.push(row(pre, 0, 2, "ELEM", "par", Value::Int(ordinal)));
+                pre += 1;
+                ordinal += 1;
+            }
+        }
+        let mut db = Database::new();
+        db.create_table("doc", t);
+        for (name, key) in [
+            ("nkp", vec!["name", "kind", "pre"]),
+            ("nkdp", vec!["name", "kind", "data", "pre"]),
+        ] {
+            db.create_index(IndexDef {
+                name: name.into(),
+                table: "doc".into(),
+                key_columns: key.into_iter().map(String::from).collect(),
+                include_columns: vec![],
+                clustered: false,
+            });
+        }
+        db
+    }
+
+    /// `sec` owners of the `par` with `data = ordinal`: selective at the
+    /// bottom, so the cheap plan starts there and walks up.
+    fn upward_query(ordinal: i64) -> SfwQuery {
+        crate::sqlparse::parse_sql(&format!(
+            "SELECT DISTINCT s.pre AS item FROM doc AS s, doc AS p \
+             WHERE s.kind = 'ELEM' AND s.name = 'sec' \
+               AND p.kind = 'ELEM' AND p.name = 'par' AND p.data = {ordinal} \
+               AND s.pre < p.pre AND p.pre <= s.pre + s.size \
+               AND s.level + 1 = p.level \
+             ORDER BY s.pre"
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn upward_probe_gets_its_lower_bound_from_the_extent_statistic() {
+        let db = extent_db(400);
+        let q = upward_query(777);
+        let plan = optimize(&q, &db).unwrap();
+        assert_eq!(plan.join_order(), vec!["p".to_string(), "s".to_string()]);
+        let JoinNode::Join {
+            access:
+                Access::IndexScan {
+                    index,
+                    bounds,
+                    residual,
+                },
+            ..
+        } = &plan.root
+        else {
+            panic!("expected an index probe, got {:?}", plan.root);
+        };
+        assert_eq!(index, "nkp");
+        assert_eq!(
+            bounds.upper,
+            Some((SqlExpr::col("p", "pre"), false)),
+            "the one-sided half the predicates give"
+        );
+        assert_eq!(
+            bounds.lower,
+            Some((SqlExpr::col("p", "pre") + SqlExpr::lit(-4i64), true)),
+            "p.pre <= s.pre + s.size implies s.pre >= p.pre - max(size | sec, ELEM)"
+        );
+        // The bound is a prefilter: the partner is still checked per row.
+        let partner = &q.where_clause[6];
+        assert_eq!(partner.to_string(), "p.pre <= s.pre + s.size");
+        assert!(residual.contains(partner), "{residual:?}");
+        // One probe walks at most the window, and finds the one owner.
+        let out = crate::exec::QueryRequest::new(&plan, &db).expect_run();
+        assert_eq!(out.rows.len(), 1);
+        let probe = &out.stats.operators[1];
+        assert_eq!((probe.probes, probe.fetched), (1, 1), "{}", probe.render());
+    }
+
+    #[test]
+    fn reloading_a_wider_table_refreshes_the_bound_and_misses_the_plan_cache() {
+        fn lower_of(plan: &PhysPlan) -> Option<(SqlExpr, bool)> {
+            match &plan.root {
+                JoinNode::Join {
+                    access: Access::IndexScan { bounds, .. },
+                    ..
+                } => bounds.lower.clone(),
+                other => panic!("expected an index probe, got {other:?}"),
+            }
+        }
+        let mut db = extent_db(400);
+        let q = upward_query(777);
+        let cache = PlanCache::new();
+        let (plan, _) = optimize_cached(&q, &db, &cache, "fp").unwrap();
+        let narrow = Some((SqlExpr::col("p", "pre") + SqlExpr::lit(-4i64), true));
+        assert_eq!(lower_of(&plan), narrow);
+        // Replace the table in place by one whose first `sec` holds 9
+        // `par`s, and rebuild the indexes: same catalog object, new version.
+        let mut rows = db.table("doc").unwrap().rows().to_vec();
+        let shift = |row: &mut Vec<Value>, by: i64| {
+            if let Value::Int(pre) = row[0] {
+                row[0] = Value::Int(pre + by);
+            }
+        };
+        rows.iter_mut().skip(3).for_each(|r| shift(r, 8));
+        rows[0][1] = Value::Int(rows.len() as i64 + 7);
+        rows[1][1] = Value::Int(9);
+        let mut par = rows[2].clone();
+        for extra in 1..=8 {
+            shift(&mut par, 1);
+            par[6] = Value::Int(10_000 + extra);
+            rows.insert(2 + extra as usize, par.clone());
+        }
+        let schema = db.table("doc").unwrap().schema().clone();
+        db.create_table("doc", Table::from_rows(schema, rows));
+        for name in ["nkp", "nkdp"] {
+            let def = db.index(name).unwrap().def.clone();
+            db.create_index(def);
+        }
+        let (plan, hit) = optimize_cached(&q, &db, &cache, "fp").unwrap();
+        assert!(!hit, "the catalog version moved");
+        let wide = Some((SqlExpr::col("p", "pre") + SqlExpr::lit(-9i64), true));
+        assert_eq!(lower_of(&plan), wide);
+        // The last of the nine `par`s sits 9 behind its `sec`: only the
+        // refreshed window reaches it.
+        let q = upward_query(10_008);
+        let plan = optimize(&q, &db).unwrap();
+        assert_eq!(lower_of(&plan), wide);
+        let out = crate::exec::QueryRequest::new(&plan, &db).expect_run();
+        assert_eq!(out.rows.rows(), &[vec![Value::Int(1)]]);
+    }
+
+    #[test]
+    fn no_implied_bound_without_a_literal_prefix_or_a_partner() {
+        let db = extent_db(50);
+        let planner_bounds = |sql: &str| {
+            let q = crate::sqlparse::parse_sql(sql).unwrap();
+            let planner = Planner::new(&q, &db);
+            let bound: HashSet<String> = ["p".to_string()].into();
+            match planner.best_access("s", "doc", &bound).0 {
+                Access::IndexScan { bounds, .. } => bounds,
+                other => panic!("expected an index scan, got {other:?}"),
+            }
+        };
+        // Ancestor-or-self style `<` partner: exclusive bound.
+        let b = planner_bounds(
+            "SELECT s.pre AS item FROM doc AS s, doc AS p \
+             WHERE s.kind = 'ELEM' AND s.name = 'sec' \
+               AND s.pre < p.pre AND s.pre + s.size > p.pre",
+        );
+        assert_eq!(
+            b.lower,
+            Some((SqlExpr::col("p", "pre") + SqlExpr::lit(-4i64), false))
+        );
+        // No partner: the range stays one-sided.
+        let b = planner_bounds(
+            "SELECT s.pre AS item FROM doc AS s, doc AS p \
+             WHERE s.kind = 'ELEM' AND s.name = 'sec' AND s.pre < p.pre",
+        );
+        assert!(b.upper.is_some() && b.lower.is_none());
+        // A prefix bound to an outer column has no group to look up.
+        let b = planner_bounds(
+            "SELECT s.pre AS item FROM doc AS s, doc AS p \
+             WHERE s.kind = 'ELEM' AND s.name = p.name \
+               AND s.pre < p.pre AND p.pre <= s.pre + s.size",
+        );
+        assert!(b.lower.is_none(), "{b:?}");
+        // A name that does not occur has no extent (and no rows to miss).
+        let b = planner_bounds(
+            "SELECT s.pre AS item FROM doc AS s, doc AS p \
+             WHERE s.kind = 'ELEM' AND s.name = 'absent' \
+               AND s.pre < p.pre AND p.pre <= s.pre + s.size",
+        );
+        assert!(b.lower.is_none(), "{b:?}");
+    }
+
+    #[test]
+    fn est_cost_is_the_dp_cost_and_grows_along_the_spine() {
+        for (db, q) in [
+            (toy_db(), simple_query()),
+            (extent_db(400), upward_query(777)),
+        ] {
+            let plan = optimize(&q, &db).unwrap();
+            // Re-extend the chosen order step by step: the cost never
+            // shrinks, and ends at what EXPLAIN reports.
+            let planner = Planner::new(&q, &db);
+            let order = plan.join_order();
+            let mut entry = planner.leaf_entry(planner.bit[&order[0]]);
+            let mut costs = vec![entry.cost];
+            for alias in &order[1..] {
+                entry = planner.extend(&entry, planner.bit[alias]);
+                costs.push(entry.cost);
+            }
+            assert!(costs.windows(2).all(|w| w[0] <= w[1]), "{costs:?}");
+            assert_eq!(plan.est_cost, *costs.last().unwrap(), "{costs:?}");
+            assert_eq!(entry.plan, plan.root);
+        }
+    }
+
+    #[test]
+    fn level_equality_estimates_the_same_from_either_side() {
+        let db = extent_db(50);
+        let q = upward_query(7);
+        let planner = Planner::new(&q, &db);
+        let level_eq = q
+            .where_clause
+            .iter()
+            .find(|p| p.to_string() == "s.level + 1 = p.level")
+            .unwrap();
+        let down = planner.single_join_pred_selectivity("p", level_eq);
+        let up = planner.single_join_pred_selectivity("s", level_eq);
+        assert_eq!(down, up);
+        assert!(up > cost::FALLBACK_EQ_SEL);
     }
 
     #[test]

@@ -150,7 +150,8 @@ pub struct PhysPlan {
     pub distinct: bool,
     /// Ordering of the final result.
     pub order_by: Vec<ColRef>,
-    /// Optimizer's total cost estimate (arbitrary units).
+    /// The cost the plan won the join enumeration with (arbitrary units,
+    /// cumulative over the left-deep spine).
     pub est_cost: f64,
     /// Optimizer's cardinality estimate for the join result.
     pub est_rows: f64,

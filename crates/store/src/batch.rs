@@ -169,6 +169,12 @@ pub struct OpStats {
     /// Probe operations performed (index nested-loop lookups, hash-table
     /// probes).
     pub probes: usize,
+    /// Index entries plus table rows the operator's access path examined
+    /// before its residual predicates ran: B-tree range-scan entries of an
+    /// `IXSCAN` (leaf, per-probe inner, or hash-join build enumeration) and
+    /// rows a `TBSCAN` kept past its pushed-down filters.  The per-operator
+    /// split of the query totals `index_rows + scan_rows`.
+    pub fetched: usize,
     /// Rows buffered by a pipeline breaker (hash-join build side, sort
     /// input).
     pub build_rows: usize,
@@ -221,6 +227,7 @@ impl OpStats {
         self.rows_out += other.rows_out;
         self.batches += other.batches;
         self.probes += other.probes;
+        self.fetched += other.fetched;
         self.build_rows += other.build_rows;
         self.cache_hits += other.cache_hits;
         self.spill_runs += other.spill_runs;
@@ -259,6 +266,15 @@ impl OpStats {
         }
         if self.probes > 0 {
             parts.push(format!("probes={}", self.probes));
+        }
+        if self.fetched > 0 {
+            parts.push(format!("fetched={}", self.fetched));
+            if self.probes > 0 {
+                parts.push(format!(
+                    "fetched/probe={:.1}",
+                    self.fetched as f64 / self.probes as f64
+                ));
+            }
         }
         if self.build_rows > 0 {
             parts.push(format!("build_rows={}", self.build_rows));
@@ -610,6 +626,7 @@ mod tests {
             s.rows_out = rows_out;
             s.batches = batches;
             s.probes = probes;
+            s.fetched = probes * 3;
             s
         };
         // Two workers, each with a partial final batch: raw batch counts
@@ -619,6 +636,7 @@ mod tests {
         assert_eq!(merged[0].rows_out, 900);
         assert_eq!(merged[0].rows_in, 450);
         assert_eq!(merged[0].probes, 17);
+        assert_eq!(merged[0].fetched, 51);
         assert_eq!(merged[0].batches, 2, "batches normalized to ceil(900/512)");
         // Zero-row operators report zero batches.
         let zero = merge_worker_stats(&[vec![mk(0, 0, 0)], vec![mk(0, 0, 0)]], 512);
@@ -639,5 +657,14 @@ mod tests {
         assert!(r.contains("rows_in=10"));
         assert!(r.contains("probes=10"));
         assert!(r.contains("build_rows=6"));
+        assert!(!r.contains("fetched"), "zero fetch work is not printed");
+        s.fetched = 25;
+        assert!(s
+            .render()
+            .contains("probes=10 fetched=25 fetched/probe=2.5"));
+        // A leaf examines entries without probing anything.
+        s.probes = 0;
+        assert!(s.render().contains("fetched=25"));
+        assert!(!s.render().contains("fetched/probe"));
     }
 }

@@ -326,6 +326,25 @@ impl BPlusTree {
         self.range(Bound::Unbounded, Bound::Unbounded)
     }
 
+    /// Visit every entry in key order along the leaf chain, without
+    /// cloning keys (the sorted input of one-pass group statistics).
+    pub fn for_each_entry(&self, mut f: impl FnMut(&[Value], usize)) {
+        let mut node_id = self.root;
+        while let Node::Internal { children, .. } = &self.nodes[node_id] {
+            node_id = children[0];
+        }
+        let mut current = Some(node_id);
+        while let Some(id) = current {
+            let Node::Leaf { keys, rows, next } = &self.nodes[id] else {
+                unreachable!("leaf chain reached an internal node");
+            };
+            for (k, &r) in keys.iter().zip(rows) {
+                f(k, r);
+            }
+            current = *next;
+        }
+    }
+
     /// [`Self::range`] returning only the row ids (key order), skipping
     /// the per-entry key clone — the shape every executor range scan
     /// actually consumes.

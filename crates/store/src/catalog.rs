@@ -7,10 +7,11 @@
 //! read naturally.
 
 use crate::btree::{BPlusTree, Key};
-use crate::stats::TableStats;
+use crate::stats::{GroupMax, TableStats};
 use crate::table::Table;
 use crate::value::Value;
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 /// Definition of a secondary index.
 #[derive(Debug, Clone)]
@@ -52,12 +53,22 @@ impl BuiltIndex {
     }
 }
 
+/// One memoized [`GroupMax`]: `(index, prefix length, column, statistic)`.
+type GroupMaxEntry = (String, usize, String, Arc<GroupMax>);
+
 /// An in-memory database: tables, indexes, statistics.
 #[derive(Debug, Default)]
 pub struct Database {
     tables: HashMap<String, Table>,
     indexes: Vec<BuiltIndex>,
     stats: HashMap<String, TableStats>,
+    /// Column-group extent statistics, `(index, prefix length, column)` →
+    /// [`GroupMax`].  Which groupings matter depends on the queries, so
+    /// each is collected on first request — one pass over the index's
+    /// sorted entries — and kept until the next DDL, like every other
+    /// statistic of a catalog version.  A handful of entries at most:
+    /// linear search, no key allocation on the optimizer's lookup path.
+    group_max: Mutex<Vec<GroupMaxEntry>>,
     /// Catalog version stamp, advanced on every DDL mutation.  Consumers
     /// caching derived physical structures (e.g. memoized hash-join build
     /// sides) compare stamps to detect staleness.  Stamps are drawn from a
@@ -83,6 +94,10 @@ impl Database {
 
     fn bump_version(&mut self) {
         self.version = CATALOG_VERSION.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.group_max
+            .get_mut()
+            .unwrap_or_else(|e| e.into_inner())
+            .clear();
     }
 
     /// Register (or replace) a table and collect its statistics.
@@ -102,6 +117,37 @@ impl Database {
     /// Look up a table's statistics.
     pub fn stats(&self, name: &str) -> Option<&TableStats> {
         self.stats.get(name)
+    }
+
+    /// The maximum of `column` within each group of `index`'s leading
+    /// `prefix_len` key columns (see [`GroupMax`]); `None` when the index,
+    /// the prefix or the column does not exist.  Collected once per
+    /// catalog version, on first request.
+    pub fn group_max(&self, index: &str, prefix_len: usize, column: &str) -> Option<Arc<GroupMax>> {
+        // Held across the collection so concurrent first requests compute
+        // once.  The memo only ever grows by the final `push`, so a lock
+        // poisoned by a panicking collector still guards valid data.
+        let mut memo = self.group_max.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some((.., gm)) = memo
+            .iter()
+            .find(|(i, p, c, _)| i == index && *p == prefix_len && c == column)
+        {
+            return Some(gm.clone());
+        }
+        let ix = self.index(index)?;
+        let table = self.tables.get(&ix.def.table)?;
+        let col = table.schema().index_of(column)?;
+        if prefix_len > ix.def.key_columns.len() {
+            return None;
+        }
+        let gm = Arc::new(GroupMax::collect(&ix.tree, prefix_len, table, col));
+        memo.push((
+            index.to_string(),
+            prefix_len,
+            column.to_string(),
+            gm.clone(),
+        ));
+        Some(gm)
     }
 
     /// Registered table names.
@@ -216,6 +262,37 @@ mod tests {
         let b = db();
         assert_ne!(a.version(), b.version());
         assert_ne!(v0, b.version());
+    }
+
+    #[test]
+    fn group_max_is_memoized_per_catalog_version() {
+        // pre doubles as the "extent" column: max(pre | name) is 98 / 99.
+        let mut db = db();
+        let gm = db
+            .group_max("np", 1, "pre")
+            .expect("index and column exist");
+        assert_eq!(gm.max_for(&[&Value::str("item")]), Some(98));
+        assert_eq!(gm.max_for(&[&Value::str("price")]), Some(99));
+        assert_eq!(gm.max_for(&[&Value::str("absent")]), None);
+        let again = db.group_max("np", 1, "pre").unwrap();
+        assert!(Arc::ptr_eq(&gm, &again), "second request is the memo");
+        assert!(db.group_max("nope", 1, "pre").is_none());
+        assert!(db.group_max("np", 3, "pre").is_none());
+        assert!(db.group_max("np", 1, "nope").is_none());
+        // Replacing the table and rebuilding the index refreshes it.
+        let mut t = Table::new(Schema::new(["pre", "name", "kind"]));
+        t.push(vec![Value::Int(500), Value::str("item"), Value::Int(1)]);
+        db.create_table("doc", t);
+        db.create_index(IndexDef {
+            name: "np".to_string(),
+            table: "doc".to_string(),
+            key_columns: vec!["name".to_string(), "pre".to_string()],
+            include_columns: vec![],
+            clustered: false,
+        });
+        let fresh = db.group_max("np", 1, "pre").unwrap();
+        assert_eq!(fresh.max_for(&[&Value::str("item")]), Some(500));
+        assert_eq!(fresh.max_for(&[&Value::str("price")]), None);
     }
 
     #[test]

@@ -5,8 +5,12 @@
 //! encoding — are all the optimizer needs to reorder XPath steps and reverse
 //! axes.  This module provides exactly that: row counts, per-column
 //! distinct/null counts, min/max, most-common values (tag names are heavily
-//! skewed) and an equi-width histogram for numeric columns.
+//! skewed) and an equi-width histogram for numeric columns — plus one
+//! column-group statistic, [`GroupMax`]: the maximum of an integer column
+//! within each group of an index's equality prefix, from which the
+//! optimizer derives the missing side of one-sided range probes.
 
+use crate::btree::BPlusTree;
 use crate::kernel::agg_i64_masked;
 use crate::morsel::ExecConfig;
 use crate::table::Table;
@@ -143,6 +147,58 @@ impl TableStats {
     /// Statistics for a column, if collected.
     pub fn column(&self, name: &str) -> Option<&ColumnStats> {
         self.columns.get(name)
+    }
+}
+
+/// Column-group extent statistic: `max(column)` within each group of rows
+/// that agree on an index's leading `prefix_len` key columns.
+///
+/// It bounds how far a row's `R + W` can reach beyond its `R`: for rows of
+/// one group, `X <= R + W` implies `R >= X - max(W | group)`, which turns a
+/// one-sided index range `R < X` into a window.  Collected in one pass over
+/// the index's already-sorted entries; the [`crate::Database`] memoizes it
+/// per catalog version.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GroupMax {
+    /// `(group key, max)` in index key order.  `None` marks a group without
+    /// a usable maximum: its column holds a non-integer value, or nothing
+    /// but NULLs.
+    groups: Vec<(Vec<Value>, Option<i64>)>,
+}
+
+impl GroupMax {
+    /// Fold `table`'s `column` over the groups of `tree`'s leading
+    /// `prefix_len` key columns (`tree` must index `table`).
+    pub fn collect(tree: &BPlusTree, prefix_len: usize, table: &Table, column: usize) -> Self {
+        let mut groups: Vec<(Vec<Value>, Option<i64>)> = Vec::new();
+        let mut tainted = false;
+        tree.for_each_entry(|key, rid| {
+            let prefix = &key[..prefix_len];
+            if groups.last().is_none_or(|(g, _)| g.as_slice() != prefix) {
+                groups.push((prefix.to_vec(), None));
+                tainted = false;
+            }
+            let max = &mut groups.last_mut().expect("group opened above").1;
+            match &table.rows()[rid][column] {
+                Value::Null => {}
+                Value::Int(v) if !tainted => *max = Some(max.map_or(*v, |m| m.max(*v))),
+                _ => {
+                    tainted = true;
+                    *max = None;
+                }
+            }
+        });
+        GroupMax { groups }
+    }
+
+    /// The group's maximum; `None` for an absent group or one without a
+    /// usable maximum.
+    pub fn max_for(&self, key: &[&Value]) -> Option<i64> {
+        let at = self
+            .groups
+            .binary_search_by(|(g, _)| g.iter().cmp(key.iter().copied()))
+            .ok()?;
+        self.groups[at].1
     }
 }
 
@@ -376,6 +432,55 @@ mod tests {
         assert_eq!(k.mcv, r.mcv);
         assert_eq!(k.histogram, r.histogram);
         assert!((k.mean.unwrap() - r.mean.unwrap()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn group_max_folds_sorted_index_entries() {
+        // Groups (g, k); `w` is NULL-bearing in one group, non-integer in
+        // another, all-NULL in a third.
+        let mut t = Table::new(Schema::new(["g", "k", "r", "w"]));
+        let rows: [(&str, i64, Value); 8] = [
+            ("a", 1, Value::Int(3)),
+            ("a", 1, Value::Null),
+            ("a", 1, Value::Int(7)),
+            ("a", 2, Value::Int(-4)),
+            ("b", 1, Value::Int(9)),
+            ("b", 1, Value::Dec(0.5)),
+            ("b", 1, Value::Int(11)),
+            ("c", 1, Value::Null),
+        ];
+        for (r, (g, k, w)) in rows.into_iter().enumerate() {
+            t.push(vec![Value::str(g), Value::Int(k), Value::Int(r as i64), w]);
+        }
+        let entries = t
+            .rows()
+            .iter()
+            .enumerate()
+            .map(|(rid, row)| (row[..3].to_vec(), rid))
+            .collect();
+        let tree = BPlusTree::bulk_load(entries);
+        let by_gk = GroupMax::collect(&tree, 2, &t, 3);
+        let key = |g: &str, k: i64| [Value::str(g), Value::Int(k)];
+        let get = |gm: &GroupMax, k: &[Value]| gm.max_for(&k.iter().collect::<Vec<_>>());
+        assert_eq!(get(&by_gk, &key("a", 1)), Some(7));
+        assert_eq!(get(&by_gk, &key("a", 2)), Some(-4));
+        assert_eq!(
+            get(&by_gk, &key("b", 1)),
+            None,
+            "non-integer value taints the group"
+        );
+        assert_eq!(
+            get(&by_gk, &key("c", 1)),
+            None,
+            "all-NULL group has no maximum"
+        );
+        assert_eq!(get(&by_gk, &key("a", 3)), None, "absent group");
+        // A shorter prefix merges (a,1) and (a,2); the empty prefix is the
+        // whole table, tainted by b's decimal.
+        let by_g = GroupMax::collect(&tree, 1, &t, 3);
+        assert_eq!(get(&by_g, &[Value::str("a")]), Some(7));
+        assert_eq!(get(&GroupMax::collect(&tree, 0, &t, 3), &[]), None);
+        assert_eq!(get(&GroupMax::collect(&tree, 0, &t, 2), &[]), Some(7));
     }
 
     #[test]

@@ -37,6 +37,8 @@ pub enum Token {
     Comma,
     /// `.`
     Dot,
+    /// `..` (abbreviated `parent::node()`)
+    DotDot,
     /// `*`
     Star,
     /// `=`
@@ -74,6 +76,7 @@ impl fmt::Display for Token {
             Token::Assign => write!(f, ":="),
             Token::Comma => write!(f, ","),
             Token::Dot => write!(f, "."),
+            Token::DotDot => write!(f, ".."),
             Token::Star => write!(f, "*"),
             Token::Eq => write!(f, "="),
             Token::Ne => write!(f, "!="),
@@ -256,6 +259,9 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, ParseError> {
                     let (tok, next) = scan_number(input, pos)?;
                     out.push(tok);
                     pos = next;
+                } else if bytes.get(pos + 1) == Some(&b'.') {
+                    out.push(Token::DotDot);
+                    pos += 2;
                 } else {
                     out.push(Token::Dot);
                     pos += 1;
@@ -385,5 +391,8 @@ mod tests {
         let toks = tokenize(". .5").unwrap();
         assert_eq!(toks[0], Token::Dot);
         assert_eq!(toks[1], Token::DecimalLit(0.5));
+        let toks = tokenize("a/../.").unwrap();
+        assert_eq!(toks[2], Token::DotDot);
+        assert_eq!(toks[4], Token::Dot);
     }
 }

@@ -277,7 +277,7 @@ impl Parser {
     fn starts_step(&self) -> bool {
         matches!(
             self.peek(),
-            Token::Name(_) | Token::At | Token::Star | Token::Dot
+            Token::Name(_) | Token::At | Token::Star | Token::Dot | Token::DotDot
         )
     }
 
@@ -333,6 +333,10 @@ impl Parser {
             Token::Dot => {
                 self.advance();
                 Ok((Axis::SelfAxis, NodeTest::AnyKind))
+            }
+            Token::DotDot => {
+                self.advance();
+                Ok((Axis::Parent, NodeTest::AnyKind))
             }
             Token::Name(name) => {
                 // Explicit axis?
@@ -426,6 +430,7 @@ impl Parser {
                 self.expect(Token::RParen)?;
                 Ok(e)
             }
+            Token::DotDot => self.parse_one_step(Expr::ContextItem, false),
             Token::Dot => {
                 self.advance();
                 let ctx = Expr::ContextItem;
@@ -599,6 +604,18 @@ mod tests {
             Expr::If { else_, .. } => assert_eq!(*else_, Expr::Empty),
             other => panic!("expected if, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn dot_dot_abbreviates_the_parent_step() {
+        assert_eq!(
+            parse("$x/../name").unwrap(),
+            parse("$x/parent::node()/name").unwrap()
+        );
+        assert_eq!(
+            parse("$x/a[../@id]").unwrap(),
+            parse("$x/a[./parent::node()/@id]").unwrap()
+        );
     }
 
     #[test]

@@ -7,7 +7,13 @@
 //!   interpreter, the stacked plan and the isolated join graph,
 //! * join-edge semantics: NULL hash/probe keys never match, residual
 //!   predicates filter *after* the join, and nested-loop and hash joins
-//!   return identical binding sets for the same plan.
+//!   return identical binding sets for the same plan,
+//! * upward steps (`parent::`, `ancestor::`, `..`, attribute-to-owner value
+//!   joins) agree with the interpreter where the optimizer closes their
+//!   one-sided index range with a statistics-derived lower bound — at the
+//!   window's edges, under same-name recursion, with names shared by
+//!   elements and attributes, across two documents, and after a load that
+//!   widens a name's extent.
 
 use proptest::prelude::*;
 use xqjg::engine::{
@@ -58,6 +64,164 @@ fn arb_xml(depth: u32) -> BoxedStrategy<String> {
             .prop_map(|children| format!("<group>{}</group>", children.join(""))),
     ]
     .boxed()
+}
+
+/// Strategy producing documents for the upward-step properties: `item`
+/// and `category` name elements *and* attributes (their `(name, kind)`
+/// groups must not alias), `parlist`/`listitem` nest recursively, and
+/// subtree widths vary so the widest element of a name is sometimes the
+/// one a step must reach.
+fn arb_auction_xml() -> BoxedStrategy<String> {
+    fn parlist(depth: u32) -> BoxedStrategy<String> {
+        let leaf = prop_oneof![
+            (0u32..6).prop_map(|n| format!("<v>{n}</v>")),
+            (0u32..4).prop_map(|k| format!("<itemref item=\"i{k}\"/>")),
+            (0u32..3).prop_map(|k| format!("<incategory category=\"c{k}\"/>")),
+        ];
+        let content = if depth == 0 {
+            leaf.boxed()
+        } else {
+            prop_oneof![leaf, parlist(depth - 1)].boxed()
+        };
+        let listitem = prop::collection::vec(content, 1..3)
+            .prop_map(|c| format!("<listitem>{}</listitem>", c.join("")));
+        prop::collection::vec(listitem, 1..3)
+            .prop_map(|l| format!("<parlist>{}</parlist>", l.join("")))
+            .boxed()
+    }
+    let item =
+        (0u32..4, 0u32..3, prop::collection::vec(parlist(2), 0..3)).prop_map(|(id, cat, body)| {
+            format!(
+                "<item id=\"i{id}\" category=\"c{cat}\">{}</item>",
+                body.join("")
+            )
+        });
+    let category =
+        (0u32..3).prop_map(|k| format!("<category id=\"c{k}\"><name>n{k}</name></category>"));
+    prop::collection::vec(prop_oneof![item.clone(), item, category, parlist(1)], 1..6)
+        .prop_map(|parts| format!("<root>{}</root>", parts.join("")))
+        .boxed()
+}
+
+/// Upward-step query shapes over document `uri`; `k` picks the literal.
+/// The first [`STEP_SHAPES`] are path steps, the last two value joins
+/// from an attribute to its owner element.
+fn upward_queries(uri: &str, k: u32) -> Vec<String> {
+    let d = format!("doc(\"{uri}\")");
+    vec![
+        format!("{d}//v[. = {k}]/parent::listitem"),
+        format!("{d}//v[. = {k}]/ancestor::parlist"),
+        format!("{d}//v[. = {k}]/ancestor::item"),
+        format!("{d}//v[. = {k}]/.."),
+        format!("{d}//listitem/ancestor::listitem"),
+        format!("{d}//item[@id = \"i{k}\"]/.."),
+        format!("{d}//incategory[@category = \"c{k}\"]/ancestor::item"),
+        format!("{d}//@category/.."),
+        format!("for $r in {d}//itemref, $i in {d}//item where $r/@item = $i/@id return $i"),
+        format!(
+            "for $i in {d}//item, $c in {d}//category where $i/@category = $c/@id return $c/name"
+        ),
+    ]
+}
+
+const STEP_SHAPES: usize = 8;
+
+/// Join graph ≡ interpreter (items and order) for `query`; returns the
+/// join-graph outcome for further inspection.
+fn assert_join_graph_matches_interpreter(p: &mut Processor, query: &str) -> xqjg::Outcome {
+    let oracle = p.execute(query, Mode::Interpreter).unwrap().items;
+    let joined = p.execute(query, Mode::JoinGraph).unwrap();
+    assert_eq!(joined.items, oracle, "join graph differs for {query}");
+    joined
+}
+
+/// Did the optimizer close the upward probe for elements named `name`
+/// with a derived lower bound (`pre >= x - max(size)`)?
+fn has_derived_window(out: &xqjg::Outcome, name: &str) -> bool {
+    let group = format!("name = '{name}', kind = 'ELEM', pre >= ");
+    out.explain
+        .iter()
+        .any(|e| e.lines().any(|l| l.contains(&group) && l.contains(" - ")))
+}
+
+/// A document of `items` `item`s, the `k`-th holding `k % 4` `<x/>`
+/// children (`wide` extra ones for item `widest`) and, last, a `<w k=…/>`
+/// — so `@k` is the final node of its item's subtree, exactly on the
+/// `pre + size` edge, and `w` (size 1) sits exactly `max(size | w)` before
+/// its attribute.
+fn edge_xml(items: u32, widest: u32, wide: u32) -> String {
+    let mut xml = String::from("<root>");
+    for k in 0..items {
+        xml.push_str(&format!("<item id=\"i{k}\">"));
+        let xs = k % 4 + if k == widest { wide } else { 0 };
+        xml.push_str(&"<x/>".repeat(xs as usize));
+        xml.push_str(&format!("<w k=\"{k}\"/></item>"));
+    }
+    xml.push_str("</root>");
+    xml
+}
+
+#[test]
+fn derived_window_is_sound_at_its_edges() {
+    let mut p = Processor::new();
+    p.load_document("t.xml", &edge_xml(80, 17, 9)).unwrap();
+    p.create_default_indexes();
+    for k in [0, 3, 17, 79] {
+        // @k -> w: every w has size 1 = max(size | w), so the owner sits
+        // exactly on the inclusive lower edge `pre >= @k.pre - 1`.
+        let w = assert_join_graph_matches_interpreter(
+            &mut p,
+            &format!("doc(\"t.xml\")//w[@k = \"{k}\"]"),
+        );
+        assert_eq!(w.items.len(), 1);
+        assert!(has_derived_window(&w, "w"), "{}", w.explain[0]);
+        // ... -> item: for k = 17 the match is the widest item of all, and
+        // its last node is the one probing for it.
+        for axis in ["ancestor::item", "..", "../.."] {
+            let up = assert_join_graph_matches_interpreter(
+                &mut p,
+                &format!("doc(\"t.xml\")//w[@k = \"{k}\"]/{axis}"),
+            );
+            assert_eq!(up.items.len(), 1, "{axis}");
+            if axis == "ancestor::item" {
+                assert!(has_derived_window(&up, "item"), "{}", up.explain[0]);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_load_that_widens_a_name_refreshes_the_window() {
+    // t.xml's items are at most 5 nodes wide; u.xml's item 2 spans 40.
+    // The same query text runs before and after u.xml is loaded: a window
+    // (or a plan) surviving from the first catalog version would be too
+    // narrow to reach the wide item.
+    let mut p = Processor::new();
+    p.load_document("t.xml", &edge_xml(60, 0, 0)).unwrap();
+    p.create_default_indexes();
+    let narrow = assert_join_graph_matches_interpreter(
+        &mut p,
+        "doc(\"t.xml\")//w[@k = \"7\"]/ancestor::item",
+    );
+    assert!(has_derived_window(&narrow, "item"), "{}", narrow.explain[0]);
+    let query = "doc(\"u.xml\")//w[@k = \"2\"]/ancestor::item";
+    let before = p.execute(query, Mode::JoinGraph).unwrap();
+    assert!(before.items.is_empty(), "u.xml is not loaded yet");
+
+    p.load_document("u.xml", &edge_xml(60, 2, 36)).unwrap();
+    p.create_default_indexes();
+    let after = assert_join_graph_matches_interpreter(&mut p, query);
+    assert_eq!(after.items.len(), 1, "the wide item is found");
+    // (With the plan cache off — one CI leg — EXPLAIN prints neither.)
+    assert!(
+        !after.explain[0].contains("plan_cache=hit"),
+        "the catalog version moved: {}",
+        after.explain[0]
+    );
+    assert!(has_derived_window(&after, "item"), "{}", after.explain[0]);
+    // Both documents share the catalog and the (item, ELEM) group; the
+    // first one still answers through the (now wider) window.
+    assert_join_graph_matches_interpreter(&mut p, "doc(\"t.xml\")//w[@k = \"7\"]/ancestor::item");
 }
 
 /// Strategy producing a nullable join key over a tiny domain (so matches,
@@ -130,6 +294,34 @@ fn join_plan(method: JoinMethod, with_residual: bool) -> PhysPlan {
         order_by: vec![],
         est_cost: 0.0,
         est_rows: 0.0,
+    }
+}
+
+proptest! {
+    // Each case plans ~20 queries, two of them 10-way value joins: keep
+    // the case count low enough for the debug-build CI legs.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn upward_steps_agree_with_the_interpreter_across_two_documents(
+        first in arb_auction_xml(),
+        second in arb_auction_xml(),
+        k in 0u32..4,
+    ) {
+        // Two documents in one catalog: the second one's rows are shifted
+        // behind the first's, and every (name, kind) group — hence every
+        // derived window — spans both.
+        let mut p = Processor::new();
+        p.load_document("t.xml", &first).unwrap();
+        p.load_document("u.xml", &second).unwrap();
+        p.create_default_indexes();
+        for (uri, shapes) in [("t.xml", STEP_SHAPES), ("u.xml", STEP_SHAPES + 2)] {
+            for query in upward_queries(uri, k).into_iter().take(shapes) {
+                let oracle = p.execute(&query, Mode::Interpreter).unwrap().items;
+                let joined = p.execute(&query, Mode::JoinGraph).unwrap().items;
+                prop_assert_eq!(&joined, &oracle, "{} over {} + {}", query, first, second);
+            }
+        }
     }
 }
 
