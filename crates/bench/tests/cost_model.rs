@@ -170,3 +170,62 @@ fn q2_leaf_is_the_selective_price_predicate() {
         );
     }
 }
+
+/// Every plan of Q1–Q6 at scales 0.1 and 1.0, as recorded at the commit
+/// before the join enumeration was rebuilt on bitsets, a step memo and
+/// back-pointers: EXPLAIN text, the bit patterns of both estimates, and a
+/// hash of the whole tree (`{:?}` — residual order and hash keys, which
+/// EXPLAIN only counts).  Planner work that is meant to change a plan
+/// regenerates the file with `UPDATE_GOLDEN=1` and reviews the diff.
+const GOLDEN_PLANS: &str = "tests/golden_plans.txt";
+
+fn render_golden_plans() -> String {
+    fn fnv1a(text: &str) -> u64 {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+    let mut out = String::new();
+    for scale in [0.1, 1.0] {
+        let mut workload = Workload::new(scale);
+        for q in queries() {
+            let prepared = workload.processor(&q).prepare(q.text).expect("prepares");
+            let db: &Database = workload.processor(&q).database();
+            for (i, b) in prepared.branches.iter().enumerate() {
+                let plan = optimize(&b.isolated.query, db).expect("optimizes");
+                out.push_str(&format!(
+                    "== {} scale {scale} branch {i} est_cost={:#018x} est_rows={:#018x} tree={:#018x}\n{}",
+                    q.id,
+                    plan.est_cost.to_bits(),
+                    plan.est_rows.to_bits(),
+                    fnv1a(&format!("{:?}", plan.root)),
+                    xqjg_engine::explain(&plan)
+                ));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn plans_match_the_golden_file_byte_for_byte() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN_PLANS);
+    let actual = render_golden_plans();
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &actual).expect("golden file written");
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).expect("golden file readable");
+    if let Some((n, (want, got))) = golden
+        .lines()
+        .zip(actual.lines())
+        .enumerate()
+        .find(|(_, (want, got))| want != got)
+    {
+        panic!(
+            "{GOLDEN_PLANS} line {}:\n  golden: {want}\n  actual: {got}",
+            n + 1
+        );
+    }
+    assert_eq!(golden.len(), actual.len(), "{GOLDEN_PLANS}: length differs");
+}

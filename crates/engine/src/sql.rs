@@ -68,16 +68,30 @@ impl SqlExpr {
 
     /// Table aliases referenced by the expression.
     pub fn tables(&self, out: &mut HashSet<String>) {
+        self.for_each_table(&mut |t| {
+            out.insert(t.to_string());
+        });
+    }
+
+    /// Call `f` with the table alias of every column reference, left to
+    /// right (repeats included) — the allocation-free form of
+    /// [`SqlExpr::tables`].
+    pub(crate) fn for_each_table(&self, f: &mut dyn FnMut(&str)) {
         match self {
-            SqlExpr::Col(c) => {
-                out.insert(c.table.clone());
-            }
+            SqlExpr::Col(c) => f(&c.table),
             SqlExpr::Lit(_) => {}
             SqlExpr::Add(a, b) => {
-                a.tables(out);
-                b.tables(out);
+                a.for_each_table(f);
+                b.for_each_table(f);
             }
         }
+    }
+
+    /// Does the expression reference a column of `alias`?
+    pub(crate) fn mentions(&self, alias: &str) -> bool {
+        let mut found = false;
+        self.for_each_table(&mut |t| found |= t == alias);
+        found
     }
 
     /// If the expression is a bare column of the given alias, return the
