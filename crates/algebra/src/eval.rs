@@ -64,13 +64,6 @@ pub fn evaluate(plan: &Plan, ctx: &EvalContext<'_>) -> Table {
     AlgebraRequest::new(plan, ctx).run().0
 }
 
-/// Evaluate a plan, additionally returning the per-operator work counters
-/// (one entry per reachable DAG node, upstream operators first).
-#[deprecated(note = "use AlgebraRequest::new(plan, ctx).run()")]
-pub fn evaluate_with_stats(plan: &Plan, ctx: &EvalContext<'_>) -> (Table, Vec<OpStats>) {
-    AlgebraRequest::new(plan, ctx).run()
-}
-
 /// Number of rows produced across all operators (a simple work metric used
 /// by the benchmarks to contrast stacked and isolated plans).  Shared DAG
 /// nodes are counted once, matching the memoized evaluation the metric was
@@ -810,10 +803,6 @@ pub fn compare_values(a: &Value, op: CmpOp, b: &Value) -> bool {
 }
 
 #[cfg(test)]
-// The unit tests deliberately keep exercising the deprecated entry points:
-// they are the regression suite proving the shims stay byte-identical to
-// the `AlgebraRequest` path they forward to.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::ir::Comparison;
@@ -1077,7 +1066,7 @@ mod tests {
         });
         let root = p.add(OpKind::Serialize { input: join });
         p.set_root(root);
-        let (out, stats) = evaluate_with_stats(&p, &EvalContext { doc: &doc });
+        let (out, stats) = AlgebraRequest::new(&p, &EvalContext { doc: &doc }).run();
         assert_eq!(out.len(), 4, "self-equi-join over pre");
         // doc and δ are counted exactly once despite feeding two parents.
         let doc_entries = stats.iter().filter(|o| o.name == "doc").count();
@@ -1103,7 +1092,7 @@ mod tests {
         });
         let root = p.add(OpKind::Serialize { input: join });
         p.set_root(root);
-        let (_, stats) = evaluate_with_stats(&p, &EvalContext { doc: &doc });
+        let (_, stats) = AlgebraRequest::new(&p, &EvalContext { doc: &doc }).run();
         let join_stats = stats
             .iter()
             .find(|o| o.name.starts_with('⋈'))

@@ -19,8 +19,5 @@ pub mod render;
 
 pub use bridge::{doc_relation, result_items, DOC_RELATION};
 pub use eval::{evaluate, materialized_rows, AlgebraRequest, EvalContext};
-// Deprecated tuple-shaped twin, kept for external callers.
-#[allow(deprecated)]
-pub use eval::evaluate_with_stats;
 pub use ir::{CmpOp, Comparison, OpId, OpKind, Plan, Predicate, Scalar, DOC_COLUMNS};
 pub use render::{histogram, render_dot, render_text, OperatorHistogram};

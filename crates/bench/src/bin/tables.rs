@@ -4,37 +4,14 @@
 //! cargo run --release -p xqjg-bench --bin tables -- table6
 //! cargo run --release -p xqjg-bench --bin tables -- table8
 //! cargo run --release -p xqjg-bench --bin tables -- table9 [--scale 0.2] [--budget-secs 120]
-//! cargo run --release -p xqjg-bench --bin tables -- bench-exec [--scale 0.2] [--batch-capacity 1024] [--morsel-size 2048]
-//! cargo run --release -p xqjg-bench --bin tables -- bench-serve [--scale 0.2] [--iters 25]
 //! cargo run --release -p xqjg-bench --bin tables -- all
 //! ```
 //!
-//! `bench-exec` times the pipelined executor against the materializing
-//! baseline on the XMark join-graph queries — sweeping the degree of
-//! parallelism over 1, 2 and 4 worker threads — and writes the comparison
-//! to `BENCH_exec.json` (rows/sec per thread count plus batch counts).
-//! `--batch-capacity` and `--morsel-size` expose the executor knobs so the
-//! harness can sweep them too.
-//!
-//! `bench-serve` runs the closed-loop service benchmark: real TCP clients
-//! against a live `xqjg-serve` pair (one server per data set), each client
-//! cycling the Table IX mix, at several concurrency levels.  It writes
-//! client-observed p50/p99 latencies, aggregate throughput and admission
-//! counters to `BENCH_serve.json`, and asserts every response is
-//! byte-identical to a single-session execution.
+//! Performance numbers come from the standalone `benchmark/` package (see
+//! `BENCHMARK.json`), not from this binary.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-use xqjg_bench::{queries, render_table9, table9, BenchQuery, DataSet, Workload};
-use xqjg_core::{Mode, Processor, QueryCaches};
-use xqjg_engine::{execute_materialized, optimize, ExecStats, PhysPlan, QueryRequest};
-use xqjg_serve::{Engine, Server};
-use xqjg_store::{
-    default_threads, AdmissionConfig, CancelToken, Database, ExecConfig, BATCH_CAPACITY,
-    DEFAULT_MORSEL_SIZE,
-};
+use std::time::Duration;
+use xqjg_bench::{queries, render_table9, table9, DataSet, Workload};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -42,24 +19,10 @@ fn main() {
     let scale = flag_value(&args, "--scale").unwrap_or(0.1);
     let budget = Duration::from_secs(flag_value(&args, "--budget-secs").unwrap_or(300.0) as u64);
 
-    let batch_capacity = flag_value(&args, "--batch-capacity")
-        .map(|v| (v as usize).max(1))
-        .unwrap_or(BATCH_CAPACITY);
-    let morsel_size = flag_value(&args, "--morsel-size")
-        .map(|v| (v as usize).max(1))
-        .unwrap_or(DEFAULT_MORSEL_SIZE);
-
     match which {
         "table6" => table6(scale),
         "table8" => table8(),
         "table9" => print!("{}", render_table9(&table9(scale, budget), scale)),
-        "bench-exec" => bench_exec(scale, batch_capacity, morsel_size),
-        "bench-serve" => {
-            let iters = flag_value(&args, "--iters")
-                .map(|v| (v as usize).max(1))
-                .unwrap_or(SERVE_ITERS);
-            bench_serve(scale, iters);
-        }
         "all" => {
             table6(scale);
             println!();
@@ -68,568 +31,10 @@ fn main() {
             print!("{}", render_table9(&table9(scale, budget), scale));
         }
         other => {
-            eprintln!(
-                "unknown table {other:?}; expected table6 | table8 | table9 | bench-exec | bench-serve | all"
-            );
+            eprintln!("unknown table {other:?}; expected table6 | table8 | table9 | all");
             std::process::exit(1);
         }
     }
-}
-
-/// Best-of-N wall-clock time of one strategy over a plan list.
-fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
-    let mut best = f64::INFINITY;
-    let mut last = None;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let r = f();
-        best = best.min(start.elapsed().as_secs_f64());
-        last = Some(r);
-    }
-    (best, last.expect("at least one rep"))
-}
-
-/// Degrees of parallelism the sweep covers.
-const SWEEP_THREADS: [usize; 3] = [1, 2, 4];
-
-/// Pipelined vs. materializing executor comparison with a
-/// thread-count sweep (DOP 1 / 2 / 4), emitted as `BENCH_exec.json`.
-fn bench_exec(scale: f64, batch_capacity: usize, morsel_size: usize) {
-    let mut workload = Workload::new(scale);
-    let mut cells = Vec::new();
-    for q in queries()
-        .into_iter()
-        .filter(|q| q.id == "Q1" || q.id == "Q2")
-    {
-        let prepared = workload
-            .processor(&q)
-            .prepare(q.text)
-            .expect("query prepares");
-        let db: &Database = workload.processor(&q).database();
-        let plans: Vec<PhysPlan> = prepared
-            .branches
-            .iter()
-            .map(|b| optimize(&b.isolated.query, db).expect("plan optimizes"))
-            .collect();
-        let reps = 9;
-        // Interleave the repetitions of every configuration (materializing
-        // + each DOP) round-robin so drifting background load hits all
-        // configurations alike instead of biasing whichever block it
-        // overlaps; best-of-N per configuration is taken across rounds.
-        // Every configuration must agree on rows *and* on the aggregated
-        // per-operator actuals.
-        let mut mat_secs = f64::INFINITY;
-        let mut mat_rows = 0usize;
-        let mut sweep: Vec<(usize, f64, usize, ExecStats, ExecConfig)> = SWEEP_THREADS
-            .iter()
-            .map(|&t| {
-                let cfg = ExecConfig::from_env()
-                    .with_threads(t)
-                    .with_batch_capacity(batch_capacity)
-                    .with_morsel_size(morsel_size);
-                (t, f64::INFINITY, 0, ExecStats::default(), cfg)
-            })
-            .collect();
-        for _ in 0..reps {
-            let (secs, rows) = time_best(1, || {
-                plans
-                    .iter()
-                    .map(|p| execute_materialized(p, db).len())
-                    .sum::<usize>()
-            });
-            mat_secs = mat_secs.min(secs);
-            mat_rows = rows;
-            for slot in sweep.iter_mut() {
-                let cfg = slot.4.clone();
-                let (secs, (rows, stats)) = time_best(1, || {
-                    let mut rows = 0usize;
-                    let mut stats = ExecStats::default();
-                    for p in &plans {
-                        let out = QueryRequest::new(p, db).config(&cfg).expect_run();
-                        rows += out.rows.len();
-                        stats.merge(&out.stats);
-                    }
-                    (rows, stats)
-                });
-                assert_eq!(
-                    mat_rows, rows,
-                    "{}: executors disagree at DOP {}",
-                    q.id, slot.0
-                );
-                slot.1 = slot.1.min(secs);
-                slot.2 = rows;
-                slot.3 = stats;
-            }
-        }
-        let (_, dop1_secs, pipe_rows, stats) = {
-            let s = &sweep[0];
-            (s.0, s.1, s.2, s.3.clone())
-        };
-        for (threads, _, _, s, _) in &sweep[1..] {
-            assert_eq!(
-                s.operators, stats.operators,
-                "{}: EXPLAIN actuals drift at DOP {threads}",
-                q.id
-            );
-        }
-        // One instrumented DOP-1 run to capture the adaptive batch-size
-        // trace alongside the per-operator actuals.
-        let trace = {
-            let cfg = ExecConfig::from_env()
-                .with_threads(1)
-                .with_batch_capacity(batch_capacity)
-                .with_morsel_size(morsel_size);
-            let mut leaves: Vec<(String, Vec<usize>)> = Vec::new();
-            for p in &plans {
-                let out = QueryRequest::new(p, db).config(&cfg).expect_run();
-                leaves.extend(out.trace.leaves);
-            }
-            leaves
-        };
-        let total_batches: usize = stats.operators.iter().map(|o| o.batches).sum();
-        let peak_batches = stats.operators.iter().map(|o| o.batches).max().unwrap_or(0);
-        let sweep_cells: Vec<String> = sweep
-            .iter()
-            .map(|(threads, secs, rows, _, _)| {
-                format!(
-                    "        {{ \"threads\": {threads}, \"secs\": {secs:.6}, \"rows_per_sec\": {:.1}, \"speedup_vs_dop1\": {:.3} }}",
-                    *rows as f64 / secs.max(1e-12),
-                    dop1_secs / secs.max(1e-12),
-                )
-            })
-            .collect();
-        // Per-operator actuals with the measured selectivity (rows out per
-        // row in — the quantity the adaptive sizer steers on) and the
-        // spill counters (so the perf trajectory can tell in-memory from
-        // spilled configurations apart).
-        let operator_cells: Vec<String> = stats
-            .operators
-            .iter()
-            .map(|o| {
-                let sel = if o.rows_in > 0 {
-                    format!("{:.4}", o.rows_out as f64 / o.rows_in as f64)
-                } else {
-                    "null".to_string()
-                };
-                format!(
-                    "        {{ \"name\": \"{}\", \"rows_in\": {}, \"rows_out\": {}, \"batches\": {}, \"probes\": {}, \"selectivity\": {}, \"spill_runs\": {}, \"spill_bytes\": {}, \"partitions\": {}, \"kernel_rows\": {} }}",
-                    o.name, o.rows_in, o.rows_out, o.batches, o.probes, sel,
-                    o.spill_runs, o.spill_bytes, o.partitions, o.kernel_rows
-                )
-            })
-            .collect();
-        let (q_spill_runs, q_spill_bytes, q_partitions, q_kernel_rows) = stats
-            .operators
-            .iter()
-            .fold((0usize, 0usize, 0usize, 0usize), |(r, b, p, k), o| {
-                (
-                    r + o.spill_runs,
-                    b + o.spill_bytes,
-                    p + o.partitions,
-                    k + o.kernel_rows,
-                )
-            });
-        let trace_cells: Vec<String> = trace
-            .iter()
-            .map(|(name, chunks)| {
-                let cs: Vec<String> = chunks.iter().map(usize::to_string).collect();
-                format!(
-                    "        {{ \"leaf\": \"{}\", \"chunks\": [{}] }}",
-                    name,
-                    cs.join(", ")
-                )
-            })
-            .collect();
-        cells.push(format!(
-            "    {{\n      \"id\": \"{}\",\n      \"rows\": {},\n      \"materializing_secs\": {:.6},\n      \"pipelined_secs\": {:.6},\n      \"materializing_rows_per_sec\": {:.1},\n      \"pipelined_rows_per_sec\": {:.1},\n      \"speedup\": {:.3},\n      \"total_batches\": {},\n      \"peak_operator_batches\": {},\n      \"spill\": {{ \"runs\": {}, \"bytes\": {}, \"partitions\": {} }},\n      \"kernel_rows\": {},\n      \"operators\": [\n{}\n      ],\n      \"adaptive_trace\": [\n{}\n      ],\n      \"pipelined\": [\n{}\n      ]\n    }}",
-            q.id,
-            pipe_rows,
-            mat_secs,
-            dop1_secs,
-            mat_rows as f64 / mat_secs.max(1e-12),
-            pipe_rows as f64 / dop1_secs.max(1e-12),
-            mat_secs / dop1_secs.max(1e-12),
-            total_batches,
-            peak_batches,
-            q_spill_runs,
-            q_spill_bytes,
-            q_partitions,
-            q_kernel_rows,
-            operator_cells.join(",\n"),
-            trace_cells.join(",\n"),
-            sweep_cells.join(",\n"),
-        ));
-        println!(
-            "{}: materializing {:.4} ms, pipelined DOP=1 {:.4} ms ({:.2}x), {} rows, {} batches (peak {})",
-            q.id,
-            mat_secs * 1e3,
-            dop1_secs * 1e3,
-            mat_secs / dop1_secs.max(1e-12),
-            pipe_rows,
-            total_batches,
-            peak_batches
-        );
-        for (threads, secs, _, _, _) in &sweep {
-            println!(
-                "    DOP={threads}: {:.4} ms ({:.2}x vs DOP=1)",
-                secs * 1e3,
-                dop1_secs / secs.max(1e-12)
-            );
-        }
-    }
-    let repeated = bench_repeated(&workload);
-    let cfg = ExecConfig::from_env();
-    let mem_budget = cfg
-        .mem_budget
-        .map(|b| b.to_string())
-        .unwrap_or_else(|| "null".to_string());
-    let json = format!(
-        "{{\n  \"scale\": {scale},\n  \"git_rev\": \"{}\",\n  \"batch_capacity\": {batch_capacity},\n  \"morsel_size\": {morsel_size},\n  \"vectorize\": {},\n  \"typed_kernels\": {},\n  \"adaptive_batch\": {},\n  \"mem_budget\": {mem_budget},\n  \"build_cache\": {},\n  \"plan_cache\": {},\n  \"postings_cache\": {},\n  \"available_cores\": {},\n  \"queries\": [\n{}\n  ],\n  \"repeated\": [\n{}\n  ]\n}}\n",
-        git_rev(),
-        cfg.vectorize,
-        cfg.typed_kernels,
-        cfg.adaptive,
-        cfg.build_cache,
-        cfg.plan_cache,
-        cfg.postings_cache,
-        default_threads(),
-        cells.join(",\n"),
-        repeated.join(",\n")
-    );
-    std::fs::write("BENCH_exec.json", &json).expect("write BENCH_exec.json");
-    println!("wrote BENCH_exec.json");
-}
-
-/// Iterations of the warm/cold repeated-query phase (iteration 1 is the
-/// cold run; warm is the best of the remaining ones).
-const REPEAT_ITERS: usize = 7;
-
-/// Warm/cold repeated-query phase over the full Table IX query set.
-///
-/// Every query runs `REPEAT_ITERS` times, cold-first, against processors
-/// that share one cross-query [`QueryCaches`] set — so the cold run pays
-/// for plan optimization, hash-join builds and B-tree postings walks, and
-/// the warm runs are served from the caches.  A caches-off reference
-/// execution pins correctness: *every* iteration (the cold one included)
-/// must reproduce the reference result exactly, so caching can never
-/// change answers.  Queries are prepared once and timed through
-/// `execute_prepared` (the prepared-statement server model): the timed
-/// path covers optimization + execution, the parts the caches accelerate.
-fn bench_repeated(workload: &Workload) -> Vec<String> {
-    let base = ExecConfig::from_env();
-    let cfg_off = base
-        .clone()
-        .with_build_cache(false)
-        .with_plan_cache(false)
-        .with_postings_cache(false);
-    let caches = QueryCaches::new();
-    let mut on = [
-        (DataSet::Xmark, Processor::with_caches(caches.clone())),
-        (DataSet::Dblp, Processor::with_caches(caches.clone())),
-    ];
-    let mut off = [
-        (DataSet::Xmark, Processor::new()),
-        (DataSet::Dblp, Processor::new()),
-    ];
-    for (ds, p) in on.iter_mut() {
-        let (uri, doc) = match ds {
-            DataSet::Xmark => ("auction.xml", workload.xmark_doc.clone()),
-            DataSet::Dblp => ("dblp.xml", workload.dblp_doc.clone()),
-        };
-        p.load_encoded(uri, doc);
-        p.create_default_indexes();
-        p.set_exec_config(Some(base.clone()));
-    }
-    for (ds, p) in off.iter_mut() {
-        let (uri, doc) = match ds {
-            DataSet::Xmark => ("auction.xml", workload.xmark_doc.clone()),
-            DataSet::Dblp => ("dblp.xml", workload.dblp_doc.clone()),
-        };
-        p.load_encoded(uri, doc);
-        p.create_default_indexes();
-        p.set_exec_config(Some(cfg_off.clone()));
-    }
-    let mut cells = Vec::new();
-    for q in queries() {
-        let off_proc = &mut off.iter_mut().find(|(ds, _)| *ds == q.dataset).unwrap().1;
-        let on_proc = &mut on.iter_mut().find(|(ds, _)| *ds == q.dataset).unwrap().1;
-        cells.push(repeat_one(q.id, q.text, off_proc, on_proc, &caches));
-    }
-    // Build-cache leg: Q2 over an *index-less* XMark processor.  With no
-    // supporting index, the per-probe alternative to each value equijoin
-    // is a full scan, so the optimizer plans hash joins — the warm runs
-    // then serve the build sides from the cross-query build cache, which
-    // the indexed runs (all NLJOIN–IXSCAN) never need.
-    let q2 = queries().into_iter().find(|q| q.id == "Q2").unwrap();
-    let mut off_noidx = Processor::new();
-    off_noidx.load_encoded("auction.xml", workload.xmark_doc.clone());
-    off_noidx.set_exec_config(Some(cfg_off));
-    let mut on_noidx = Processor::with_caches(caches.clone());
-    on_noidx.load_encoded("auction.xml", workload.xmark_doc.clone());
-    on_noidx.set_exec_config(Some(base));
-    cells.push(repeat_one(
-        "Q2-noindex",
-        q2.text,
-        &mut off_noidx,
-        &mut on_noidx,
-        &caches,
-    ));
-    cells
-}
-
-/// Measure one query of the repeated phase: a caches-off reference run on
-/// `off`, then `REPEAT_ITERS` executions on `on` (cold first), every one
-/// of them checked against the reference.  Returns the JSON cell.
-fn repeat_one(
-    id: &str,
-    text: &str,
-    off: &mut Processor,
-    on: &mut Processor,
-    caches: &QueryCaches,
-) -> String {
-    let reference = off
-        .execute(text, Mode::JoinGraph)
-        .expect("caches-off reference run");
-    let prepared = on.prepare(text).expect("query prepares");
-    let plan_hits0 = caches.plans().hits();
-    let build_hits0 = caches.builds().hits();
-    let postings_hits0 = caches.postings().hits();
-    let postings_lookups0 = caches.postings().lookups();
-    let mut cold_secs = f64::INFINITY;
-    let mut warm_secs = f64::INFINITY;
-    let mut rows = 0usize;
-    for i in 0..REPEAT_ITERS {
-        let start = Instant::now();
-        let out = on
-            .execute_prepared(&prepared, Mode::JoinGraph)
-            .expect("cached run succeeds");
-        let secs = start.elapsed().as_secs_f64();
-        assert_eq!(
-            out.items, reference.items,
-            "{id}: cached iteration {i} diverges from the caches-off reference"
-        );
-        assert_eq!(out.serialized_nodes, reference.serialized_nodes, "{id}");
-        rows = out.items.len();
-        if i == 0 {
-            cold_secs = secs;
-        } else {
-            warm_secs = warm_secs.min(secs);
-        }
-    }
-    let plan_hits = caches.plans().hits() - plan_hits0;
-    let build_hits = caches.builds().hits() - build_hits0;
-    let postings_hits = caches.postings().hits() - postings_hits0;
-    let postings_lookups = caches.postings().lookups() - postings_lookups0;
-    let speedup = cold_secs / warm_secs.max(1e-12);
-    println!(
-        "{id}: repeated cold {:.4} ms, warm {:.4} ms ({:.2}x), hits plan {plan_hits} build {build_hits} postings {postings_hits}/{postings_lookups}",
-        cold_secs * 1e3,
-        warm_secs * 1e3,
-        speedup,
-    );
-    format!(
-        "    {{ \"id\": \"{id}\", \"rows\": {rows}, \"iterations\": {REPEAT_ITERS}, \"cold_secs\": {cold_secs:.6}, \"warm_secs\": {warm_secs:.6}, \"cold_rows_per_sec\": {:.1}, \"warm_rows_per_sec\": {:.1}, \"warm_speedup\": {speedup:.3}, \"plan_cache_hits\": {plan_hits}, \"build_cache_hits\": {build_hits}, \"postings_hits\": {postings_hits}, \"postings_lookups\": {postings_lookups}, \"cold_matches_caches_off\": true }}",
-        rows as f64 / cold_secs.max(1e-12),
-        rows as f64 / warm_secs.max(1e-12),
-    )
-}
-
-/// Default per-client iterations of the Table IX mix in `bench-serve`.
-const SERVE_ITERS: usize = 25;
-
-/// Concurrency levels of the closed-loop serve benchmark.
-const SERVE_LEVELS: [usize; 2] = [1, 4];
-
-/// A line-protocol benchmark client (client-speaks-first handshake).
-struct ServeClient {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl ServeClient {
-    fn connect(addr: std::net::SocketAddr) -> ServeClient {
-        let stream = TcpStream::connect(addr).expect("connect to xqjg-serve");
-        let _ = stream.set_nodelay(true);
-        let reader = BufReader::new(stream.try_clone().expect("clone stream"));
-        let mut c = ServeClient {
-            reader,
-            writer: stream,
-        };
-        c.send("PING");
-        let hello = c.line();
-        assert!(hello.starts_with("HELLO xqjg-serve/1"), "banner: {hello}");
-        assert_eq!(c.line(), "OK pong");
-        c
-    }
-
-    fn send(&mut self, cmd: &str) {
-        self.writer
-            .write_all(format!("{cmd}\n").as_bytes())
-            .expect("write command");
-    }
-
-    fn line(&mut self) -> String {
-        let mut s = String::new();
-        self.reader.read_line(&mut s).expect("read response");
-        s.trim_end().to_string()
-    }
-
-    /// Run one query, returning the raw ITEMS payload line.
-    fn query(&mut self, q: &str) -> String {
-        self.send(&format!("QUERY {q}"));
-        let header = self.line();
-        assert!(header.starts_with("RESULT"), "serve error: {header}");
-        let items = self.line();
-        assert_eq!(self.line(), "END", "frame terminator");
-        items
-    }
-}
-
-/// Nearest-rank percentile over an ascending sample.
-fn percentile(sorted: &[u128], p: f64) -> u128 {
-    let n = sorted.len();
-    sorted[((n as f64 * p).ceil() as usize).clamp(1, n) - 1]
-}
-
-/// The closed-loop service benchmark: N concurrent TCP clients cycle the
-/// Table IX mix against a live server pair (one per data set), asserting
-/// byte-identical responses throughout, and the client-observed latency
-/// distribution lands in `BENCH_serve.json`.
-fn bench_serve(scale: f64, iters: usize) {
-    let Workload { xmark, dblp, .. } = Workload::new(scale);
-    let defaults = ExecConfig::sequential();
-    let admission = AdmissionConfig::default();
-    let xmark_srv = Server::start(
-        Engine::new(xmark, defaults.clone(), admission.clone()),
-        "127.0.0.1:0",
-        16,
-    )
-    .expect("start xmark server");
-    let dblp_srv = Server::start(
-        Engine::new(dblp, defaults.clone(), admission),
-        "127.0.0.1:0",
-        16,
-    )
-    .expect("start dblp server");
-
-    // Single-session reference payloads: what every concurrent response
-    // must match byte for byte.  The wire carries queries on one line, so
-    // the mix text is whitespace-collapsed up front (none of the paper's
-    // queries has a literal that cares).
-    let mix: Vec<(BenchQuery, String, String)> = queries()
-        .into_iter()
-        .map(|q| {
-            let engine = match q.dataset {
-                DataSet::Xmark => xmark_srv.engine(),
-                DataSet::Dblp => dblp_srv.engine(),
-            };
-            let prepared = engine.processor().prepare(q.text).expect("prepare");
-            let out = engine
-                .processor()
-                .execute_prepared_shared(&prepared, Mode::JoinGraph, &defaults, &CancelToken::new())
-                .expect("reference execution");
-            let mut line = "ITEMS".to_string();
-            for p in out.items {
-                line.push(' ');
-                line.push_str(&p.0.to_string());
-            }
-            let text = q.text.split_whitespace().collect::<Vec<_>>().join(" ");
-            (q, text, line)
-        })
-        .collect();
-    let mix = Arc::new(mix);
-
-    let mut levels_json = Vec::new();
-    for &clients in &SERVE_LEVELS {
-        let before = (xmark_srv.engine().stats(), dblp_srv.engine().stats());
-        let start = Instant::now();
-        let handles: Vec<_> = (0..clients)
-            .map(|client_no| {
-                let mix = Arc::clone(&mix);
-                let xmark_addr = xmark_srv.local_addr();
-                let dblp_addr = dblp_srv.local_addr();
-                std::thread::spawn(move || {
-                    let mut xm = ServeClient::connect(xmark_addr);
-                    let mut db = ServeClient::connect(dblp_addr);
-                    let mut latencies = Vec::with_capacity(iters * mix.len());
-                    for iteration in 0..iters {
-                        for (q, text, expected) in mix.iter() {
-                            let client = match q.dataset {
-                                DataSet::Xmark => &mut xm,
-                                DataSet::Dblp => &mut db,
-                            };
-                            let t0 = Instant::now();
-                            let items = client.query(text);
-                            latencies.push(t0.elapsed().as_micros());
-                            assert_eq!(
-                                &items, expected,
-                                "{}: serve response diverged from single-session \
-                                 execution (client {client_no}, iteration {iteration})",
-                                q.id
-                            );
-                        }
-                    }
-                    xm.send("QUIT");
-                    let _ = xm.line();
-                    db.send("QUIT");
-                    let _ = db.line();
-                    latencies
-                })
-            })
-            .collect();
-        let mut latencies: Vec<u128> = handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("client thread"))
-            .collect();
-        let elapsed = start.elapsed().as_secs_f64();
-        latencies.sort_unstable();
-        let after = (xmark_srv.engine().stats(), dblp_srv.engine().stats());
-        let total = latencies.len();
-        let delta = |f: fn(&xqjg_serve::ServerStats) -> u64| {
-            (f(&after.0) - f(&before.0)) + (f(&after.1) - f(&before.1))
-        };
-        let admitted = delta(|s| s.admission.admitted);
-        let queued = delta(|s| s.admission.queued);
-        let rejected = delta(|s| s.admission.rejected);
-        let timeouts = delta(|s| s.admission.timeouts);
-        let qps = total as f64 / elapsed.max(1e-12);
-        let p50 = percentile(&latencies, 0.50);
-        let p99 = percentile(&latencies, 0.99);
-        println!(
-            "bench-serve: {clients} client(s): {total} queries in {elapsed:.2}s \
-             ({qps:.1} q/s, p50 {p50} us, p99 {p99} us, queued {queued})"
-        );
-        levels_json.push(format!(
-            "    {{ \"clients\": {clients}, \"queries\": {total}, \"elapsed_secs\": {elapsed:.6}, \"throughput_qps\": {qps:.1}, \"p50_us\": {p50}, \"p99_us\": {p99}, \"admitted\": {admitted}, \"queued\": {queued}, \"rejected\": {rejected}, \"timeouts\": {timeouts}, \"byte_identical\": true }}"
-        ));
-    }
-    let json = format!(
-        "{{\n  \"scale\": {scale},\n  \"git_rev\": \"{}\",\n  \"iterations_per_client\": {iters},\n  \"mix\": [{}],\n  \"levels\": [\n{}\n  ]\n}}\n",
-        git_rev(),
-        mix.iter()
-            .map(|(q, _, _)| format!("\"{}\"", q.id))
-            .collect::<Vec<_>>()
-            .join(", "),
-        levels_json.join(",\n")
-    );
-    std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
-    println!("wrote BENCH_serve.json");
-    // Clean shutdown asserts the admission controllers fully drained.
-    xmark_srv.shutdown();
-    dblp_srv.shutdown();
-}
-
-/// Short git revision of the working tree, for provenance in the emitted
-/// benchmark file ("unknown" outside a git checkout).
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 fn flag_value(args: &[String], flag: &str) -> Option<f64> {

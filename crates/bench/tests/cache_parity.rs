@@ -1,10 +1,10 @@
 //! Cross-query cache parity suite: with the build, plan and postings
 //! caches in the loop, every Table IX query must return *exactly* the
-//! caches-off result — cold and warm, at every degree of parallelism,
-//! vectorization setting and memory budget — and every cache must drop
-//! its entries the moment the catalog version moves (document loads,
-//! index DDL).  A property test hammers the shared LRU from many threads
-//! to pin the concurrency invariants.
+//! caches-off result — cold and warm, at every degree of parallelism and
+//! memory budget — and every cache must drop its entries the moment the
+//! catalog version moves (document loads, index DDL).  A property test
+//! hammers the shared LRU from many threads to pin the concurrency
+//! invariants.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -23,6 +23,16 @@ fn processor_with(uri: &str, doc: &DocTable, caches: &QueryCaches, cfg: &ExecCon
     p
 }
 
+/// The sequential configuration with all three caches pinned *on*: the
+/// suite's subject, whatever `XQJG_*_CACHE` the environment carries (CI's
+/// "escape hatches off" leg sets all three to 0).
+fn caches_on() -> ExecConfig {
+    ExecConfig::sequential()
+        .with_build_cache(true)
+        .with_plan_cache(true)
+        .with_postings_cache(true)
+}
+
 fn encoding(w: &Workload, ds: DataSet) -> (&'static str, &DocTable) {
     match ds {
         DataSet::Xmark => ("auction.xml", &w.xmark_doc),
@@ -33,20 +43,15 @@ fn encoding(w: &Workload, ds: DataSet) -> (&'static str, &DocTable) {
 #[test]
 fn cold_and_warm_runs_match_caches_off_across_configs() {
     let workload = Workload::new(0.02);
-    // DOP × vectorize × memory budget sweep.  The budget leg forces the
+    // DOP × memory budget sweep.  The budget leg forces the
     // spill-decision path: cached builds re-book their reservations, so
     // hit and miss runs must make identical spill decisions.
     let configs: Vec<ExecConfig> = [1usize, 4]
         .iter()
         .flat_map(|&threads| {
-            [true, false].iter().flat_map(move |&vectorize| {
-                [None, Some(32usize << 20)].iter().map(move |&budget| {
-                    ExecConfig::sequential()
-                        .with_threads(threads)
-                        .with_vectorize(vectorize)
-                        .with_mem_budget(budget)
-                })
-            })
+            [None, Some(32usize << 20)]
+                .iter()
+                .map(move |&budget| caches_on().with_threads(threads).with_mem_budget(budget))
         })
         .collect();
     for q in queries() {
@@ -119,7 +124,7 @@ fn catalog_bump_invalidates_plans_builds_and_postings() {
     let q = queries().into_iter().find(|q| q.id == "Q2").unwrap();
     let (uri, doc) = encoding(&workload, q.dataset);
     let caches = QueryCaches::new();
-    let cfg = ExecConfig::sequential();
+    let cfg = caches_on();
     let mut p = processor_with(uri, doc, &caches, &cfg);
     let first = p.execute(q.text, Mode::JoinGraph).expect("first run");
     let second = p.execute(q.text, Mode::JoinGraph).expect("second run");
@@ -171,7 +176,7 @@ fn shared_caches_serve_multiple_processors() {
     let q = queries().into_iter().find(|q| q.id == "Q1").unwrap();
     let (uri, doc) = encoding(&workload, q.dataset);
     let caches = QueryCaches::new();
-    let cfg = ExecConfig::sequential();
+    let cfg = caches_on();
     let mut a = processor_with(uri, doc, &caches, &cfg);
     let mut b = processor_with(uri, doc, &caches, &cfg);
     let ra = a.execute(q.text, Mode::JoinGraph).expect("processor a");

@@ -25,9 +25,8 @@ use xqjg_store::fault::{self, FaultKind, FaultPlan, Trigger};
 use xqjg_store::spill::{decode_row, decode_value, encode_row};
 use xqjg_store::{CancelToken, Database, ExecConfig, ExecError, Schema, Table, Value};
 
-/// The old tuple-shaped entry point, expressed over the unified
-/// [`QueryRequest`] API (the only execution path this suite drives).
-fn try_execute_with_stats_config(
+/// Rows and counters of `plan` under pinned knobs, or the typed failure.
+fn try_run(
     plan: &PhysPlan,
     db: &Database,
     cfg: &ExecConfig,
@@ -36,8 +35,8 @@ fn try_execute_with_stats_config(
     Ok((out.rows, out.stats))
 }
 
-/// Full-surface twin: session build cache plus cancellation token.
-fn try_execute_full(
+/// [`try_run`] with a session build cache and/or a cancellation token.
+fn try_run_full(
     plan: &PhysPlan,
     db: &Database,
     cfg: &ExecConfig,
@@ -154,10 +153,10 @@ fn chaos_sweep_every_site_trigger_dop_budget() {
                         .with_morsel_size(64)
                         .with_spill_dir(&dir);
                     let what = format!("site {site} {trigger:?} DOP {threads} budget {budget:?}");
-                    let reference = try_execute_with_stats_config(&plan, &db, &cfg)
+                    let reference = try_run(&plan, &db, &cfg)
                         .unwrap_or_else(|e| panic!("{what}: unfaulted reference fails: {e}"));
                     let guard = FaultPlan::single(site, trigger, FaultKind::IoError).install();
-                    match try_execute_with_stats_config(&plan, &db, &cfg) {
+                    match try_run(&plan, &db, &cfg) {
                         Ok((table, _)) => {
                             saw_ok_under_fault = true;
                             assert_eq!(
@@ -179,7 +178,7 @@ fn chaos_sweep_every_site_trigger_dop_budget() {
                         "{what}: run files leaked under fault"
                     );
                     drop(guard);
-                    let (table, _) = try_execute_with_stats_config(&plan, &db, &cfg)
+                    let (table, _) = try_run(&plan, &db, &cfg)
                         .unwrap_or_else(|e| panic!("{what}: retry after disarm fails: {e}"));
                     assert_eq!(table, reference.0, "{what}: retry rows differ");
                     assert_eq!(
@@ -218,10 +217,10 @@ fn corrupt_and_short_write_faults_error_not_panic() {
                 .with_mem_budget(TIGHT)
                 .with_spill_dir(&dir);
             let what = format!("site {site} kind {kind:?}");
-            let reference = try_execute_with_stats_config(&plan, &db, &cfg)
+            let reference = try_run(&plan, &db, &cfg)
                 .unwrap_or_else(|e| panic!("{what}: unfaulted reference fails: {e}"));
             let guard = FaultPlan::single(site, Trigger::Always, kind).install();
-            match try_execute_with_stats_config(&plan, &db, &cfg) {
+            match try_run(&plan, &db, &cfg) {
                 Ok((table, _)) => assert_eq!(table, reference.0, "{what}: rows differ"),
                 Err(e) => {
                     if let ExecError::Corrupt { file, .. } = &e {
@@ -236,7 +235,7 @@ fn corrupt_and_short_write_faults_error_not_panic() {
                 "{what}: run files leaked"
             );
             drop(guard);
-            let (table, _) = try_execute_with_stats_config(&plan, &db, &cfg)
+            let (table, _) = try_run(&plan, &db, &cfg)
                 .unwrap_or_else(|e| panic!("{what}: retry after disarm fails: {e}"));
             assert_eq!(table, reference.0, "{what}: retry rows differ");
             let _ = std::fs::remove_dir(&dir);
@@ -321,12 +320,14 @@ fn failed_build_leaves_no_cache_entry() {
     // rows), with an unlimited budget so the finished build *would* be
     // memoized — exactly the case where a partial entry could leak.
     let (db, plan) = equijoin_fixture(6000);
-    let cfg = ExecConfig::sequential().with_mem_budget(UNLIMITED);
-    let reference = try_execute_with_stats_config(&plan, &db, &cfg).expect("unfaulted reference");
+    let cfg = ExecConfig::sequential()
+        .with_mem_budget(UNLIMITED)
+        .with_build_cache(true);
+    let reference = try_run(&plan, &db, &cfg).expect("unfaulted reference");
     let cache = BuildCache::new();
     let token = CancelToken::new();
     token.cancel();
-    let failed = try_execute_full(&plan, &db, &cfg, Some(&cache), Some(&token));
+    let failed = try_run_full(&plan, &db, &cfg, Some(&cache), Some(&token));
     assert_eq!(
         failed.expect_err("cancelled build must fail"),
         ExecError::Cancelled
@@ -337,7 +338,7 @@ fn failed_build_leaves_no_cache_entry() {
     );
     token.clear();
     let (table, _, _) =
-        try_execute_full(&plan, &db, &cfg, Some(&cache), Some(&token)).expect("rebuild succeeds");
+        try_run_full(&plan, &db, &cfg, Some(&cache), Some(&token)).expect("rebuild succeeds");
     assert_eq!(table, reference.0, "rebuild rows differ");
     assert_eq!(
         cache.hits(),
@@ -346,7 +347,7 @@ fn failed_build_leaves_no_cache_entry() {
     );
     // The rebuilt entry is genuine: a third run hits it and still agrees.
     let (table, _, _) =
-        try_execute_full(&plan, &db, &cfg, Some(&cache), Some(&token)).expect("cached run");
+        try_run_full(&plan, &db, &cfg, Some(&cache), Some(&token)).expect("cached run");
     assert_eq!(table, reference.0, "cached-run rows differ");
     assert!(cache.hits() > 0, "the successful rebuild was not memoized");
 
@@ -360,15 +361,15 @@ fn failed_build_leaves_no_cache_entry() {
     let tight = ExecConfig::sequential()
         .with_mem_budget(TIGHT)
         .with_spill_dir(&dir);
-    let tight_ref = try_execute_with_stats_config(&plan, &db, &tight).expect("tight reference");
+    let tight_ref = try_run(&plan, &db, &tight).expect("tight reference");
     let guard =
         FaultPlan::single(fault::SITE_PART_WRITE, Trigger::Always, FaultKind::IoError).install();
-    let failed = try_execute_full(&plan, &db, &tight, Some(&cache), None);
+    let failed = try_run_full(&plan, &db, &tight, Some(&cache), None);
     assert!(failed.is_err(), "partition-write fault must fail the build");
     drop(guard);
     assert_eq!(leaked_files(&dir), Vec::<String>::new(), "run files leaked");
     let (table, _, _) =
-        try_execute_full(&plan, &db, &tight, Some(&cache), None).expect("retry succeeds");
+        try_run_full(&plan, &db, &tight, Some(&cache), None).expect("retry succeeds");
     assert_eq!(table, tight_ref.0, "post-fault retry rows differ");
     let _ = std::fs::remove_dir(&dir);
 }
@@ -386,19 +387,19 @@ fn cancellation_and_timeout_surface_typed_errors() {
         .with_spill_dir(&dir);
     let token = CancelToken::new();
     token.cancel();
-    let err = try_execute_full(&plan, &db, &cfg, None, Some(&token))
+    let err = try_run_full(&plan, &db, &cfg, None, Some(&token))
         .expect_err("pre-cancelled execution must fail");
     assert_eq!(err, ExecError::Cancelled);
     assert_eq!(leaked_files(&dir), Vec::<String>::new(), "cancel leaked");
     // Cleared token → the same plan executes fine.
     token.clear();
-    try_execute_full(&plan, &db, &cfg, None, Some(&token)).expect("cleared token executes");
+    try_run_full(&plan, &db, &cfg, None, Some(&token)).expect("cleared token executes");
     // A 1 ns deadline is in the past by the first interrupt check.
     let cfg_timeout = cfg
         .clone()
         .with_query_timeout(Some(Duration::from_nanos(1)));
-    let err = try_execute_full(&plan, &db, &cfg_timeout, None, None)
-        .expect_err("expired deadline must fail");
+    let err =
+        try_run_full(&plan, &db, &cfg_timeout, None, None).expect_err("expired deadline must fail");
     assert!(
         matches!(err, ExecError::Timeout { .. }),
         "expected a timeout, got: {err}"
@@ -419,13 +420,12 @@ fn unusable_spill_dir_degrades_to_in_memory() {
     let cfg = ExecConfig::sequential()
         .with_mem_budget(TIGHT)
         .with_spill_dir(blocker.join("sub"));
-    let (degraded, stats) =
-        try_execute_with_stats_config(&plan, &db, &cfg).expect("degraded run succeeds");
+    let (degraded, stats) = try_run(&plan, &db, &cfg).expect("degraded run succeeds");
     assert!(
         stats.operators.iter().all(|o| o.spill_runs == 0),
         "degraded run must not spill"
     );
-    let reference = try_execute_with_stats_config(
+    let reference = try_run(
         &plan,
         &db,
         &ExecConfig::sequential().with_mem_budget(UNLIMITED),

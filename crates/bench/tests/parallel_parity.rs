@@ -5,34 +5,24 @@
 //! path (relational join graph and the pureXML-style baseline).
 
 use xqjg_bench::{queries, DataSet, Workload};
-use xqjg_engine::{optimize, ExecStats, PhysPlan, QueryRequest};
+use xqjg_engine::{execute_materialized_with_stats, optimize, ExecStats, PhysPlan, QueryRequest};
 use xqjg_purexml::{PureXmlStore, Storage};
 use xqjg_store::{Database, ExecConfig, Table};
 use xqjg_xquery::parse_and_normalize;
 
-/// The old tuple-shaped entry point, expressed over the unified
-/// [`QueryRequest`] API (the only execution path this suite drives).
-fn execute_with_stats_config(
-    plan: &PhysPlan,
-    db: &Database,
-    cfg: &ExecConfig,
-) -> (Table, ExecStats) {
+/// Rows and counters of `plan` under pinned knobs.
+fn run_plan(plan: &PhysPlan, db: &Database, cfg: &ExecConfig) -> (Table, ExecStats) {
     let out = QueryRequest::new(plan, db).config(cfg).expect_run();
     (out.rows, out.stats)
 }
 
-const DOPS: [usize; 3] = [1, 2, 4];
-
-/// A copy of `s` with every operator's `kernel_rows` zeroed — the one
-/// counter allowed to differ between the vectorized executor (which runs
-/// the typed kernels) and the scalar fallback (which does not).
-fn sans_kernels(s: &ExecStats) -> ExecStats {
-    let mut s = s.clone();
-    for op in &mut s.operators {
-        op.kernel_rows = 0;
-    }
-    s
+/// The aggregate work counters (the part of [`ExecStats`] the
+/// materializing oracle reports too).
+fn aggregates(s: &ExecStats) -> (usize, usize, usize, usize) {
+    (s.index_rows, s.scan_rows, s.probes, s.bindings)
 }
+
+const DOPS: [usize; 3] = [1, 2, 4];
 
 /// Per-query optimized plans (one per decomposed SQL branch).
 fn plans_for(workload: &mut Workload, q: &xqjg_bench::BenchQuery) -> Vec<PhysPlan> {
@@ -55,22 +45,20 @@ fn join_graph_results_and_actuals_identical_across_dop() {
         let plans = plans_for(&mut workload, &q);
         let db: &Database = workload.processor(&q).database();
         for plan in &plans {
-            // One reference per evaluation path: the vectorized executor
-            // runs the typed kernels (its `kernel_rows` count the fused
-            // passes), the scalar row-at-a-time fallback runs none — so
-            // each configuration must exactly match the reference of *its*
-            // path, and the two references must agree on everything except
-            // kernel engagement.
-            let (t_ref, s_ref) =
-                execute_with_stats_config(plan, db, &ExecConfig::sequential().with_vectorize(true));
-            let (t_row, s_row) = execute_with_stats_config(
-                plan,
-                db,
-                &ExecConfig::sequential().with_vectorize(false),
+            // The sequential run is the reference for every DOP and
+            // morsel size below; the independent materializing executor
+            // vouches for its rows, row order and aggregate counters.
+            let (t_ref, s_ref) = run_plan(plan, db, &ExecConfig::sequential());
+            let (t_oracle, s_oracle) = execute_materialized_with_stats(plan, db);
+            assert_eq!(t_ref, t_oracle, "{}: rows differ from the oracle", q.id);
+            assert_eq!(
+                aggregates(&s_ref),
+                aggregates(&s_oracle),
+                "{}: aggregate counters differ from the oracle",
+                q.id
             );
-            assert_eq!(t_row, t_ref, "{}: rows differ across executors", q.id);
             // `fetched` is an `OpStats` field, so the equalities below hold
-            // it DOP-, morsel- and executor-invariant; here, that it is the
+            // it DOP- and morsel-invariant; here, that it is the
             // per-operator split of the query totals.
             let fetched: usize = s_ref.operators.iter().map(|o| o.fetched).sum();
             assert!(fetched > 0, "{}: no operator reports fetch work", q.id);
@@ -80,42 +68,22 @@ fn join_graph_results_and_actuals_identical_across_dop() {
                 "{}: per-operator fetched does not add up",
                 q.id
             );
-            assert_eq!(
-                sans_kernels(&s_row),
-                sans_kernels(&s_ref),
-                "{}: executors differ beyond kernel engagement",
-                q.id
-            );
             for threads in DOPS {
                 // A tiny morsel size forces genuine multi-morsel merging
                 // even at this scale; the default exercises the
-                // effective-morsel-size shrink path.  Both executors — the
-                // vectorized columnar one and the scalar row-at-a-time
-                // fallback — must match their sequential reference.
+                // effective-morsel-size shrink path.
                 for morsel_size in [3, xqjg_store::DEFAULT_MORSEL_SIZE] {
-                    for vectorize in [true, false] {
-                        let (exp_t, exp_s) = if vectorize {
-                            (&t_ref, &s_ref)
-                        } else {
-                            (&t_row, &s_row)
-                        };
-                        let cfg = ExecConfig::sequential()
-                            .with_threads(threads)
-                            .with_morsel_size(morsel_size)
-                            .with_vectorize(vectorize);
-                        let (t, s) = execute_with_stats_config(plan, db, &cfg);
-                        assert_eq!(
-                            &t, exp_t,
-                            "{}: rows differ at DOP {threads} (vectorize {vectorize})",
-                            q.id
-                        );
-                        assert_eq!(
-                            &s, exp_s,
-                            "{}: aggregated OpStats differ at DOP {threads} \
-                             (morsel {morsel_size}, vectorize {vectorize})",
-                            q.id
-                        );
-                    }
+                    let cfg = ExecConfig::sequential()
+                        .with_threads(threads)
+                        .with_morsel_size(morsel_size);
+                    let (t, s) = run_plan(plan, db, &cfg);
+                    assert_eq!(t, t_ref, "{}: rows differ at DOP {threads}", q.id);
+                    assert_eq!(
+                        s, s_ref,
+                        "{}: aggregated OpStats differ at DOP {threads} \
+                         (morsel {morsel_size})",
+                        q.id
+                    );
                 }
             }
         }
@@ -134,7 +102,7 @@ fn join_graph_aggregate_counters_identical_across_dop() {
                 .with_threads(threads)
                 .with_morsel_size(5);
             for plan in &plans {
-                stats.merge(&execute_with_stats_config(plan, db, &cfg).1);
+                stats.merge(&run_plan(plan, db, &cfg).1);
             }
             stats
         };

@@ -2,22 +2,20 @@
 //! *observationally identical* to in-memory execution — identical result
 //! rows, identical row order, and identical EXPLAIN actuals *modulo* the
 //! spill counters (`spill_runs` / `spill_bytes` / `partitions`), across
-//! budgets {tiny, medium, unlimited}, DOP {1, 4} and the
-//! vectorized/scalar executor switch.  A deterministic-random property
-//! test additionally sweeps arbitrary budgets.
+//! budgets {tiny, medium, unlimited} and DOP {1, 4}; the unlimited
+//! reference is itself checked against the materializing executor.  A
+//! deterministic-random property test additionally sweeps arbitrary
+//! budgets.
 
 use proptest::prelude::*;
 use xqjg_bench::{queries, Workload};
-use xqjg_engine::{optimize, parse_sql, ExecStats, PhysPlan, QueryRequest};
+use xqjg_engine::{
+    execute_materialized_with_stats, optimize, parse_sql, ExecStats, PhysPlan, QueryRequest,
+};
 use xqjg_store::{Database, ExecConfig, OpStats, Schema, Table, Value};
 
-/// The old tuple-shaped entry point, expressed over the unified
-/// [`QueryRequest`] API (the only execution path this suite drives).
-fn execute_with_stats_config(
-    plan: &PhysPlan,
-    db: &Database,
-    cfg: &ExecConfig,
-) -> (Table, ExecStats) {
+/// Rows and counters of `plan` under pinned knobs.
+fn run_plan(plan: &PhysPlan, db: &Database, cfg: &ExecConfig) -> (Table, ExecStats) {
     let out = QueryRequest::new(plan, db).config(cfg).expect_run();
     (out.rows, out.stats)
 }
@@ -58,14 +56,14 @@ fn plans_for(workload: &mut Workload, q: &xqjg_bench::BenchQuery) -> Vec<PhysPla
 }
 
 #[test]
-fn table9_queries_identical_across_budgets_dop_and_vectorize() {
+fn table9_queries_identical_across_budgets_and_dop() {
     let mut workload = Workload::new(0.02);
     let mut spilled_somewhere = false;
     for q in queries() {
         let plans = plans_for(&mut workload, &q);
         let db: &Database = workload.processor(&q).database();
         for plan in &plans {
-            let reference = execute_with_stats_config(
+            let reference = run_plan(
                 plan,
                 db,
                 &ExecConfig::sequential().with_mem_budget(UNLIMITED),
@@ -75,23 +73,30 @@ fn table9_queries_identical_across_budgets_dop_and_vectorize() {
                 "{}: unlimited budget must never spill",
                 q.id
             );
+            let (t_oracle, s_oracle) = execute_materialized_with_stats(plan, db);
+            assert_eq!(
+                reference.0, t_oracle,
+                "{}: rows differ from the oracle",
+                q.id
+            );
+            let aggregates = |s: &ExecStats| (s.index_rows, s.scan_rows, s.probes, s.bindings);
+            assert_eq!(
+                aggregates(&reference.1),
+                aggregates(&s_oracle),
+                "{}: aggregate counters differ from the oracle",
+                q.id
+            );
             for budget in [TINY, MEDIUM, UNLIMITED] {
                 for threads in [1, 4] {
-                    for vectorize in [true, false] {
-                        let cfg = ExecConfig::sequential()
-                            .with_mem_budget(budget)
-                            .with_threads(threads)
-                            .with_morsel_size(16)
-                            .with_vectorize(vectorize);
-                        let (t, s) = execute_with_stats_config(plan, db, &cfg);
-                        let what = format!(
-                            "{} budget {budget:?} DOP {threads} vectorize {vectorize}",
-                            q.id
-                        );
-                        assert_eq!(t, reference.0, "{what}: rows/order differ");
-                        assert_stats_match_modulo_spill(&s, &reference.1, &what);
-                        spilled_somewhere |= s.operators.iter().any(|o| o.spill_runs > 0);
-                    }
+                    let cfg = ExecConfig::sequential()
+                        .with_mem_budget(budget)
+                        .with_threads(threads)
+                        .with_morsel_size(16);
+                    let (t, s) = run_plan(plan, db, &cfg);
+                    let what = format!("{} budget {budget:?} DOP {threads}", q.id);
+                    assert_eq!(t, reference.0, "{what}: rows/order differ");
+                    assert_stats_match_modulo_spill(&s, &reference.1, &what);
+                    spilled_somewhere |= s.operators.iter().any(|o| o.spill_runs > 0);
                 }
             }
         }
@@ -103,51 +108,29 @@ fn table9_queries_identical_across_budgets_dop_and_vectorize() {
 }
 
 #[test]
-fn spill_counters_are_dop_and_path_invariant_at_fixed_budget() {
+fn spill_counters_are_dop_invariant_at_fixed_budget() {
     // At a fixed budget the *full* actuals — spill counters included —
     // must not move with DOP or morsel size: spill decisions happen on
-    // the coordinator against the morsel-ordered row stream.  Each
-    // executor flavor matches its own sequential reference (only the
-    // vectorized one runs the typed kernels, so `kernel_rows` is the one
-    // counter allowed to differ between the two references).
+    // the coordinator against the morsel-ordered row stream.
     let mut workload = Workload::new(0.02);
     for q in queries() {
         let plans = plans_for(&mut workload, &q);
         let db: &Database = workload.processor(&q).database();
         for plan in &plans {
-            let ref_of = |vectorize: bool| {
-                execute_with_stats_config(
-                    plan,
-                    db,
-                    &ExecConfig::sequential()
-                        .with_mem_budget(TINY)
-                        .with_vectorize(vectorize),
-                )
-            };
-            let reference = [ref_of(false), ref_of(true)];
-            assert_eq!(
-                reference[0].0, reference[1].0,
-                "{}: rows differ across executors",
-                q.id
-            );
+            let reference = run_plan(plan, db, &ExecConfig::sequential().with_mem_budget(TINY));
             for threads in [2, 4] {
                 for morsel in [8, 64] {
-                    for vectorize in [true, false] {
-                        let reference = &reference[vectorize as usize];
-                        let cfg = ExecConfig::sequential()
-                            .with_mem_budget(TINY)
-                            .with_threads(threads)
-                            .with_morsel_size(morsel)
-                            .with_vectorize(vectorize);
-                        let got = execute_with_stats_config(plan, db, &cfg);
-                        assert_eq!(got.0, reference.0, "{}: rows", q.id);
-                        assert_eq!(
-                            got.1, reference.1,
-                            "{}: full actuals at DOP {threads} morsel {morsel} \
-                             vectorize {vectorize}",
-                            q.id
-                        );
-                    }
+                    let cfg = ExecConfig::sequential()
+                        .with_mem_budget(TINY)
+                        .with_threads(threads)
+                        .with_morsel_size(morsel);
+                    let got = run_plan(plan, db, &cfg);
+                    assert_eq!(got.0, reference.0, "{}: rows", q.id);
+                    assert_eq!(
+                        got.1, reference.1,
+                        "{}: full actuals at DOP {threads} morsel {morsel}",
+                        q.id
+                    );
                 }
             }
         }
@@ -179,12 +162,12 @@ fn equijoin_fixture(rows: i64) -> (Database, PhysPlan) {
 #[test]
 fn tight_budget_spills_both_pipeline_breakers_on_the_hash_workload() {
     let (db, plan) = equijoin_fixture(1500);
-    let (t_ref, s_ref) = execute_with_stats_config(
+    let (t_ref, s_ref) = run_plan(
         &plan,
         &db,
         &ExecConfig::sequential().with_mem_budget(UNLIMITED),
     );
-    let (t, s) = execute_with_stats_config(
+    let (t, s) = run_plan(
         &plan,
         &db,
         &ExecConfig::sequential().with_mem_budget(Some(8 * 1024)),
@@ -208,16 +191,15 @@ fn tight_budget_spills_both_pipeline_breakers_on_the_hash_workload() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random budgets (from absurdly tight to comfortably large), DOP and
-    /// executor flavor never change the result rows or their order.
+    /// Random budgets (from absurdly tight to comfortably large) and DOP
+    /// never change the result rows or their order.
     #[test]
     fn random_budgets_never_change_results(
         budget in 256usize..128 * 1024,
         threads in 1usize..5,
-        vectorize in proptest::bool::ANY,
     ) {
         let (db, plan) = equijoin_fixture(600);
-        let reference = execute_with_stats_config(
+        let reference = run_plan(
             &plan,
             &db,
             &ExecConfig::sequential().with_mem_budget(UNLIMITED),
@@ -225,9 +207,8 @@ proptest! {
         let cfg = ExecConfig::sequential()
             .with_mem_budget(Some(budget))
             .with_threads(threads)
-            .with_morsel_size(64)
-            .with_vectorize(vectorize);
-        let (t, s) = execute_with_stats_config(&plan, &db, &cfg);
+            .with_morsel_size(64);
+        let (t, s) = run_plan(&plan, &db, &cfg);
         prop_assert_eq!(&t, &reference.0, "budget {} changed rows", budget);
         let sans: Vec<OpStats> = s.operators.iter().map(OpStats::sans_spill).collect();
         let sans_ref: Vec<OpStats> =

@@ -1,30 +1,56 @@
 //! Typed-kernel parity suite: execution with the typed-column kernels
 //! (`XQJG_TYPED_KERNELS=1`, the default) must be *observationally
-//! identical* to the scalar [`Value`] path — identical result rows,
-//! identical row order, and identical EXPLAIN actuals modulo the
+//! identical* to the untyped [`Value`] comparisons — identical result
+//! rows, identical row order, and identical EXPLAIN actuals modulo the
 //! governor-dependent counters (`spill_runs` / `spill_bytes` /
 //! `partitions` / `kernel_rows`) — across the Table IX workload and a
 //! synthetic hash-join workload, swept over typed {on, off} × DOP {1, 4}
-//! × vectorize {on, off} × budget {unlimited, 256 KiB}.  A
-//! deterministic-random property test additionally sweeps random
-//! predicates and budgets.
+//! × budget {unlimited, 256 KiB}.  Rows, order and the aggregate counters
+//! are additionally checked against the materializing executor at batch
+//! capacities {1, 64, 1024}.  A deterministic-random property test sweeps
+//! random predicates, NULL densities and budgets.
 //!
 //! [`Value`]: xqjg_store::Value
 
 use proptest::prelude::*;
 use xqjg_bench::{queries, Workload};
-use xqjg_engine::{optimize, parse_sql, ExecStats, PhysPlan, QueryRequest};
+use xqjg_engine::{
+    execute_materialized_with_stats, optimize, parse_sql, ExecStats, PhysPlan, QueryRequest,
+};
 use xqjg_store::{Database, ExecConfig, OpStats, Schema, Table, Value};
 
-/// The old tuple-shaped entry point, expressed over the unified
-/// [`QueryRequest`] API (the only execution path this suite drives).
-fn execute_with_stats_config(
+/// Rows and counters of `plan` under pinned knobs.
+fn run_plan(plan: &PhysPlan, db: &Database, cfg: &ExecConfig) -> (Table, ExecStats) {
+    let out = QueryRequest::new(plan, db).config(cfg).expect_run();
+    (out.rows, out.stats)
+}
+
+/// The oracle that is not the executor: at batch capacities {1, 64, 1024}
+/// the pipeline under `cfg` must return the materializing executor's rows
+/// in its order and report its aggregate work counters.
+fn check_against_materializing_oracle(
     plan: &PhysPlan,
     db: &Database,
     cfg: &ExecConfig,
-) -> (Table, ExecStats) {
-    let out = QueryRequest::new(plan, db).config(cfg).expect_run();
-    (out.rows, out.stats)
+    what: &str,
+) -> Result<(), String> {
+    let (t_ref, s_ref) = execute_materialized_with_stats(plan, db);
+    for cap in [1, 64, 1024] {
+        let (t, s) = run_plan(plan, db, &cfg.clone().with_batch_capacity(cap));
+        if t != t_ref {
+            return Err(format!(
+                "{what} cap {cap}: rows/order differ from the oracle"
+            ));
+        }
+        let aggregates = |s: &ExecStats| (s.index_rows, s.scan_rows, s.probes, s.bindings);
+        let (got, want) = (aggregates(&s), aggregates(&s_ref));
+        if got != want {
+            return Err(format!(
+                "{what} cap {cap}: (index_rows, scan_rows, probes, bindings) {got:?} != oracle {want:?}"
+            ));
+        }
+    }
+    Ok(())
 }
 
 const UNLIMITED: Option<usize> = None;
@@ -67,39 +93,31 @@ fn plans_for(workload: &mut Workload, q: &xqjg_bench::BenchQuery) -> Vec<PhysPla
 }
 
 #[test]
-fn table9_queries_identical_across_typed_toggle_dop_vectorize_and_budget() {
+fn table9_queries_identical_across_typed_toggle_dop_and_budget() {
     let mut workload = Workload::new(0.02);
     for q in queries() {
         let plans = plans_for(&mut workload, &q);
         let db: &Database = workload.processor(&q).database();
         for plan in &plans {
-            let reference = execute_with_stats_config(
-                plan,
-                db,
-                &ExecConfig::sequential()
-                    .with_vectorize(true)
-                    .with_typed_kernels(true)
-                    .with_mem_budget(UNLIMITED),
-            );
+            let ref_cfg = ExecConfig::sequential()
+                .with_typed_kernels(true)
+                .with_mem_budget(UNLIMITED);
+            let reference = run_plan(plan, db, &ref_cfg);
+            check_against_materializing_oracle(plan, db, &ref_cfg, q.id)
+                .unwrap_or_else(|e| panic!("{e}"));
             for typed in [true, false] {
                 for budget in [UNLIMITED, BOUNDED] {
                     for threads in [1, 4] {
-                        for vectorize in [true, false] {
-                            let cfg = ExecConfig::sequential()
-                                .with_typed_kernels(typed)
-                                .with_mem_budget(budget)
-                                .with_threads(threads)
-                                .with_morsel_size(16)
-                                .with_vectorize(vectorize);
-                            let (t, s) = execute_with_stats_config(plan, db, &cfg);
-                            let what = format!(
-                                "{} typed {typed} budget {budget:?} DOP {threads} \
-                                 vectorize {vectorize}",
-                                q.id
-                            );
-                            assert_eq!(t, reference.0, "{what}: rows/order differ");
-                            assert_stats_match_modulo_spill(&s, &reference.1, &what);
-                        }
+                        let cfg = ExecConfig::sequential()
+                            .with_typed_kernels(typed)
+                            .with_mem_budget(budget)
+                            .with_threads(threads)
+                            .with_morsel_size(16);
+                        let (t, s) = run_plan(plan, db, &cfg);
+                        let what =
+                            format!("{} typed {typed} budget {budget:?} DOP {threads}", q.id);
+                        assert_eq!(t, reference.0, "{what}: rows/order differ");
+                        assert_stats_match_modulo_spill(&s, &reference.1, &what);
                     }
                 }
             }
@@ -137,38 +155,32 @@ fn equijoin_fixture(rows: i64, distinct: bool) -> (Database, PhysPlan) {
 fn hash_workload_identical_across_typed_toggle_and_engages_kernels() {
     for distinct in [false, true] {
         let (db, plan) = equijoin_fixture(900, distinct);
-        let reference = execute_with_stats_config(
-            &plan,
-            &db,
-            &ExecConfig::sequential()
-                .with_vectorize(true)
-                .with_typed_kernels(true)
-                .with_mem_budget(UNLIMITED),
-        );
+        let ref_cfg = ExecConfig::sequential()
+            .with_typed_kernels(true)
+            .with_mem_budget(UNLIMITED);
+        let reference = run_plan(&plan, &db, &ref_cfg);
+        check_against_materializing_oracle(&plan, &db, &ref_cfg, "hash workload")
+            .unwrap_or_else(|e| panic!("distinct {distinct}: {e}"));
         let mut engaged = false;
         for typed in [true, false] {
             for budget in [UNLIMITED, BOUNDED, Some(8 * 1024)] {
                 for threads in [1, 4] {
-                    for vectorize in [true, false] {
-                        let cfg = ExecConfig::sequential()
-                            .with_typed_kernels(typed)
-                            .with_mem_budget(budget)
-                            .with_threads(threads)
-                            .with_morsel_size(64)
-                            .with_vectorize(vectorize);
-                        let (t, s) = execute_with_stats_config(&plan, &db, &cfg);
-                        let what = format!(
-                            "distinct {distinct} typed {typed} budget {budget:?} \
-                             DOP {threads} vectorize {vectorize}"
-                        );
-                        assert_eq!(t, reference.0, "{what}: rows/order differ");
-                        assert_stats_match_modulo_spill(&s, &reference.1, &what);
-                        let kernels = s.operators.iter().map(|o| o.kernel_rows).sum::<usize>();
-                        if typed && vectorize {
-                            engaged |= kernels > 0;
-                        } else if !typed {
-                            assert_eq!(kernels, 0, "{what}: kernels off must not engage");
-                        }
+                    let cfg = ExecConfig::sequential()
+                        .with_typed_kernels(typed)
+                        .with_mem_budget(budget)
+                        .with_threads(threads)
+                        .with_morsel_size(64);
+                    let (t, s) = run_plan(&plan, &db, &cfg);
+                    let what = format!(
+                        "distinct {distinct} typed {typed} budget {budget:?} DOP {threads}"
+                    );
+                    assert_eq!(t, reference.0, "{what}: rows/order differ");
+                    assert_stats_match_modulo_spill(&s, &reference.1, &what);
+                    let kernels = s.operators.iter().map(|o| o.kernel_rows).sum::<usize>();
+                    if typed {
+                        engaged |= kernels > 0;
+                    } else {
+                        assert_eq!(kernels, 0, "{what}: kernels off must not engage");
                     }
                 }
             }
@@ -183,17 +195,16 @@ fn hash_workload_identical_across_typed_toggle_and_engages_kernels() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random predicate constants, budgets, DOP and executor flavor: the
-    /// typed and scalar paths must return identical rows in identical
+    /// Random predicate constants, budgets and DOP: typed kernels and the
+    /// untyped `Value` comparisons must return identical rows in identical
     /// order, with identical actuals modulo the governor counters.
     #[test]
-    fn typed_and_scalar_paths_agree_over_random_predicates(
+    fn typed_and_untyped_comparisons_agree_over_random_predicates(
         bound in 0i64..900,
         needle in 0usize..1000,
         budget_bytes in 4096usize..64 * 1024,
         unlimited in proptest::bool::ANY,
         threads in 1usize..5,
-        vectorize in proptest::bool::ANY,
     ) {
         let budget = (!unlimited).then_some(budget_bytes);
         let mut t = Table::new(Schema::new(["pre", "grp", "payload"]));
@@ -216,12 +227,11 @@ proptest! {
         let cfg = ExecConfig::sequential()
             .with_mem_budget(budget)
             .with_threads(threads)
-            .with_morsel_size(64)
-            .with_vectorize(vectorize);
+            .with_morsel_size(64);
         let (t_on, s_on) =
-            execute_with_stats_config(&plan, &db, &cfg.clone().with_typed_kernels(true));
+            run_plan(&plan, &db, &cfg.clone().with_typed_kernels(true));
         let (t_off, s_off) =
-            execute_with_stats_config(&plan, &db, &cfg.with_typed_kernels(false));
+            run_plan(&plan, &db, &cfg.with_typed_kernels(false));
         prop_assert_eq!(&t_on, &t_off, "typed toggle changed rows");
         let sans_on: Vec<OpStats> = s_on.operators.iter().map(OpStats::sans_spill).collect();
         let sans_off: Vec<OpStats> = s_off.operators.iter().map(OpStats::sans_spill).collect();
@@ -234,10 +244,11 @@ proptest! {
     /// NULL-aware sweep: random NULL densities over an `i64` and a
     /// dictionary column, a composite (two-column, NULL-bearing) equijoin
     /// key, and a multi-term conjunctive residual — every configuration
-    /// must be bit-identical to the scalar row-path oracle, spilled legs
-    /// included.
+    /// must return the materializing oracle's rows, order and aggregate
+    /// counters, and the per-operator actuals of the sequential kernels-off
+    /// run, spilled legs included.
     #[test]
-    fn null_density_composite_keys_and_multi_term_predicates_match_the_row_path(
+    fn null_density_composite_keys_and_multi_term_predicates_match_the_oracle(
         rows in 150i64..500,
         grp_nulls in 2i64..12,
         tag_nulls in 2i64..12,
@@ -245,7 +256,6 @@ proptest! {
         lo in 0i64..25,
         tiny in proptest::bool::ANY,
         four_way in proptest::bool::ANY,
-        vectorize in proptest::bool::ANY,
     ) {
         let mut t = Table::new(Schema::new(["pre", "grp", "tag", "val"]));
         for i in 0..rows {
@@ -274,12 +284,11 @@ proptest! {
         let plan = optimize(&parse_sql(&sql).unwrap(), &db).unwrap();
         let threads = if four_way { 4 } else { 1 };
         let budget = tiny.then_some(4 * 1024);
-        // Oracle: sequential scalar row path, kernels off.
-        let (t_ref, s_ref) = execute_with_stats_config(
+        // Per-operator reference: sequential, kernels off.
+        let (t_ref, s_ref) = run_plan(
             &plan,
             &db,
             &ExecConfig::sequential()
-                .with_vectorize(false)
                 .with_typed_kernels(false)
                 .with_mem_budget(budget),
         );
@@ -288,10 +297,11 @@ proptest! {
                 .with_typed_kernels(typed)
                 .with_mem_budget(budget)
                 .with_threads(threads)
-                .with_morsel_size(32)
-                .with_vectorize(vectorize);
-            let (t, s) = execute_with_stats_config(&plan, &db, &cfg);
-            prop_assert_eq!(&t, &t_ref, "typed {} diverged from the row path", typed);
+                .with_morsel_size(32);
+            let oracle = check_against_materializing_oracle(&plan, &db, &cfg, "null sweep");
+            prop_assert!(oracle.is_ok(), "typed {}: {:?}", typed, oracle);
+            let (t, s) = run_plan(&plan, &db, &cfg);
+            prop_assert_eq!(&t, &t_ref, "typed {} diverged from kernels-off", typed);
             prop_assert_eq!(s.scan_rows, s_ref.scan_rows);
             prop_assert_eq!(s.probes, s_ref.probes);
             prop_assert_eq!(s.bindings, s_ref.bindings);

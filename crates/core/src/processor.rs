@@ -598,6 +598,16 @@ mod tests {
         p
     }
 
+    /// The environment's knobs with all three caches pinned on, for the
+    /// tests whose subject is the caches (CI's "escape hatches off" leg
+    /// runs the suite with `XQJG_*_CACHE=0`).
+    fn caches_on() -> ExecConfig {
+        ExecConfig::from_env()
+            .with_build_cache(true)
+            .with_plan_cache(true)
+            .with_postings_cache(true)
+    }
+
     fn assert_all_modes_agree(p: &mut Processor, query: &str) -> usize {
         let oracle = p.execute(query, Mode::Interpreter).unwrap();
         let stacked = p.execute(query, Mode::Stacked).unwrap();
@@ -718,6 +728,7 @@ mod tests {
     #[test]
     fn plan_cache_serves_repeated_queries_and_shows_in_explain() {
         let mut p = processor();
+        p.set_exec_config(Some(caches_on()));
         let q = r#"doc("auction.xml")/descendant::open_auction[bidder]"#;
         let cold = p.execute(q, Mode::JoinGraph).unwrap();
         assert!(
@@ -749,6 +760,7 @@ mod tests {
         let caches = QueryCaches::new();
         let q = r#"doc("auction.xml")/descendant::open_auction[bidder]"#;
         let mut a = Processor::with_caches(caches.clone());
+        a.set_exec_config(Some(caches_on()));
         a.load_document("auction.xml", AUCTION).unwrap();
         a.create_default_indexes();
         let first = a.execute(q, Mode::JoinGraph).unwrap();
@@ -757,6 +769,7 @@ mod tests {
         // version, so correctness never depends on sharing.  What must hold:
         // identical results, and the shared handles observing all traffic.
         let mut b = Processor::with_caches(caches.clone());
+        b.set_exec_config(Some(caches_on()));
         b.load_document("auction.xml", AUCTION).unwrap();
         b.create_default_indexes();
         let second = b.execute(q, Mode::JoinGraph).unwrap();
@@ -784,7 +797,7 @@ mod tests {
         assert_eq!(p.caches().plans().lookups(), 0);
         assert_eq!(p.caches().postings().lookups(), 0);
         // Flip the knobs back on: the same processor starts caching.
-        p.set_exec_config(None);
+        p.set_exec_config(Some(caches_on()));
         let on = p.execute(q, Mode::JoinGraph).unwrap();
         assert_eq!(on.items, off.items);
         assert!(on.explain[0].contains("plan_cache="), "{}", on.explain[0]);

@@ -1,16 +1,20 @@
-//! Pipelined, morsel-parallel execution of physical plans.
+//! Pipelined, morsel-parallel, columnar execution of physical plans.
 //!
 //! The executor implements the operator repertoire of Table VII as a tree
-//! of discrete pull-based operators over the [`xqjg_store::Operator`]
+//! of discrete pull-based operators over the [`xqjg_store::ColOperator`]
 //! substrate: index and table scan leaves, index nested-loop joins (the
 //! inner access path is re-probed for every outer binding, with probe
-//! bounds computed from the outer columns), build-once hash joins probed
-//! with borrowed keys, and the plan tail (select/order evaluation,
-//! duplicate-eliminating SORT, RETURN).  Tuples flow between operators in
-//! fixed-capacity [`Batch`]es of *bindings* — one base-table row id per
-//! bound alias — so no join level ever materializes the full binding set
-//! (the sort tail, a genuine pipeline breaker, is the only operator that
-//! buffers its input).
+//! bounds computed from the outer columns), build-once hash joins, and the
+//! plan tail (select/order evaluation, duplicate-eliminating SORT,
+//! RETURN).  Tuples flow between operators in [`ColumnBatch`]es of
+//! *bindings* — one rid column per bound alias plus a selection vector —
+//! so no join level ever materializes the full binding set (the sort tail,
+//! a genuine pipeline breaker, is the only operator that buffers its
+//! input).  Every predicate, hash key and probe bound is compiled once per
+//! execution ([`CStage`]): schema offsets are resolved up front, and where
+//! the operand columns carry typed images the comparison runs as a
+//! branch-free kernel; columns without one keep the untyped [`Value`]
+//! comparison inside the same operators.
 //!
 //! Execution is **morsel-driven** (see [`xqjg_store::morsel`]): the scan
 //! leaf's row-id domain is cut into fixed-size morsels, and up to
@@ -22,9 +26,10 @@
 //! distinct/sort pass — which makes results, EXPLAIN actuals and the
 //! aggregate work counters byte-identical across degrees of parallelism.
 //!
-//! The seed's materialize-everything executor is retained in
-//! [`crate::materialize`] as the baseline the `executor` benchmark pits
-//! this pipeline against.
+//! [`QueryRequest::run`] is the one way to execute a plan.  The seed's
+//! materialize-everything executor is retained in [`crate::materialize`]
+//! as the independent reference the tests compare this pipeline against
+//! (and the baseline of the `executor` benchmark).
 
 use crate::explain::CacheActuals;
 use crate::physical::{Access, Bounds, JoinNode, PhysPlan};
@@ -37,25 +42,20 @@ use std::path::PathBuf;
 use std::rc::Rc;
 use std::sync::Arc;
 use xqjg_store::{
-    effective_morsel_size, fill_from_pending_with_capacity, gather_i64, gather_u32,
-    hash_keys_typed, hash_values, mask_terms, merge_worker_stats, new_stats_sink,
-    partition_morsels, row_footprint, try_execute_morsels_streaming, Batch, BatchSizer, BitMask,
-    BoxedOperator, CancelToken, ColOperator, ColumnBatch, Database, ExecConfig, ExecError,
-    ExternalSorter, GraceBuilder, HashKey, Interrupt, KernelCmp, MaskTerm, MemBudget, Morsel,
-    OpStats, Operator, PostingsCache, PostingsKey, Row, Schema, SpilledPartitions, StatsSink,
-    Table, TypedColumn, Value, BUILD_ENTRY_FOOTPRINT,
+    effective_morsel_size, gather_i64, gather_u32, hash_keys_typed, hash_values, mask_terms,
+    merge_worker_stats, new_stats_sink, partition_morsels, row_footprint,
+    try_execute_morsels_streaming, BatchSizer, BitMask, CancelToken, ColOperator, ColumnBatch,
+    Database, ExecConfig, ExecError, ExternalSorter, GraceBuilder, HashKey, Interrupt, KernelCmp,
+    MaskTerm, MemBudget, Morsel, OpStats, PostingsCache, PostingsKey, Row, Schema,
+    SpilledPartitions, StatsSink, Table, TypedColumn, Value, BUILD_ENTRY_FOOTPRINT,
 };
 
-/// Per-morsel error slot.  The pull-based [`Operator`]/[`ColOperator`]
-/// protocols are infallible, so the two operators that perform fallible
-/// I/O mid-pipeline (hash-join probes over a *spilled* build side) record
-/// the first failure here and stop producing; the morsel driver checks the
-/// slot after the pipeline closes and fails the morsel with that error.
+/// Per-morsel error slot.  The pull-based [`ColOperator`] protocol is
+/// infallible, so the one operator that performs fallible I/O mid-pipeline
+/// (the hash-join probe over a *spilled* build side) records the first
+/// failure here and stops producing; the morsel driver checks the slot
+/// after the pipeline closes and fails the morsel with that error.
 type ErrSlot = Rc<RefCell<Option<ExecError>>>;
-
-/// A binding: for each alias bound so far (outer-to-inner), the row id of
-/// the base-table row the alias is bound to.
-pub(crate) type Binding = Vec<usize>;
 
 /// Counters describing the work a query execution performed — used by the
 /// benchmark harness to explain *why* one plan beats another.
@@ -108,22 +108,6 @@ impl Agg {
 }
 
 type SharedAgg = Rc<RefCell<Agg>>;
-
-/// Execute a physical plan, returning the result table.  Parallelism and
-/// batching follow the environment knobs (see [`ExecConfig::from_env`]).
-#[deprecated(note = "use QueryRequest::new(plan, db).run()")]
-pub fn execute(plan: &PhysPlan, db: &Database) -> Table {
-    QueryRequest::new(plan, db).expect_run().rows
-}
-
-/// Execute a physical plan, returning the result table and work counters
-/// (aggregate and per-operator).  Parallelism and batching follow the
-/// environment knobs (see [`ExecConfig::from_env`]).
-#[deprecated(note = "use QueryRequest::new(plan, db).run()")]
-pub fn execute_with_stats(plan: &PhysPlan, db: &Database) -> (Table, ExecStats) {
-    let out = QueryRequest::new(plan, db).expect_run();
-    (out.rows, out.stats)
-}
 
 /// One stage of the flattened left-deep join chain: the leaf scan (stage
 /// 0) or one join level.
@@ -221,9 +205,10 @@ impl std::ops::Deref for Postings {
 pub(crate) type PostingsCtx<'a> = Option<(&'a PostingsCache, u64)>;
 
 /// `IXSCAN` probe bounds with every expression evaluated to a constant
-/// composite key: the canonical form shared by the interpreted and
-/// compiled paths, and — together with the index name — the
-/// [`PostingsKey`] of the memoized range scan.  An unbounded side is the
+/// composite key: the canonical form shared by the interpreted
+/// ([`resolve_bounds`]) and compiled ([`resolve_cbounds`]) evaluators, and
+/// — together with the index name — the [`PostingsKey`] of the memoized
+/// range scan.  An unbounded side is the
 /// empty key with its inclusive flag normalized to `true`, so every range
 /// has exactly one spelling (cache keys must not alias).
 struct ResolvedBounds {
@@ -357,7 +342,7 @@ impl Drop for Booked {
     }
 }
 
-/// Declared first in [`try_execute_full`] so it drops last: by then every
+/// Declared first in [`run_with_caches`] so it drops last: by then every
 /// operator, sorter, probe cache and booking guard has released its
 /// reservations, and a non-zero balance is an accounting bug.
 struct DrainCheck(Arc<MemBudget>);
@@ -739,8 +724,8 @@ impl BuildCache {
 }
 
 // ---------------------------------------------------------------------
-// Compiled expressions — the vectorized path resolves every schema offset
-// once per execution instead of once per row.
+// Compiled expressions — every schema offset is resolved once per execution
+// instead of once per row.
 // ---------------------------------------------------------------------
 
 /// An expression with alias slots and column offsets pre-resolved.
@@ -1127,8 +1112,7 @@ enum GatheredKey {
 struct CStage<'a> {
     base: &'a Table,
     access: &'a Access,
-    /// Operator label (identical to the scalar path's, so EXPLAIN actuals
-    /// are path-independent).
+    /// Operator label as EXPLAIN prints it.
     label: String,
     /// B-tree of an `IndexScan` access, pre-resolved.
     tree: Option<&'a xqjg_store::BPlusTree>,
@@ -1316,7 +1300,7 @@ fn compile_stage<'a>(index: usize, stage: &Stage<'a>, db: &'a Database, typed: b
 }
 
 /// Evaluate compiled probe bounds against one outer row into their
-/// canonical resolved form (the compiled mirror of [`resolve_bounds`]).
+/// canonical resolved form (the compiled twin of [`resolve_bounds`]).
 fn resolve_cbounds(bounds: &CBounds, env: &ColEnv<'_>) -> ResolvedBounds {
     let eq_vals: Vec<Value> = bounds
         .eq
@@ -1348,8 +1332,7 @@ fn resolve_cbounds(bounds: &CBounds, env: &ColEnv<'_>) -> ResolvedBounds {
 }
 
 /// Perform (or recall) the B-tree range scan described by compiled probe
-/// bounds for one outer row (the compiled mirror of [`resolve_bounds`] +
-/// [`cached_tree_range`]).
+/// bounds for one outer row ([`resolve_cbounds`] + [`cached_tree_range`]).
 fn cindex_range(
     tree: &xqjg_store::BPlusTree,
     bounds: &CBounds,
@@ -1363,10 +1346,9 @@ fn cindex_range(
 /// Everything a worker needs to run one morsel's pipeline — borrowed,
 /// read-only, and shared by all workers of one execution.
 struct ExecCtx<'a> {
-    stages: Vec<Stage<'a>>,
-    /// Compiled mirror of `stages` (the vectorized path).
+    /// The compiled left-deep join chain, leaf first.
     cstages: Vec<CStage<'a>>,
-    /// Prebuilt hash-join build sides, aligned with `stages` (`None` for
+    /// Prebuilt hash-join build sides, aligned with `cstages` (`None` for
     /// the leaf and nested-loop stages).  Shared read-only — possibly with
     /// a session [`BuildCache`].
     builds: Vec<Option<Arc<JoinBuild>>>,
@@ -1379,10 +1361,7 @@ struct ExecCtx<'a> {
     tables: Vec<&'a Table>,
     select: &'a [SelectItem],
     order_exprs: Vec<SqlExpr>,
-    db: &'a Database,
     batch_capacity: usize,
-    /// Run the columnar operators instead of the row-at-a-time ones.
-    vectorize: bool,
     /// Let leaves adapt their scan chunk to measured selectivity.
     adaptive: bool,
     /// The execution's shared memory accountant (probe-side partition
@@ -1437,11 +1416,8 @@ pub struct ExecCaches<'a> {
 /// One query execution, described declaratively: the plan and catalog are
 /// mandatory; knobs, warm-path caches and cancellation are opt-in builder
 /// state.  [`QueryRequest::run`] is the single execution entry point the
-/// `Processor`, the serving layer and the bench harness all share — the
-/// former seven-way entry-point sprawl (`execute`, `execute_with_stats`,
-/// `execute_with_stats_config`, `try_execute_with_stats_config`,
-/// `execute_full`, `try_execute_full`, `try_execute_with_caches`) survives
-/// only as `#[deprecated]` shims over this type.
+/// `Processor`, the serving layer, the bench harness and the tests all
+/// share.
 ///
 /// ```ignore
 /// let outcome = QueryRequest::new(&plan, &db)
@@ -1493,7 +1469,7 @@ impl<'a> QueryRequest<'a> {
     ///
     /// The result table, the per-operator EXPLAIN actuals and the
     /// aggregate counters are identical for every `threads` /
-    /// `morsel_size` / `vectorize` setting; `batch_capacity` additionally
+    /// `morsel_size` setting; `batch_capacity` additionally
     /// only affects the reported batch counts.
     pub fn config(mut self, cfg: &'a ExecConfig) -> QueryRequest<'a> {
         self.config = Some(cfg);
@@ -1567,51 +1543,11 @@ impl<'a> QueryRequest<'a> {
     }
 
     /// [`QueryRequest::run`] for callers that treat execution failure as
-    /// fatal (the benchmark harness, the infallible deprecated shims).
+    /// fatal (the benchmark harness, examples, tests).
     pub fn expect_run(self) -> QueryOutcome {
         self.run()
             .unwrap_or_else(|e| panic!("query execution failed: {e}"))
     }
-}
-
-/// Execute a physical plan with explicit execution knobs.
-#[deprecated(note = "use QueryRequest::new(plan, db).config(cfg).run()")]
-pub fn execute_with_stats_config(
-    plan: &PhysPlan,
-    db: &Database,
-    cfg: &ExecConfig,
-) -> (Table, ExecStats) {
-    let out = QueryRequest::new(plan, db).config(cfg).expect_run();
-    (out.rows, out.stats)
-}
-
-/// Fallible twin of [`execute_with_stats_config`]: spill I/O failures,
-/// budget exhaustion, cancellation and timeouts come back as
-/// [`ExecError`]s instead of panics.
-#[deprecated(note = "use QueryRequest::new(plan, db).config(cfg).run()")]
-pub fn try_execute_with_stats_config(
-    plan: &PhysPlan,
-    db: &Database,
-    cfg: &ExecConfig,
-) -> Result<(Table, ExecStats), ExecError> {
-    let out = QueryRequest::new(plan, db).config(cfg).run()?;
-    Ok((out.rows, out.stats))
-}
-
-/// [`execute_with_stats_config`] plus an optional session [`BuildCache`]
-/// and the adaptive batch-size [`ExecTrace`].  Infallible shim for
-/// callers that treat execution failure as fatal.
-#[deprecated(note = "use QueryRequest::new(plan, db).config(cfg).build_cache(cache).run()")]
-pub fn execute_full(
-    plan: &PhysPlan,
-    db: &Database,
-    cfg: &ExecConfig,
-    cache: Option<&BuildCache>,
-) -> (Table, ExecStats, ExecTrace) {
-    let mut req = QueryRequest::new(plan, db).config(cfg);
-    req.caches.builds = cache;
-    let out = req.expect_run();
-    (out.rows, out.stats, out.trace)
 }
 
 /// Probe whether `dir` can actually host spill runs: it must exist (or be
@@ -1631,43 +1567,6 @@ fn spill_dir_usable(dir: &std::path::Path) -> bool {
         }
         Err(_) => false,
     }
-}
-
-/// [`execute_full`]'s semantics, plus an optional [`CancelToken`], with
-/// every failure surfaced as a typed [`ExecError`].
-#[deprecated(
-    note = "use QueryRequest::new(plan, db).config(cfg).build_cache(cache).cancel(token).run()"
-)]
-pub fn try_execute_full(
-    plan: &PhysPlan,
-    db: &Database,
-    cfg: &ExecConfig,
-    cache: Option<&BuildCache>,
-    cancel: Option<&CancelToken>,
-) -> Result<(Table, ExecStats, ExecTrace), ExecError> {
-    let mut req = QueryRequest::new(plan, db).config(cfg);
-    req.caches.builds = cache;
-    req.cancel = cancel;
-    let out = req.run()?;
-    Ok((out.rows, out.stats, out.trace))
-}
-
-/// [`try_execute_full`] with the full warm-path cache set: hash-join
-/// build sides *and* memoized `IXSCAN` posting lists.
-#[deprecated(
-    note = "use QueryRequest::new(plan, db).config(cfg).caches(caches).cancel(token).run()"
-)]
-pub fn try_execute_with_caches(
-    plan: &PhysPlan,
-    db: &Database,
-    cfg: &ExecConfig,
-    caches: ExecCaches<'_>,
-    cancel: Option<&CancelToken>,
-) -> Result<(Table, ExecStats, ExecTrace), ExecError> {
-    let mut req = QueryRequest::new(plan, db).config(cfg).caches(caches);
-    req.cancel = cancel;
-    let out = req.run()?;
-    Ok((out.rows, out.stats, out.trace))
 }
 
 /// The single execution implementation every public path funnels into
@@ -1719,17 +1618,11 @@ fn run_with_caches(
         interrupt: interrupt.clone(),
     };
     let stages = flatten_stages(&plan.root, db);
-    // Predicate/bounds compilation is a vectorized-path artifact; the
-    // scalar fallback interprets the plan directly and skips it.
-    let cstages: Vec<CStage<'_>> = if cfg.vectorize {
-        stages
-            .iter()
-            .enumerate()
-            .map(|(i, s)| compile_stage(i, s, db, cfg.typed_kernels))
-            .collect()
-    } else {
-        Vec::new()
-    };
+    let cstages: Vec<CStage<'_>> = stages
+        .iter()
+        .enumerate()
+        .map(|(i, s)| compile_stage(i, s, db, cfg.typed_kernels))
+        .collect();
 
     // Pre-phase: resolve the leaf domain and build (or fetch from the
     // session cache) all hash-join build sides once, on the coordinator.
@@ -1787,7 +1680,6 @@ fn run_with_caches(
         .map(|c| SqlExpr::Col(c.clone()))
         .collect();
     let ctx = ExecCtx {
-        stages,
         cstages,
         builds,
         build_hits,
@@ -1796,10 +1688,8 @@ fn run_with_caches(
         tables,
         select: &plan.select,
         order_exprs,
-        db,
         batch_capacity: cap,
-        vectorize: cfg.vectorize,
-        adaptive: cfg.vectorize && cfg.adaptive,
+        adaptive: cfg.adaptive,
         budget: spill.budget.clone(),
         interrupt: interrupt.clone(),
         postings: postings_ctx,
@@ -1989,96 +1879,21 @@ fn run_with_caches(
     Ok((table, stats, trace))
 }
 
-/// Run one morsel through a private pipeline instance: leaf scan over the
-/// morsel's domain slice, the join chain, and the pre-sort tail evaluation.
-/// The stats sink and aggregate counters live and die inside this call —
-/// workers never share mutable state.  `ctx.vectorize` selects between the
-/// columnar (selection-vector) and the row-at-a-time operator repertoire;
-/// both produce identical rows, row order and aggregate counters.
+/// Run one morsel through a private pipeline instance: the columnar leaf
+/// over the morsel's domain slice, batch-at-a-time join probes, and a
+/// pre-sort tail loop that reads bindings through a reusable buffer instead
+/// of allocating one `Vec` per binding.  The stats sink and aggregate
+/// counters live and die inside this call — workers never share mutable
+/// state.
 fn run_morsel(ctx: &ExecCtx<'_>, m: Morsel) -> Result<MorselOutput, ExecError> {
     // One interrupt check per morsel bounds cancellation/timeout latency to
     // a morsel's worth of work without a per-row atomic load.
     ctx.interrupt.check()?;
-    if ctx.vectorize {
-        return run_morsel_columnar(ctx, m);
-    }
-    let sink = new_stats_sink();
-    let agg: SharedAgg = Rc::new(RefCell::new(Agg::default()));
-    // Pull-based operators can't return errors through `next_batch`; the
-    // spilled-probe operators park their first failure here and stop
-    // producing, and the morsel driver surfaces it after the pipeline
-    // closes.
-    let err: ErrSlot = Rc::new(RefCell::new(None));
-    let mut op: BoxedOperator<'_, Binding> = Box::new(MorselLeaf::new(
-        &ctx.stages[0],
-        &ctx.domain,
-        m,
-        ctx.batch_capacity,
-        sink.clone(),
-        agg.clone(),
-    ));
-    for (stage, build) in ctx.stages[1..].iter().zip(&ctx.builds[1..]) {
-        op = match build {
-            Some(b) => Box::new(HashJoinProbe::new(
-                op,
-                stage,
-                b.as_ref(),
-                &ctx.budget,
-                ctx.batch_capacity,
-                sink.clone(),
-                agg.clone(),
-                err.clone(),
-            )),
-            None => Box::new(NestedLoopJoin::new(
-                op,
-                stage,
-                ctx.db,
-                ctx.batch_capacity,
-                sink.clone(),
-                agg.clone(),
-                ctx.postings,
-            )),
-        };
-    }
-    op.open();
-    let mut rows: Vec<(Row, Row)> = Vec::new();
-    let mut tail_rows = 0usize;
-    while let Some(batch) = op.next_batch() {
-        for binding in batch {
-            tail_rows += 1;
-            let env = Env {
-                aliases: &ctx.aliases,
-                tables: &ctx.tables,
-                binding: &binding,
-            };
-            rows.push(tail_row(&env, ctx.select, &ctx.order_exprs));
-        }
-    }
-    op.close();
-    drop(op);
-    if let Some(e) = err.borrow_mut().take() {
-        return Err(e);
-    }
-    let ops = sink.borrow().clone();
-    let agg = agg.borrow().clone();
-    Ok(MorselOutput {
-        rows,
-        ops,
-        tail_rows,
-        agg,
-        trace: Vec::new(),
-    })
-}
-
-/// The vectorized morsel pipeline: columnar leaf, batch-at-a-time join
-/// probes, and a tail loop that reads bindings through a reusable buffer
-/// instead of allocating one `Vec` per binding.
-fn run_morsel_columnar(ctx: &ExecCtx<'_>, m: Morsel) -> Result<MorselOutput, ExecError> {
     let sink = new_stats_sink();
     let agg: SharedAgg = Rc::new(RefCell::new(Agg::default()));
     let trace_cell: Rc<RefCell<Vec<usize>>> = Rc::new(RefCell::new(Vec::new()));
     let err: ErrSlot = Rc::new(RefCell::new(None));
-    let mut op: Box<dyn ColOperator + '_> = Box::new(ColMorselLeaf::new(
+    let mut op: Box<dyn ColOperator + '_> = Box::new(ColScanLeaf::new(
         &ctx.cstages[0],
         &ctx.domain,
         m,
@@ -2113,7 +1928,7 @@ fn run_morsel_columnar(ctx: &ExecCtx<'_>, m: Morsel) -> Result<MorselOutput, Exe
     op.open();
     let mut rows: Vec<(Row, Row)> = Vec::new();
     let mut tail_rows = 0usize;
-    let mut binding: Binding = Vec::with_capacity(ctx.aliases.len());
+    let mut binding: Vec<usize> = Vec::with_capacity(ctx.aliases.len());
     while let Some(batch) = op.next_batch() {
         for i in 0..batch.live() {
             let p = batch.phys(i);
@@ -2161,465 +1976,26 @@ fn tail_row(env: &Env<'_>, select: &[SelectItem], order_exprs: &[SqlExpr]) -> (R
     (select_vals, order_vals)
 }
 
-/// Scan leaf over one morsel of the domain: emits single-alias bindings
-/// batch-at-a-time, either from a filtered rid-range scan (`TBSCAN`) or a
-/// slice of the pre-fetched posting list (`IXSCAN`).
-struct MorselLeaf<'a> {
-    alias: &'a str,
-    base: &'a Table,
-    access: &'a Access,
-    cursor: LeafCursor<'a>,
-    cap: usize,
-    /// Rows surviving the pushed-down filters (TBSCAN accounting), folded
-    /// into the aggregate at `close` — nothing shared is touched per batch.
-    scan_rows: usize,
-    stats: OpStats,
-    sink: StatsSink,
-    agg: SharedAgg,
-}
+// ---------------------------------------------------------------------
+// The columnar operator repertoire.
+// ---------------------------------------------------------------------
 
-enum LeafCursor<'a> {
+/// One morsel's slice of the [`LeafDomain`] and the scan position in it.
+enum DomainCursor<'a> {
     /// Full scan: next rid to examine and the morsel's end rid.
     Rids { next: usize, end: usize },
     /// Index scan: the morsel's slice of the posting list and the cursor.
     Postings { rids: &'a [usize], pos: usize },
 }
 
-impl<'a> MorselLeaf<'a> {
-    fn new(
-        stage: &Stage<'a>,
-        domain: &'a LeafDomain,
-        m: Morsel,
-        cap: usize,
-        sink: StatsSink,
-        agg: SharedAgg,
-    ) -> Self {
-        let name = match stage.access {
-            Access::TableScan { .. } => format!("TBSCAN({})", stage.alias),
-            Access::IndexScan { index, .. } => format!("IXSCAN({} ix={index})", stage.alias),
-        };
-        let cursor = match domain {
-            LeafDomain::Rids(n) => LeafCursor::Rids {
-                next: m.start.min(*n),
-                end: m.end.min(*n),
-            },
-            LeafDomain::Postings(rids) => LeafCursor::Postings {
-                rids: &rids[m.start..m.end],
-                pos: 0,
-            },
-        };
-        MorselLeaf {
-            alias: stage.alias,
-            base: stage.base,
-            access: stage.access,
-            cursor,
-            cap,
-            scan_rows: 0,
-            stats: OpStats::named(name),
-            sink,
-            agg,
-        }
-    }
-}
-
-impl Operator for MorselLeaf<'_> {
-    type Item = Binding;
-
-    fn open(&mut self) {}
-
-    fn next_batch(&mut self) -> Option<Batch<Binding>> {
-        let (alias, base, access) = (self.alias, self.base, self.access);
-        let mut out: Batch<Binding> = Batch::with_capacity(self.cap);
-        match (&mut self.cursor, access) {
-            (LeafCursor::Rids { next, end }, Access::TableScan { preds }) => {
-                while *next < *end && !out.is_full() {
-                    let rid = *next;
-                    *next += 1;
-                    let ok = preds
-                        .iter()
-                        .all(|p| pred_holds(p, alias, Some((base, rid)), None));
-                    if ok {
-                        out.push(vec![rid]);
-                    }
-                }
-                self.scan_rows += out.len();
-            }
-            (LeafCursor::Postings { rids, pos }, Access::IndexScan { residual, .. }) => {
-                while *pos < rids.len() && !out.is_full() {
-                    let rid = rids[*pos];
-                    *pos += 1;
-                    let ok = residual
-                        .iter()
-                        .all(|p| pred_holds(p, alias, Some((base, rid)), None));
-                    if ok {
-                        out.push(vec![rid]);
-                    }
-                }
-            }
-            _ => unreachable!("leaf cursor matches its access path"),
-        }
-        if out.is_empty() {
-            return None;
-        }
-        self.stats.rows_out += out.len();
-        self.stats.batches += 1;
-        Some(out)
-    }
-
-    fn close(&mut self) {
-        self.agg.borrow_mut().scan_rows += self.scan_rows;
-        self.stats.fetched = self.scan_rows;
-        self.sink.borrow_mut().push(self.stats.clone());
-    }
-
-    fn stats(&self) -> OpStats {
-        self.stats.clone()
-    }
-}
-
-/// The outer-binding feed shared by both join operators: buffers one input
-/// batch at a time and hands out bindings one by one.
-struct Feed<'a> {
-    input: BoxedOperator<'a, Binding>,
-    buf: VecDeque<Binding>,
-    done: bool,
-    rows_in: usize,
-}
-
-impl<'a> Feed<'a> {
-    fn new(input: BoxedOperator<'a, Binding>) -> Self {
-        Feed {
-            input,
-            buf: VecDeque::new(),
-            done: false,
-            rows_in: 0,
-        }
-    }
-
-    fn next_outer(&mut self) -> Option<Binding> {
-        loop {
-            if let Some(b) = self.buf.pop_front() {
-                return Some(b);
-            }
-            if self.done {
-                return None;
-            }
-            match self.input.next_batch() {
-                Some(batch) => {
-                    self.rows_in += batch.len();
-                    self.buf.extend(batch);
-                }
-                None => self.done = true,
-            }
-        }
-    }
-}
-
-/// Index / scan nested-loop join: the inner access path is re-probed for
-/// every outer binding (with an `IndexScan` inner this is DB2's
-/// NLJOIN–IXSCAN pair).
-struct NestedLoopJoin<'a> {
-    feed: Feed<'a>,
-    stage: &'a Stage<'a>,
-    db: &'a Database,
-    pending: VecDeque<Binding>,
-    cap: usize,
-    /// Per-probe fetch accounting, folded into the aggregate at `close`.
-    fetched_scan: usize,
-    fetched_index: usize,
-    stats: OpStats,
-    sink: StatsSink,
-    agg: SharedAgg,
-    /// Postings memoization context for `IXSCAN` inner probes.
-    postings: PostingsCtx<'a>,
-}
-
-impl<'a> NestedLoopJoin<'a> {
-    fn new(
-        input: BoxedOperator<'a, Binding>,
-        stage: &'a Stage<'a>,
-        db: &'a Database,
-        cap: usize,
-        sink: StatsSink,
-        agg: SharedAgg,
-        postings: PostingsCtx<'a>,
-    ) -> Self {
-        NestedLoopJoin {
-            feed: Feed::new(input),
-            stage,
-            db,
-            pending: VecDeque::new(),
-            cap,
-            fetched_scan: 0,
-            fetched_index: 0,
-            stats: OpStats::named(format!("NLJOIN({})", stage.alias)),
-            sink,
-            agg,
-            postings,
-        }
-    }
-
-    /// Probe the inner access path for one outer binding, queueing the
-    /// surviving extended bindings.
-    fn probe(&mut self, binding: &Binding, pending: &mut VecDeque<Binding>) {
-        self.stats.probes += 1;
-        let stage = self.stage;
-        let env = Env {
-            aliases: &stage.outer_aliases,
-            tables: &stage.outer_tables,
-            binding,
-        };
-        let (rows, fetched) = exec_access(
-            stage.access,
-            stage.alias,
-            stage.table_name,
-            self.db,
-            Some(&env),
-            self.postings,
-        );
-        match fetched {
-            Fetched::Scanned(n) => self.fetched_scan += n,
-            Fetched::Indexed(n) => self.fetched_index += n,
-        }
-        for &rid in rows.iter() {
-            let ok = stage
-                .residual
-                .iter()
-                .all(|p| pred_holds(p, stage.alias, Some((stage.base, rid)), Some(&env)));
-            if ok {
-                // One exact-size allocation instead of clone-then-push
-                // (which reallocates): this runs once per emitted binding.
-                let mut b = Vec::with_capacity(binding.len() + 1);
-                b.extend_from_slice(binding);
-                b.push(rid);
-                pending.push_back(b);
-            }
-        }
-    }
-}
-
-impl Operator for NestedLoopJoin<'_> {
-    type Item = Binding;
-
-    fn open(&mut self) {
-        self.feed.input.open();
-        self.pending.clear();
-    }
-
-    fn next_batch(&mut self) -> Option<Batch<Binding>> {
-        let mut pending = std::mem::take(&mut self.pending);
-        let out = fill_from_pending_with_capacity(self.cap, &mut pending, |p| {
-            match self.feed.next_outer() {
-                Some(binding) => {
-                    self.probe(&binding, p);
-                    true
-                }
-                None => false,
-            }
-        });
-        self.pending = pending;
-        let out = out?;
-        self.stats.rows_out += out.len();
-        self.stats.batches += 1;
-        Some(out)
-    }
-
-    fn close(&mut self) {
-        self.feed.input.close();
-        self.stats.rows_in = self.feed.rows_in;
-        self.stats.fetched = self.fetched_scan + self.fetched_index;
-        {
-            let mut agg = self.agg.borrow_mut();
-            agg.probes += self.stats.probes;
-            agg.bindings += self.stats.rows_out;
-            agg.scan_rows += self.fetched_scan;
-            agg.index_rows += self.fetched_index;
-        }
-        self.sink.borrow_mut().push(self.stats.clone());
-    }
-
-    fn stats(&self) -> OpStats {
-        self.stats.clone()
-    }
-}
-
-/// Hash-join probe side: the build table was bucketed once up front (see
-/// [`JoinBuild`]) and is shared read-only by all workers; probes compare
-/// borrowed `&Value`s against the probe key to resolve hash collisions.
-/// When the build spilled, probes route through a per-worker
-/// [`PartitionProbe`] cache instead of the in-memory buckets — same
-/// candidates, same order, so results and actuals do not move.
-struct HashJoinProbe<'a> {
-    feed: Feed<'a>,
-    stage: &'a Stage<'a>,
-    build: &'a JoinBuild,
-    parts: Option<PartitionProbe<'a>>,
-    pending: VecDeque<Binding>,
-    cap: usize,
-    stats: OpStats,
-    sink: StatsSink,
-    agg: SharedAgg,
-    /// First partition-load failure of this morsel's pipeline; once set the
-    /// operator stops producing batches.
-    err: ErrSlot,
-}
-
-impl<'a> HashJoinProbe<'a> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        input: BoxedOperator<'a, Binding>,
-        stage: &'a Stage<'a>,
-        build: &'a JoinBuild,
-        budget: &Arc<MemBudget>,
-        cap: usize,
-        sink: StatsSink,
-        agg: SharedAgg,
-        err: ErrSlot,
-    ) -> Self {
-        let parts = match &build.backend {
-            BuildBackend::Mem(_) => None,
-            BuildBackend::Spilled(p) => Some(PartitionProbe::new(p, budget.clone())),
-        };
-        HashJoinProbe {
-            feed: Feed::new(input),
-            stage,
-            build,
-            parts,
-            pending: VecDeque::new(),
-            cap,
-            stats: OpStats::named(format!("HSJOIN({})", stage.alias)),
-            sink,
-            agg,
-            err,
-        }
-    }
-
-    /// Probe the hash table for one outer binding, queueing the surviving
-    /// extended bindings.
-    fn probe(&mut self, binding: &Binding, pending: &mut VecDeque<Binding>) {
-        self.stats.probes += 1;
-        let stage = self.stage;
-        let build = self.build;
-        let env = Env {
-            aliases: &stage.outer_aliases,
-            tables: &stage.outer_tables,
-            binding,
-        };
-        let probe_vals: Vec<Value> = stage
-            .hash_keys
-            .iter()
-            .map(|(outer_expr, _)| env.eval(outer_expr))
-            .collect();
-        if probe_vals.iter().any(Value::is_null) {
-            return;
-        }
-        let h = hash_values(probe_vals.iter());
-        let candidates = match &build.backend {
-            BuildBackend::Mem(buckets) => buckets.get(&h),
-            BuildBackend::Spilled(_) => {
-                let parts = self
-                    .parts
-                    .as_mut()
-                    .expect("partition cache for spilled build");
-                match parts.candidates(h) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        self.err.borrow_mut().get_or_insert(e);
-                        return;
-                    }
-                }
-            }
-        };
-        let Some(candidates) = candidates else {
-            return;
-        };
-        for &rid in candidates {
-            let row = &stage.base.rows()[rid];
-            // Resolve hash collisions by comparing the borrowed key values.
-            let keys_match = build
-                .key_cols
-                .iter()
-                .zip(&probe_vals)
-                .all(|(&c, pv)| &row[c] == pv);
-            if !keys_match {
-                continue;
-            }
-            let ok = stage
-                .residual
-                .iter()
-                .all(|p| pred_holds(p, stage.alias, Some((stage.base, rid)), Some(&env)));
-            if ok {
-                // One exact-size allocation instead of clone-then-push
-                // (which reallocates): this runs once per emitted binding.
-                let mut b = Vec::with_capacity(binding.len() + 1);
-                b.extend_from_slice(binding);
-                b.push(rid);
-                pending.push_back(b);
-            }
-        }
-    }
-}
-
-impl Operator for HashJoinProbe<'_> {
-    type Item = Binding;
-
-    fn open(&mut self) {
-        self.feed.input.open();
-        self.pending.clear();
-    }
-
-    fn next_batch(&mut self) -> Option<Batch<Binding>> {
-        if self.err.borrow().is_some() {
-            return None;
-        }
-        let mut pending = std::mem::take(&mut self.pending);
-        let out = fill_from_pending_with_capacity(self.cap, &mut pending, |p| {
-            if self.err.borrow().is_some() {
-                return false;
-            }
-            match self.feed.next_outer() {
-                Some(binding) => {
-                    self.probe(&binding, p);
-                    true
-                }
-                None => false,
-            }
-        });
-        self.pending = pending;
-        let out = out?;
-        self.stats.rows_out += out.len();
-        self.stats.batches += 1;
-        Some(out)
-    }
-
-    fn close(&mut self) {
-        self.feed.input.close();
-        self.stats.rows_in = self.feed.rows_in;
-        {
-            let mut agg = self.agg.borrow_mut();
-            agg.probes += self.stats.probes;
-            agg.bindings += self.stats.rows_out;
-        }
-        self.sink.borrow_mut().push(self.stats.clone());
-    }
-
-    fn stats(&self) -> OpStats {
-        self.stats.clone()
-    }
-}
-
-// ---------------------------------------------------------------------
-// The columnar operator repertoire.
-// ---------------------------------------------------------------------
-
 /// Columnar scan leaf: fills one rid column directly from the morsel's
 /// domain slice (a bulk extend, not a per-tuple push), then evaluates each
 /// pushed-down predicate column-at-a-time into the selection vector.  The
 /// [`BatchSizer`] grows the scan chunk when the filters turn out to be
 /// selective, so downstream operators keep seeing usefully full batches.
-struct ColMorselLeaf<'a> {
+struct ColScanLeaf<'a> {
     stage: &'a CStage<'a>,
-    cursor: LeafCursor<'a>,
+    cursor: DomainCursor<'a>,
     sizer: BatchSizer,
     cap: usize,
     /// Rows surviving the pushed-down filters (TBSCAN accounting).
@@ -2640,7 +2016,7 @@ struct ColMorselLeaf<'a> {
     trace: Rc<RefCell<Vec<usize>>>,
 }
 
-impl<'a> ColMorselLeaf<'a> {
+impl<'a> ColScanLeaf<'a> {
     #[allow(clippy::too_many_arguments)]
     fn new(
         stage: &'a CStage<'a>,
@@ -2653,11 +2029,11 @@ impl<'a> ColMorselLeaf<'a> {
         trace: Rc<RefCell<Vec<usize>>>,
     ) -> Self {
         let cursor = match domain {
-            LeafDomain::Rids(n) => LeafCursor::Rids {
+            LeafDomain::Rids(n) => DomainCursor::Rids {
                 next: m.start.min(*n),
                 end: m.end.min(*n),
             },
-            LeafDomain::Postings(rids) => LeafCursor::Postings {
+            LeafDomain::Postings(rids) => DomainCursor::Postings {
                 rids: &rids[m.start..m.end],
                 pos: 0,
             },
@@ -2671,7 +2047,7 @@ impl<'a> ColMorselLeaf<'a> {
                 None => scalar_preds.push(pi),
             }
         }
-        ColMorselLeaf {
+        ColScanLeaf {
             stage,
             cursor,
             sizer: BatchSizer::new(cap, adaptive),
@@ -2689,7 +2065,7 @@ impl<'a> ColMorselLeaf<'a> {
     }
 }
 
-impl ColOperator for ColMorselLeaf<'_> {
+impl ColOperator for ColScanLeaf<'_> {
     fn open(&mut self) {}
 
     fn next_batch(&mut self) -> Option<ColumnBatch> {
@@ -2698,7 +2074,7 @@ impl ColOperator for ColMorselLeaf<'_> {
             let chunk = self.sizer.chunk();
             let mut out = ColumnBatch::new(1, self.cap.max(chunk));
             let scanned = match &mut self.cursor {
-                LeafCursor::Rids { next, end } => {
+                DomainCursor::Rids { next, end } => {
                     let n = chunk.min(*end - *next);
                     if n == 0 {
                         return None;
@@ -2707,7 +2083,7 @@ impl ColOperator for ColMorselLeaf<'_> {
                     *next += n;
                     n
                 }
-                LeafCursor::Postings { rids, pos } => {
+                DomainCursor::Postings { rids, pos } => {
                     let n = chunk.min(rids.len() - *pos);
                     if n == 0 {
                         return None;
@@ -2785,7 +2161,7 @@ fn retain_rids(rids: &mut Vec<usize>, keep: &BitMask) {
 /// bounds and predicates (no schema lookups, no value clones on the
 /// comparison path).  When the stage carries NLJOIN kernel lowerings
 /// ([`NlSplit`]), each probe runs as selection kernels over the inner
-/// column images instead of row-at-a-time interpretation: constant-rhs
+/// column images instead of per-row interpretation: constant-rhs
 /// predicates pre-materialize one survivor rid list per `TBSCAN` inner
 /// (shared by every probe of this operator instance), and outer-dependent
 /// `i64` comparisons fuse into one multi-term mask pass per probe.
@@ -3074,8 +2450,8 @@ impl ColOperator for ColNLJoin<'_> {
 /// Per-batch probe state of the columnar hash join: the key expressions
 /// are evaluated column-at-a-time into one flattened buffer (column-major,
 /// key `k` of row `i` at `k·live + i`) and all probe hashes are computed
-/// in a single pass — one allocation per batch where the row path paid one
-/// key vector per probe.
+/// in a single pass — one allocation per batch, not one key vector per
+/// probe.
 struct ProbeState {
     batch: ColumnBatch,
     keys: Vec<Value>,
@@ -3092,8 +2468,8 @@ struct ProbeState {
 }
 
 /// Columnar hash-join probe over a shared (possibly cached) build side.
-/// A spilled build is probed through the same per-worker
-/// [`PartitionProbe`] cache as the scalar path.
+/// A spilled build is probed through a per-worker [`PartitionProbe`]
+/// cache.
 struct ColHashJoin<'a> {
     input: Box<dyn ColOperator + 'a>,
     stage: &'a CStage<'a>,
@@ -3146,7 +2522,7 @@ impl<'a> ColHashJoin<'a> {
     /// loop ([`hash_keys_typed`] is bit-identical to [`hash_values`] over
     /// the corresponding `Value`s, so bucket lookups and Grace partition
     /// routing are unchanged).  NULL-keyed rows hash to `None` and are
-    /// never probed — exactly the scalar path's behavior.
+    /// never probed — exactly the untyped `Value` branch's behavior.
     fn prepare(&mut self, batch: ColumnBatch) -> ProbeState {
         let nk = self.stage.hash_keys.len();
         let live = batch.live();
@@ -3587,16 +2963,34 @@ pub fn cmp_eval(op: SqlCmp, ord: std::cmp::Ordering) -> bool {
 }
 
 #[cfg(test)]
-// The unit tests deliberately keep exercising the deprecated entry points:
-// they are the regression suite proving the shims stay byte-identical to
-// the `QueryRequest` path they forward to.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::materialize::execute_materialized_with_stats;
     use crate::optimizer::optimize;
     use crate::sqlparse::parse_sql;
     use xqjg_store::IndexDef;
+
+    /// Rows and counters of `plan` under pinned knobs.
+    fn run(plan: &PhysPlan, db: &Database, cfg: &ExecConfig) -> (Table, ExecStats) {
+        let out = QueryRequest::new(plan, db).config(cfg).expect_run();
+        (out.rows, out.stats)
+    }
+
+    /// [`run`] through a hash-join build cache (pinned on: the caller is
+    /// testing the cache, whatever `XQJG_BUILD_CACHE` the environment says).
+    fn run_cached(
+        plan: &PhysPlan,
+        db: &Database,
+        cfg: &ExecConfig,
+        cache: &BuildCache,
+    ) -> (Table, ExecStats) {
+        let cfg = cfg.clone().with_build_cache(true);
+        let out = QueryRequest::new(plan, db)
+            .config(&cfg)
+            .build_cache(cache)
+            .expect_run();
+        (out.rows, out.stats)
+    }
 
     /// Small XML-encoding-like database: one document with nested elements.
     fn db() -> Database {
@@ -3676,7 +3070,7 @@ mod tests {
         let db = db();
         let q = parse_sql(Q1_LIKE).unwrap();
         let plan = optimize(&q, &db).unwrap();
-        let result = execute(&plan, &db);
+        let result = QueryRequest::new(&plan, &db).expect_run().rows;
         // Both open_auction elements (pre 2 and 5) have a bidder child.
         assert_eq!(result.len(), 2);
         let pre_idx = result.schema().expect_index("pre");
@@ -3692,7 +3086,7 @@ mod tests {
         let sql = Q1_LIKE.replace(" AND d2.level + 1 = d3.level ", " ");
         let q = parse_sql(&sql).unwrap();
         let plan = optimize(&q, &db).unwrap();
-        let result = execute(&plan, &db);
+        let result = QueryRequest::new(&plan, &db).expect_run().rows;
         assert_eq!(result.len(), 2);
     }
 
@@ -3703,7 +3097,7 @@ mod tests {
             parse_sql("SELECT d1.pre AS p FROM doc AS d1 WHERE d1.kind = 'ELEM' ORDER BY d1.pre")
                 .unwrap();
         let plan = optimize(&q, &db).unwrap();
-        let result = execute(&plan, &db);
+        let result = QueryRequest::new(&plan, &db).expect_run().rows;
         let pres: Vec<i64> = result
             .rows()
             .iter()
@@ -3731,7 +3125,7 @@ mod tests {
         let db = db();
         let q = parse_sql(Q1_LIKE).unwrap();
         let plan = optimize(&q, &db).unwrap();
-        let (_, stats) = execute_with_stats(&plan, &db);
+        let stats = QueryRequest::new(&plan, &db).expect_run().stats;
         assert!(stats.probes > 0);
         assert!(stats.index_rows + stats.scan_rows > 0);
     }
@@ -3741,7 +3135,11 @@ mod tests {
         let db = db();
         let q = parse_sql(Q1_LIKE).unwrap();
         let plan = optimize(&q, &db).unwrap();
-        let (result, stats) = execute_with_stats(&plan, &db);
+        let QueryOutcome {
+            rows: result,
+            stats,
+            ..
+        } = QueryRequest::new(&plan, &db).expect_run();
         // One leaf + two joins + the sort tail.
         assert_eq!(stats.operators.len(), 4);
         let tail = stats
@@ -3777,7 +3175,7 @@ mod tests {
         ] {
             let q = parse_sql(&sql).unwrap();
             let plan = optimize(&q, &db).unwrap();
-            let (pipelined, pstats) = execute_with_stats(&plan, &db);
+            let (pipelined, pstats) = run(&plan, &db, &ExecConfig::from_env());
             let (materialized, mstats) = execute_materialized_with_stats(&plan, &db);
             assert_eq!(pipelined, materialized, "{sql}");
             // Aggregate work accounting agrees between the two executors.
@@ -3802,7 +3200,7 @@ mod tests {
         ] {
             let q = parse_sql(&sql).unwrap();
             let plan = optimize(&q, &db).unwrap();
-            let (t_ref, s_ref) = execute_with_stats_config(&plan, &db, &reference);
+            let (t_ref, s_ref) = run(&plan, &db, &reference);
             for threads in [1, 2, 4] {
                 // Tiny morsels force multi-morsel merging even on this
                 // 9-row fixture.
@@ -3810,7 +3208,7 @@ mod tests {
                     let cfg = ExecConfig::sequential()
                         .with_threads(threads)
                         .with_morsel_size(morsel_size);
-                    let (t, s) = execute_with_stats_config(&plan, &db, &cfg);
+                    let (t, s) = run(&plan, &db, &cfg);
                     assert_eq!(t, t_ref, "rows differ: {sql} DOP={threads}");
                     assert_eq!(
                         s, s_ref,
@@ -3826,10 +3224,10 @@ mod tests {
         let db = db();
         let q = parse_sql(Q1_LIKE).unwrap();
         let plan = optimize(&q, &db).unwrap();
-        let (t_ref, s_ref) = execute_with_stats_config(&plan, &db, &ExecConfig::sequential());
+        let (t_ref, s_ref) = run(&plan, &db, &ExecConfig::sequential());
         for cap in [1, 2, 7] {
             let cfg = ExecConfig::sequential().with_batch_capacity(cap);
-            let (t, s) = execute_with_stats_config(&plan, &db, &cfg);
+            let (t, s) = run(&plan, &db, &cfg);
             assert_eq!(t, t_ref, "rows differ at batch capacity {cap}");
             assert_eq!(s.index_rows, s_ref.index_rows);
             assert_eq!(s.probes, s_ref.probes);
@@ -3895,11 +3293,11 @@ mod tests {
         );
         let cache = BuildCache::new();
         let cfg = ExecConfig::sequential();
-        let (t1, s1, _) = execute_full(&plan, &db, &cfg, Some(&cache));
+        let (t1, s1) = run_cached(&plan, &db, &cfg, &cache);
         assert_eq!(cache.hits(), 0);
         assert!(cache.lookups() > 0);
         assert!(!cache.is_empty());
-        let (t2, s2, _) = execute_full(&plan, &db, &cfg, Some(&cache));
+        let (t2, s2) = run_cached(&plan, &db, &cfg, &cache);
         assert_eq!(t1, t2, "cached build must not change results");
         assert!(cache.hits() > 0, "second run hits the cache");
         // The hit is visible in the per-operator actuals, and the skipped
@@ -3917,7 +3315,7 @@ mod tests {
             clustered: false,
         });
         let plan2 = optimize(&parse_sql(HASH_LIKE).unwrap(), &db).unwrap();
-        let (t3, _, _) = execute_full(&plan2, &db, &cfg, Some(&cache));
+        let (t3, _) = run_cached(&plan2, &db, &cfg, &cache);
         assert_eq!(t1, t3);
         assert_eq!(cache.hits(), hits, "catalog change drops cached builds");
     }
@@ -3962,15 +3360,20 @@ mod tests {
             builds: None,
             postings: Some(&pc),
         };
-        for cfg in [
-            ExecConfig::sequential(),
-            ExecConfig::sequential().with_vectorize(false),
-            ExecConfig::sequential().with_threads(4),
-        ] {
-            let (t0, s0, _) =
-                try_execute_with_caches(&plan, &db, &cfg, ExecCaches::default(), None).unwrap();
-            let (t1, s1, _) = try_execute_with_caches(&plan, &db, &cfg, caches, None).unwrap();
-            let (t2, s2, _) = try_execute_with_caches(&plan, &db, &cfg, caches, None).unwrap();
+        for threads in [1, 4] {
+            let cfg = ExecConfig::sequential()
+                .with_threads(threads)
+                .with_postings_cache(true);
+            let with = |caches: ExecCaches<'_>| {
+                let out = QueryRequest::new(&plan, &db)
+                    .config(&cfg)
+                    .caches(caches)
+                    .expect_run();
+                (out.rows, out.stats)
+            };
+            let (t0, s0) = with(ExecCaches::default());
+            let (t1, s1) = with(caches);
+            let (t2, s2) = with(caches);
             assert_eq!(t0, t1, "cold cached run matches uncached");
             assert_eq!(t1, t2, "warm run matches cold");
             assert_eq!(s0, s1, "actuals identical with the cache cold");
@@ -3991,17 +3394,17 @@ mod tests {
             postings: Some(&pc),
         };
         let cfg = ExecConfig::sequential().with_postings_cache(false);
-        let (t1, _, _) = try_execute_with_caches(&plan, &db, &cfg, caches, None).unwrap();
-        let (t2, _, _) = try_execute_with_caches(&plan, &db, &cfg, caches, None).unwrap();
+        let req = QueryRequest::new(&plan, &db).config(&cfg).caches(caches);
+        let (t1, t2) = (req.expect_run().rows, req.expect_run().rows);
         assert_eq!(t1, t2);
         assert_eq!(pc.lookups(), 0, "disabled cache is never consulted");
         assert!(pc.is_empty());
     }
 
     /// A copy of `s` with every operator's `kernel_rows` zeroed: the only
-    /// actual allowed to differ between the scalar and vectorized paths
-    /// (kernel engagement reports which representation ran, not what the
-    /// operators computed).
+    /// actual allowed to differ between typed kernels on and off (kernel
+    /// engagement reports which representation ran, not what the operators
+    /// computed).
     fn sans_kernels(s: &ExecStats) -> ExecStats {
         let mut s = s.clone();
         for op in &mut s.operators {
@@ -4010,8 +3413,18 @@ mod tests {
         s
     }
 
+    /// Assert `got` reports the materializing oracle's aggregate counters.
+    fn assert_aggregates_match(got: &ExecStats, oracle: &ExecStats, what: &str) {
+        let aggregates = |s: &ExecStats| (s.index_rows, s.scan_rows, s.probes, s.bindings);
+        assert_eq!(
+            aggregates(got),
+            aggregates(oracle),
+            "{what}: (index_rows, scan_rows, probes, bindings)"
+        );
+    }
+
     #[test]
-    fn scalar_and_vectorized_paths_agree_on_results_and_counters() {
+    fn pipeline_agrees_with_the_materializing_oracle_at_every_batch_capacity() {
         let db = db();
         for sql in [
             Q1_LIKE.to_string(),
@@ -4020,16 +3433,27 @@ mod tests {
         ] {
             let q = parse_sql(&sql).unwrap();
             let plan = optimize(&q, &db).unwrap();
-            let vec_cfg = ExecConfig::sequential().with_vectorize(true);
-            let row_cfg = ExecConfig::sequential().with_vectorize(false);
-            let (tv, sv) = execute_with_stats_config(&plan, &db, &vec_cfg);
-            let (tr, sr) = execute_with_stats_config(&plan, &db, &row_cfg);
-            assert_eq!(tv, tr, "{sql}");
-            assert_eq!(
-                sans_kernels(&sv),
-                sans_kernels(&sr),
-                "{sql}: per-operator actuals must match modulo kernel engagement"
+            // Rows, row order and aggregate counters: the independent
+            // materializing executor.  Per-operator actuals: the sequential
+            // kernels-off run (every comparison on the untyped `Value`s).
+            let (t_ref, agg_ref) = execute_materialized_with_stats(&plan, &db);
+            let (_, ops_ref) = run(
+                &plan,
+                &db,
+                &ExecConfig::sequential().with_typed_kernels(false),
             );
+            for cap in [1, 64, 1024] {
+                let cfg = ExecConfig::sequential().with_batch_capacity(cap);
+                let (t, s) = run(&plan, &db, &cfg);
+                assert_eq!(t, t_ref, "{sql} cap {cap}");
+                assert_aggregates_match(&s, &agg_ref, &format!("{sql} cap {cap}"));
+                for (a, b) in s.operators.iter().zip(&ops_ref.operators) {
+                    let (mut a, mut b) = (a.clone(), b.clone());
+                    (a.kernel_rows, a.batches, b.batches) = (0, 0, 0);
+                    assert_eq!(a, b, "{sql} cap {cap}: per-operator actuals");
+                }
+                assert_eq!(s.operators.len(), ops_ref.operators.len());
+            }
         }
     }
 
@@ -4041,11 +3465,16 @@ mod tests {
                 .unwrap();
         let plan = optimize(&q, &db).unwrap();
         let base_cfg = ExecConfig::sequential().with_batch_capacity(2);
-        let (t_adaptive, _, trace) =
-            execute_full(&plan, &db, &base_cfg.clone().with_adaptive(true), None);
-        let (t_fixed, _, fixed_trace) =
-            execute_full(&plan, &db, &base_cfg.with_adaptive(false), None);
-        assert_eq!(t_adaptive, t_fixed);
+        let adaptive_cfg = base_cfg.clone().with_adaptive(true);
+        let fixed_cfg = base_cfg.with_adaptive(false);
+        let adaptive = QueryRequest::new(&plan, &db)
+            .config(&adaptive_cfg)
+            .expect_run();
+        let fixed = QueryRequest::new(&plan, &db)
+            .config(&fixed_cfg)
+            .expect_run();
+        assert_eq!(adaptive.rows, fixed.rows);
+        let (trace, fixed_trace) = (adaptive.trace, fixed.trace);
         // The fixed policy records no trace; the adaptive one records its
         // chunk decisions whenever the leaf observed at least one chunk.
         assert!(fixed_trace.leaves.is_empty());
@@ -4086,11 +3515,11 @@ mod tests {
         let q = parse_sql(SPILL_SQL).unwrap();
         let plan = optimize(&q, &db).unwrap();
         let unlimited = ExecConfig::sequential().with_mem_budget(None);
-        let (t_ref, s_ref) = execute_with_stats_config(&plan, &db, &unlimited);
+        let (t_ref, s_ref) = run(&plan, &db, &unlimited);
         assert!(t_ref.len() > 1000, "fixture large enough to pressure 16K");
 
         let tight = ExecConfig::sequential().with_mem_budget(Some(16 * 1024));
-        let (t, s) = execute_with_stats_config(&plan, &db, &tight);
+        let (t, s) = run(&plan, &db, &tight);
         assert_eq!(t, t_ref, "spilled execution must return identical rows");
 
         // Actuals agree modulo the spill counters…
@@ -4118,27 +3547,23 @@ mod tests {
     }
 
     #[test]
-    fn spilled_executions_agree_across_dop_vectorize_and_budgets() {
+    fn spilled_executions_agree_across_dop_and_budgets() {
         let db = big_db(1200);
         let q = parse_sql(SPILL_SQL).unwrap();
         let plan = optimize(&q, &db).unwrap();
-        let (t_ref, s_ref) =
-            execute_with_stats_config(&plan, &db, &ExecConfig::sequential().with_mem_budget(None));
+        let (t_ref, s_ref) = run(&plan, &db, &ExecConfig::sequential().with_mem_budget(None));
         for budget in [Some(8 * 1024), Some(64 * 1024), None] {
             for threads in [1, 4] {
-                for vectorize in [true, false] {
-                    let cfg = ExecConfig::sequential()
-                        .with_mem_budget(budget)
-                        .with_threads(threads)
-                        .with_morsel_size(64)
-                        .with_vectorize(vectorize);
-                    let (t, s) = execute_with_stats_config(&plan, &db, &cfg);
-                    assert_eq!(t, t_ref, "budget {budget:?} DOP {threads} vec {vectorize}");
-                    let sans: Vec<OpStats> = s.operators.iter().map(OpStats::sans_spill).collect();
-                    let sans_ref: Vec<OpStats> =
-                        s_ref.operators.iter().map(OpStats::sans_spill).collect();
-                    assert_eq!(sans, sans_ref, "actuals modulo spill drifted");
-                }
+                let cfg = ExecConfig::sequential()
+                    .with_mem_budget(budget)
+                    .with_threads(threads)
+                    .with_morsel_size(64);
+                let (t, s) = run(&plan, &db, &cfg);
+                assert_eq!(t, t_ref, "budget {budget:?} DOP {threads}");
+                let sans: Vec<OpStats> = s.operators.iter().map(OpStats::sans_spill).collect();
+                let sans_ref: Vec<OpStats> =
+                    s_ref.operators.iter().map(OpStats::sans_spill).collect();
+                assert_eq!(sans, sans_ref, "actuals modulo spill drifted");
             }
         }
     }
@@ -4149,43 +3574,32 @@ mod tests {
         let q = parse_sql(SPILL_SQL).unwrap();
         let plan = optimize(&q, &db).unwrap();
         let budget = Some(16 * 1024);
-        let mut references: Vec<(Table, ExecStats)> = Vec::new();
-        for vectorize in [true, false] {
-            let reference = execute_with_stats_config(
-                &plan,
-                &db,
-                &ExecConfig::sequential()
-                    .with_mem_budget(budget)
-                    .with_vectorize(vectorize),
-            );
-            assert!(
-                reference.1.operators.iter().any(|o| o.spill_runs > 0),
-                "fixture must spill"
-            );
-            for threads in [2, 4] {
-                let cfg = ExecConfig::sequential()
-                    .with_mem_budget(budget)
-                    .with_threads(threads)
-                    .with_morsel_size(32)
-                    .with_vectorize(vectorize);
-                let got = execute_with_stats_config(&plan, &db, &cfg);
-                assert_eq!(got.0, reference.0);
-                assert_eq!(
-                    got.1, reference.1,
-                    "full actuals (spill counters included) must be DOP-invariant"
-                );
-            }
-            references.push(reference);
-        }
-        // Across the two operator repertoires only the kernel-engagement
-        // counters may differ — spill counters included, everything else
-        // is path-invariant.
-        assert_eq!(references[0].0, references[1].0);
-        assert_eq!(
-            sans_kernels(&references[0].1),
-            sans_kernels(&references[1].1),
-            "vectorize may only change kernel engagement"
+        let reference = run(
+            &plan,
+            &db,
+            &ExecConfig::sequential().with_mem_budget(budget),
         );
+        assert!(
+            reference.1.operators.iter().any(|o| o.spill_runs > 0),
+            "fixture must spill"
+        );
+        for threads in [2, 4] {
+            let cfg = ExecConfig::sequential()
+                .with_mem_budget(budget)
+                .with_threads(threads)
+                .with_morsel_size(32);
+            let got = run(&plan, &db, &cfg);
+            assert_eq!(got.0, reference.0);
+            assert_eq!(
+                got.1, reference.1,
+                "full actuals (spill counters included) must be DOP-invariant"
+            );
+        }
+        // Spilling changes where the rows wait, never which rows come back
+        // or how much work found them: the in-memory oracle agrees.
+        let (t_oracle, s_oracle) = execute_materialized_with_stats(&plan, &db);
+        assert_eq!(reference.0, t_oracle);
+        assert_aggregates_match(&reference.1, &s_oracle, "spilled run");
     }
 
     #[test]
@@ -4194,13 +3608,9 @@ mod tests {
         let q = parse_sql(SPILL_SQL).unwrap();
         let plan = optimize(&q, &db).unwrap();
         for budget in [None, Some(16 * 1024)] {
-            let base = ExecConfig::sequential()
-                .with_vectorize(true)
-                .with_mem_budget(budget);
-            let (t_on, s_on) =
-                execute_with_stats_config(&plan, &db, &base.clone().with_typed_kernels(true));
-            let (t_off, s_off) =
-                execute_with_stats_config(&plan, &db, &base.with_typed_kernels(false));
+            let base = ExecConfig::sequential().with_mem_budget(budget);
+            let (t_on, s_on) = run(&plan, &db, &base.clone().with_typed_kernels(true));
+            let (t_off, s_off) = run(&plan, &db, &base.with_typed_kernels(false));
             assert_eq!(t_on, t_off, "budget {budget:?}");
             // No DISTINCT in the plan: even the spill counters must agree —
             // the kernels change the representation, not the row stream the
@@ -4238,25 +3648,21 @@ mod tests {
             ("d1.payload > 'row-000200'", true),
             ("d1.payload >= 'row-000200'", true),
             ("'row-000100' <= d1.payload", true),
-            // Mixed-type comparison stays on the scalar path.
+            // Mixed-type comparison stays on the untyped `Value` compare.
             ("d1.payload > 7", false),
         ] {
             let sql = format!("SELECT d1.pre AS p FROM doc AS d1 WHERE {pred} ORDER BY d1.pre");
             let q = parse_sql(&sql).unwrap();
             let plan = optimize(&q, &db).unwrap();
-            let (t_on, s_on) = execute_with_stats_config(
+            let (t_on, s_on) = run(
                 &plan,
                 &db,
-                &ExecConfig::sequential()
-                    .with_vectorize(true)
-                    .with_typed_kernels(true),
+                &ExecConfig::sequential().with_typed_kernels(true),
             );
-            let (t_off, _) = execute_with_stats_config(
+            let (t_off, _) = run(
                 &plan,
                 &db,
-                &ExecConfig::sequential()
-                    .with_vectorize(true)
-                    .with_typed_kernels(false),
+                &ExecConfig::sequential().with_typed_kernels(false),
             );
             assert_eq!(t_on, t_off, "{pred}");
             let leaf = &s_on.operators[0];
@@ -4274,10 +3680,9 @@ mod tests {
         let db = db();
         let q = parse_sql(Q1_LIKE).unwrap();
         let plan = optimize(&q, &db).unwrap();
-        let base = ExecConfig::sequential().with_vectorize(true);
-        let (t_on, s_on) =
-            execute_with_stats_config(&plan, &db, &base.clone().with_typed_kernels(true));
-        let (t_off, s_off) = execute_with_stats_config(&plan, &db, &base.with_typed_kernels(false));
+        let base = ExecConfig::sequential();
+        let (t_on, s_on) = run(&plan, &db, &base.clone().with_typed_kernels(true));
+        let (t_off, s_off) = run(&plan, &db, &base.with_typed_kernels(false));
         assert_eq!(t_on, t_off);
         assert_eq!(sans_kernels(&s_on), sans_kernels(&s_off));
         let nljoins: Vec<&OpStats> = s_on
@@ -4324,8 +3729,8 @@ mod tests {
     fn null_bearing_leaf_predicates_engage_masked_kernels() {
         let db = null_db(400);
         // Every comparison shape over the NULL-bearing int and dictionary
-        // columns: the masked kernels must agree with the scalar
-        // interpreter, and NULL never satisfies a predicate — not even `<>`.
+        // columns: the masked kernels must agree with the untyped `Value`
+        // comparison, and NULL never satisfies a predicate — not even `<>`.
         for pred in [
             "d1.grp = 5",
             "d1.grp <> 3",
@@ -4339,10 +3744,9 @@ mod tests {
             let sql = format!("SELECT d1.pre AS p FROM doc AS d1 WHERE {pred} ORDER BY d1.pre");
             let q = parse_sql(&sql).unwrap();
             let plan = optimize(&q, &db).unwrap();
-            let base = ExecConfig::sequential().with_vectorize(true);
-            let (t_on, s_on) =
-                execute_with_stats_config(&plan, &db, &base.clone().with_typed_kernels(true));
-            let (t_off, _) = execute_with_stats_config(&plan, &db, &base.with_typed_kernels(false));
+            let base = ExecConfig::sequential();
+            let (t_on, s_on) = run(&plan, &db, &base.clone().with_typed_kernels(true));
+            let (t_off, _) = run(&plan, &db, &base.with_typed_kernels(false));
             assert_eq!(t_on, t_off, "{pred}");
             assert!(s_on.operators[0].kernel_rows > 0, "{pred}: kernel engaged");
             // NULL rows never qualify: `pre % 11 == 3` rows have NULL grp,
@@ -4370,13 +3774,22 @@ mod tests {
         ORDER BY d1.pre, d2.pre";
 
     #[test]
-    fn composite_null_keys_hash_join_matches_the_row_path_even_when_spilled() {
+    fn composite_null_keys_hash_join_matches_the_oracle_even_when_spilled() {
         let db = null_db(800);
         let q = parse_sql(COMPOSITE_SQL).unwrap();
         let plan = optimize(&q, &db).unwrap();
-        // Oracle: the scalar row-at-a-time path under an unlimited budget.
-        let (t_ref, s_ref) =
-            execute_with_stats_config(&plan, &db, &ExecConfig::sequential().with_vectorize(false));
+        // Oracle for rows, order and aggregate counters: the materializing
+        // executor (owned `Vec<Value>` keys, no hashing kernels, no spill).
+        // Per-operator actuals: the kernels-off run under no budget.
+        let (t_ref, agg_ref) = execute_materialized_with_stats(&plan, &db);
+        let (t_off, s_ref) = run(
+            &plan,
+            &db,
+            &ExecConfig::sequential()
+                .with_typed_kernels(false)
+                .with_mem_budget(None),
+        );
+        assert_eq!(t_off, t_ref);
         assert!(
             s_ref.operators.iter().any(|o| o.name.starts_with("HSJOIN")),
             "fixture plan must contain a hash join"
@@ -4390,11 +3803,11 @@ mod tests {
         for budget in [None, Some(8 * 1024)] {
             for typed in [true, false] {
                 let cfg = ExecConfig::sequential()
-                    .with_vectorize(true)
                     .with_typed_kernels(typed)
                     .with_mem_budget(budget);
-                let (t, s) = execute_with_stats_config(&plan, &db, &cfg);
+                let (t, s) = run(&plan, &db, &cfg);
                 assert_eq!(t, t_ref, "budget {budget:?} typed {typed}");
+                assert_aggregates_match(&s, &agg_ref, &format!("budget {budget:?} typed {typed}"));
                 let sans: Vec<OpStats> = sans_kernels(&s)
                     .operators
                     .iter()
@@ -4430,16 +3843,14 @@ mod tests {
         let plan = optimize(&q, &db).unwrap();
         assert!(plan.distinct);
         let unlimited = ExecConfig::sequential().with_mem_budget(None);
-        let (t_ref, s_ref) = execute_with_stats_config(&plan, &db, &unlimited);
+        let (t_ref, s_ref) = run(&plan, &db, &unlimited);
         assert_eq!(t_ref.len(), 97);
         for budget in [Some(4 * 1024), Some(64 * 1024)] {
             let base = ExecConfig::sequential().with_mem_budget(budget);
             // Typed kernels + limited budget engage the two-pass sort
             // DISTINCT; kernels off keeps the classical dedup set.
-            let (t_sort, s_sort) =
-                execute_with_stats_config(&plan, &db, &base.clone().with_typed_kernels(true));
-            let (t_hash, s_hash) =
-                execute_with_stats_config(&plan, &db, &base.with_typed_kernels(false));
+            let (t_sort, s_sort) = run(&plan, &db, &base.clone().with_typed_kernels(true));
+            let (t_hash, s_hash) = run(&plan, &db, &base.with_typed_kernels(false));
             assert_eq!(t_sort, t_ref, "budget {budget:?}");
             assert_eq!(t_hash, t_ref, "budget {budget:?}");
             let sans_sort: Vec<OpStats> =
@@ -4455,7 +3866,7 @@ mod tests {
         let tight = ExecConfig::sequential()
             .with_mem_budget(Some(4 * 1024))
             .with_typed_kernels(true);
-        let (_, s) = execute_with_stats_config(&plan, &db, &tight);
+        let (_, s) = run(&plan, &db, &tight);
         let tail = s.operators.last().unwrap();
         assert_eq!(tail.name, "SORT(distinct)");
         assert!(tail.spill_runs > 0, "distinct tail spilled");
@@ -4474,9 +3885,9 @@ mod tests {
         let budget = Some(256 * 1024);
         let cache = BuildCache::new();
         let cfg = ExecConfig::sequential().with_mem_budget(budget);
-        let (t1, s1, _) = execute_full(&plan, &db, &cfg, Some(&cache));
+        let (t1, s1) = run_cached(&plan, &db, &cfg, &cache);
         assert_eq!(cache.hits(), 0);
-        let (t2, s2, _) = execute_full(&plan, &db, &cfg, Some(&cache));
+        let (t2, s2) = run_cached(&plan, &db, &cfg, &cache);
         assert!(cache.hits() > 0, "second run hits the cache");
         assert_eq!(t1, t2);
         let sort1 = s1.operators.last().unwrap();
@@ -4496,7 +3907,7 @@ mod tests {
         let plan = optimize(&q, &db).unwrap();
         let cache = BuildCache::new();
         let tight = ExecConfig::sequential().with_mem_budget(Some(16 * 1024));
-        let (t1, s1, _) = execute_full(&plan, &db, &tight, Some(&cache));
+        let (t1, s1) = run_cached(&plan, &db, &tight, &cache);
         assert!(
             s1.operators.iter().any(|o| o.partitions > 0),
             "build must spill under the tight budget"
@@ -4506,15 +3917,15 @@ mod tests {
             cache.is_empty(),
             "a spilled build must not be memoized in the session cache"
         );
-        let (t2, s2, _) = execute_full(&plan, &db, &tight, Some(&cache));
+        let (t2, s2) = run_cached(&plan, &db, &tight, &cache);
         assert_eq!(t1, t2);
         assert_eq!(cache.hits(), 0, "second run rebuilds, it cannot hit");
         assert!(s2.operators.iter().all(|o| o.cache_hits == 0));
         // The same query under an unlimited budget is cached as before.
         let unlimited = ExecConfig::sequential().with_mem_budget(None);
-        let (_, _, _) = execute_full(&plan, &db, &unlimited, Some(&cache));
+        run_cached(&plan, &db, &unlimited, &cache);
         assert!(!cache.is_empty());
-        let (_, s4, _) = execute_full(&plan, &db, &unlimited, Some(&cache));
+        let (_, s4) = run_cached(&plan, &db, &unlimited, &cache);
         assert!(s4.operators.iter().any(|o| o.cache_hits > 0));
     }
 

@@ -36,9 +36,9 @@
 //! the typed-kernel engagement counter when a kernel ran
 //!
 //! * `kernel_rows` — rows the operator pushed through a branch-free
-//!   typed-column kernel instead of the scalar `Value` path; `0` when
-//!   `XQJG_TYPED_KERNELS=0`, when the operand columns have no typed
-//!   image, or when the operator ran row-at-a-time.  Each kernel pass
+//!   typed-column kernel instead of the untyped `Value` comparison; `0`
+//!   when `XQJG_TYPED_KERNELS=0` or when the operand columns have no
+//!   typed image.  Each kernel pass
 //!   counts once per (row, term): a leaf or NLJOIN fusing a k-term
 //!   conjunction over n fetched rows adds `n·k`, an NLJOIN's static
 //!   pre-masked inner list adds its surviving length once per probe, a
@@ -59,8 +59,8 @@
 //! The actuals are byte-identical across degrees of parallelism (the
 //! spill counters included, because spill decisions are made on the
 //! coordinator against the morsel-ordered row stream) and byte-identical
-//! modulo `kernel_rows` across the vectorized/scalar executor switch and
-//! the `XQJG_TYPED_KERNELS` toggle (the typed parity suite).  Across
+//! modulo `kernel_rows` across the `XQJG_TYPED_KERNELS` toggle (the typed
+//! parity suite).  Across
 //! *budgets* the actuals additionally agree modulo the spill counters
 //! (the spill parity suite).
 //!

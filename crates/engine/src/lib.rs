@@ -8,11 +8,12 @@
 //!    ORDER BY …` block,
 //! 2. [`optimizer::optimize`] — cost-based access-path selection and join
 //!    tree planning over the catalog's B-tree indexes and statistics,
-//! 3. [`exec::QueryRequest`] — pipelined, batch-at-a-time execution
-//!    through a tree of pull-based operators (scan leaves, index
-//!    nested-loop and build-once hash joins, the duplicate-eliminating
-//!    SORT plan tail); the seed's materialize-everything strategy
-//!    survives as the [`materialize`] baseline,
+//! 3. [`exec::QueryRequest`] — the one execution entry point: pipelined,
+//!    morsel-parallel, columnar execution through a tree of pull-based
+//!    operators (scan leaves, index nested-loop and build-once hash joins,
+//!    the duplicate-eliminating SORT plan tail); the seed's
+//!    materialize-everything strategy survives as the [`materialize`]
+//!    reference the tests compare against,
 //! 4. [`explain::explain`] — DB2-visual-explain-style plan rendering
 //!    (Figures 10 and 11),
 //! 5. [`advisor::advise`] — the `db2advis` stand-in that proposes the
@@ -31,13 +32,6 @@ pub use advisor::{advise, deploy, IndexProposal};
 pub use exec::{
     run_sql, BuildCache, ExecCaches, ExecStats, ExecTrace, QueryOutcome, QueryRequest,
     BUILD_CACHE_BYTES,
-};
-// The deprecated entry points stay re-exported so external callers keep
-// compiling (with the deprecation warning pointing them at QueryRequest).
-#[allow(deprecated)]
-pub use exec::{
-    execute, execute_full, execute_with_stats, execute_with_stats_config, try_execute_full,
-    try_execute_with_caches, try_execute_with_stats_config,
 };
 pub use explain::{explain, explain_with_caches, explain_with_stats, CacheActuals};
 pub use materialize::{execute_materialized, execute_materialized_with_stats};

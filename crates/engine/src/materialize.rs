@@ -1,13 +1,12 @@
-//! The seed's operator-at-a-time executor, retained as the measured
-//! baseline the pipelined executor in [`crate::exec`] is benchmarked
-//! against.
+//! The seed's operator-at-a-time executor, retained as the independent
+//! reference the tests compare the pipelined executor in [`crate::exec`]
+//! against (and as the baseline of the `executor` benchmark).
 //!
 //! Every join level materializes the complete binding set before the next
 //! level starts, and the hash join clones an owned `Vec<Value>` key per
-//! inner row and per probe — exactly the allocation churn the batch
-//! pipeline eliminates.  Keep this module semantically frozen: the
-//! `executor` benchmark and the executor-parity tests treat it as ground
-//! truth for "what the materializing strategy costs".
+//! inner row and per probe — no batches, no compiled predicates, no typed
+//! kernels, no spilling.  Keep this module semantically frozen: the parity
+//! suites treat its rows, row order and aggregate counters as ground truth.
 
 use crate::exec::{alias_table, exec_access, pred_holds, Env, ExecStats, Fetched};
 use crate::physical::{JoinNode, PhysPlan};

@@ -184,25 +184,6 @@ impl<'a> PureXmlStore<'a> {
         }
     }
 
-    /// Evaluate a query through the XISCAN → XSCAN operator pipeline,
-    /// returning the result node sequence and the per-operator counters.
-    /// Parallelism and batching follow the environment knobs (see
-    /// [`ExecConfig::from_env`]).
-    #[deprecated(note = "use store.query(core).run()")]
-    pub fn evaluate_with_stats(&self, core: &CoreExpr) -> (Vec<Pre>, Vec<OpStats>) {
-        self.query(core).run()
-    }
-
-    /// [`XmlQueryRequest::run`] with explicit execution knobs.
-    #[deprecated(note = "use store.query(core).config(cfg).run()")]
-    pub fn evaluate_with_stats_config(
-        &self,
-        core: &CoreExpr,
-        cfg: &ExecConfig,
-    ) -> (Vec<Pre>, Vec<OpStats>) {
-        self.query(core).config(cfg).run()
-    }
-
     /// The XISCAN → XSCAN pipeline behind [`XmlQueryRequest::run`].
     ///
     /// The XISCAN candidate list is partitioned into morsels on the same
@@ -650,10 +631,6 @@ pub fn segment_children(doc: &DocTable, root: Pre) -> Vec<Pre> {
 }
 
 #[cfg(test)]
-// The unit tests deliberately keep exercising the deprecated entry points:
-// they are the regression suite proving the shims stay byte-identical to
-// the `XmlQueryRequest` path they forward to.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use xqjg_xquery::parse_and_normalize;
@@ -734,7 +711,7 @@ mod tests {
         store.create_pattern_index(&["closed_auction", "price"]);
         let core =
             parse_and_normalize("//closed_auction[price > 500]", Some("auction.xml")).unwrap();
-        let (items, stats) = store.evaluate_with_stats(&core);
+        let (items, stats) = store.query(&core).run();
         assert_eq!(items.len(), 1);
         assert_eq!(stats.len(), 2, "XISCAN and XSCAN both report");
         let xiscan = &stats[0];
@@ -746,7 +723,7 @@ mod tests {
         assert!(xiscan.batches > 0 && xscan.batches > 0);
         // Without an index the XISCAN enumerates all segments.
         let bare = PureXmlStore::new(&doc, Storage::Segmented { depth: 3 });
-        let (_, bare_stats) = bare.evaluate_with_stats(&core);
+        let (_, bare_stats) = bare.query(&core).run();
         assert!(bare_stats[0].name.starts_with("XISCAN(all segments)"));
         assert_eq!(bare_stats[0].rows_out, 4);
     }
@@ -761,13 +738,13 @@ mod tests {
             "/site/people/person/name/text()",
         ] {
             let core = parse_and_normalize(query, Some("auction.xml")).unwrap();
-            let reference = store.evaluate_with_stats_config(&core, &ExecConfig::sequential());
+            let reference = store.query(&core).config(&ExecConfig::sequential()).run();
             for threads in [2, 4] {
                 // Morsel size 1 forces one pipeline per candidate segment.
                 let cfg = ExecConfig::sequential()
                     .with_threads(threads)
                     .with_morsel_size(1);
-                let got = store.evaluate_with_stats_config(&core, &cfg);
+                let got = store.query(&core).config(&cfg).run();
                 assert_eq!(got.0, reference.0, "{query} items at DOP {threads}");
                 assert_eq!(got.1, reference.1, "{query} stats at DOP {threads}");
             }

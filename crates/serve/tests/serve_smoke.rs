@@ -141,11 +141,17 @@ fn line_protocol_session_lifecycle() {
     // errors, unknown knobs rejected.
     assert_eq!(c.roundtrip("SET threads 2"), "OK threads=2");
     assert_eq!(
-        c.roundtrip("SET XQJG_VECTORIZE off"),
-        "OK XQJG_VECTORIZE=off"
+        c.roundtrip("SET XQJG_TYPED_KERNELS off"),
+        "OK XQJG_TYPED_KERNELS=off"
     );
     assert!(c.roundtrip("SET threads lots").starts_with("ERR config"));
     assert!(c.roundtrip("SET warp_drive 1").starts_with("ERR config"));
+    // A removed knob is an unknown knob — it fails loudly instead of
+    // being accepted and ignored — and the session stays usable.
+    assert!(c
+        .roundtrip("SET XQJG_VECTORIZE 0")
+        .starts_with("ERR config"));
+    assert!(c.roundtrip("SET vectorize 0").starts_with("ERR config"));
     let (_, items) = c.query(Q1);
     assert_eq!(items, reference_items(&engine, Q1, Mode::JoinGraph));
 

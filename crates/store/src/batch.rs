@@ -1,11 +1,13 @@
 //! The pipelined execution substrate: batches and the pull-based
 //! [`Operator`] interface.
 //!
-//! All three evaluation paths of the system — the isolated join graph
-//! (`xqjg-engine`), the stacked-plan evaluator (`xqjg-algebra`), and the
-//! pureXML-style navigational baseline (`xqjg-purexml`) — execute as trees
-//! of operators that exchange fixed-capacity [`Batch`]es through the
-//! classical `open` / `next_batch` / `close` protocol.  Pipelining replaces
+//! The stacked-plan evaluator (`xqjg-algebra`) and the pureXML-style
+//! navigational baseline (`xqjg-purexml`) execute as trees of operators
+//! that exchange fixed-capacity [`Batch`]es through the classical `open` /
+//! `next_batch` / `close` protocol; the isolated join graph
+//! (`xqjg-engine`) runs the same protocol over columnar batches (see
+//! [`crate::columnar`]) and shares the [`OpStats`] counters and the
+//! [`StatsSink`] defined here.  Pipelining replaces
 //! the materialize-everything evaluation the seed shipped with: an operator
 //! only ever holds one batch of its input (plus whatever a genuine pipeline
 //! breaker — hash build, sort — must buffer by nature).
@@ -31,9 +33,8 @@ pub const BATCH_CAPACITY: usize = 1024;
 
 /// A fixed-capacity batch of tuples flowing between operators.
 ///
-/// The tuple type is generic: the join-graph executor moves bindings (one
-/// row id per bound alias), the plan tail and the algebra evaluator move
-/// computed value rows, and the navigational baseline moves node ranks.
+/// The tuple type is generic: the algebra evaluator moves computed value
+/// rows, the navigational baseline moves node ranks.
 #[derive(Debug, Clone)]
 pub struct Batch<T> {
     items: Vec<T>,
@@ -396,28 +397,17 @@ pub fn drain<T>(op: &mut dyn Operator<Item = T>) -> Vec<T> {
     out
 }
 
-/// Fill a batch from a pending queue, invoking `refill` to replenish the
-/// queue — one input step per call — whenever it runs dry.  `refill`
-/// returns `false` once the input is exhausted.  This is the shared
-/// produce-consume loop of every expanding operator (joins probing an
-/// outer binding into several matches, traversals expanding a segment into
-/// its result nodes).  Batches are filled to the default
-/// [`BATCH_CAPACITY`]; see [`fill_from_pending_with_capacity`] for the
-/// runtime-capacity variant.
+/// Fill a batch (of the default [`BATCH_CAPACITY`]) from a pending queue,
+/// invoking `refill` to replenish the queue — one input step per call —
+/// whenever it runs dry.  `refill` returns `false` once the input is
+/// exhausted.  This is the shared produce-consume loop of every expanding
+/// row operator (algebra joins probing an outer binding into several
+/// matches, traversals expanding a segment into its result nodes).
 pub fn fill_from_pending<T>(
-    pending: &mut VecDeque<T>,
-    refill: impl FnMut(&mut VecDeque<T>) -> bool,
-) -> Option<Batch<T>> {
-    fill_from_pending_with_capacity(BATCH_CAPACITY, pending, refill)
-}
-
-/// [`fill_from_pending`] with a caller-chosen batch capacity.
-pub fn fill_from_pending_with_capacity<T>(
-    cap: usize,
     pending: &mut VecDeque<T>,
     mut refill: impl FnMut(&mut VecDeque<T>) -> bool,
 ) -> Option<Batch<T>> {
-    let mut out: Batch<T> = Batch::with_capacity(cap);
+    let mut out: Batch<T> = Batch::with_capacity(BATCH_CAPACITY);
     while !out.is_full() {
         if let Some(item) = pending.pop_front() {
             out.push(item);
@@ -606,16 +596,6 @@ mod tests {
         }
         assert_eq!(collected, vec![1, 2, 3, 4, 5]);
         assert!(pending.is_empty());
-    }
-
-    #[test]
-    fn fill_from_pending_with_capacity_caps_each_batch() {
-        let mut pending: VecDeque<usize> = VecDeque::from((0..7).collect::<Vec<_>>());
-        let mut sizes = Vec::new();
-        while let Some(batch) = fill_from_pending_with_capacity(3, &mut pending, |_| false) {
-            sizes.push(batch.len());
-        }
-        assert_eq!(sizes, vec![3, 3, 1]);
     }
 
     #[test]

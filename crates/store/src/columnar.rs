@@ -1,22 +1,18 @@
-//! Columnar batches with selection vectors — the vectorized execution
-//! substrate.
+//! Columnar batches with selection vectors — the substrate of the
+//! join-graph executor (`xqjg-engine`).
 //!
-//! The row-oriented [`crate::Batch`] moves one tuple per slot: a batch of
-//! join bindings is a `Vec<Vec<usize>>` whose inner vectors are allocated
-//! per binding, and every predicate evaluation re-resolves schema offsets
-//! and clones [`crate::Value`]s.  [`ColumnBatch`] turns that layout on its
-//! side: one contiguous rid column per bound alias, all columns the same
-//! length, plus a *selection vector* naming the rows that are still alive.
-//! Filters refine the selection vector instead of materializing survivors,
-//! so a dropped row costs one skipped index — no move, no clone, no
-//! allocation.  Operators that expand (joins) write directly into the
-//! output columns: the per-binding `Vec` allocation of the row path
-//! disappears entirely.
+//! A [`ColumnBatch`] of join bindings is one contiguous rid column per
+//! bound alias, all columns the same length, plus a *selection vector*
+//! naming the rows that are still alive.  Filters refine the selection
+//! vector instead of materializing survivors, so a dropped row costs one
+//! skipped index — no move, no clone, no allocation.  Operators that
+//! expand (joins) write directly into the output columns: no per-binding
+//! `Vec` is ever allocated.
 //!
-//! The row-oriented [`crate::Operator`] protocol remains the compatibility
-//! surface of the system; [`ColumnBatch::to_rows`] / [`ColumnBatch::from_rows`]
-//! convert at the seams (the parity and property suites round-trip through
-//! them).
+//! The row-oriented [`crate::Operator`] protocol carries the other two
+//! evaluators (stacked algebra plans, the pureXML baseline);
+//! [`ColumnBatch::to_rows`] / [`ColumnBatch::from_rows`] convert between
+//! the layouts.
 //!
 //! [`BatchSizer`] implements the adaptive batch-size policy: scan leaves
 //! start at the configured batch capacity and grow their per-call scan
@@ -42,11 +38,13 @@ pub struct ColumnBatch {
 }
 
 impl ColumnBatch {
-    /// An empty batch of `arity` columns targeting `cap` live rows.
+    /// An empty batch of `arity` columns targeting `cap` live rows.  The
+    /// columns start unallocated and grow on demand, so a one-row point
+    /// query does not pay for `arity × cap` slots at every join level.
     pub fn new(arity: usize, cap: usize) -> Self {
         let cap = cap.max(1);
         ColumnBatch {
-            cols: (0..arity.max(1)).map(|_| Vec::with_capacity(cap)).collect(),
+            cols: (0..arity.max(1)).map(|_| Vec::new()).collect(),
             sel: None,
             cap,
         }
@@ -199,8 +197,7 @@ impl ColumnBatch {
         }
     }
 
-    /// Convert to row-major bindings (live rows only, batch order) — the
-    /// seam back into the row-oriented [`crate::Operator`] world.
+    /// Convert to row-major bindings (live rows only, batch order).
     pub fn to_rows(&self) -> Vec<Vec<usize>> {
         let mut out = Vec::with_capacity(self.live());
         for i in 0..self.live() {
@@ -225,10 +222,10 @@ impl ColumnBatch {
     }
 }
 
-/// The pull-based columnar operator protocol: the vectorized mirror of
-/// [`crate::Operator`], exchanging [`ColumnBatch`]es instead of row
-/// batches.  Work counters use the same [`OpStats`] currency so EXPLAIN
-/// actuals are path-independent.
+/// The pull-based columnar operator protocol: the twin of
+/// [`crate::Operator`] that exchanges [`ColumnBatch`]es instead of row
+/// batches.  Work counters use the same [`OpStats`] currency as the row
+/// operators.
 pub trait ColOperator {
     /// Prepare for producing batches.
     fn open(&mut self);

@@ -7,12 +7,14 @@
 //! per-index-prefix [`GroupMax`] extents) feeding the cost-based optimizer
 //! in `xqjg-engine`.  A small [`Database`] catalog
 //! ties tables, indexes and statistics together, and the [`batch`] module
-//! provides the pipelined execution substrate — fixed-capacity [`Batch`]es
-//! and the pull-based [`Operator`] protocol — shared by every evaluation
-//! path of the system.  The [`columnar`] module is its vectorized mirror:
-//! [`ColumnBatch`]es carry one rid column per bound alias plus a selection
-//! vector, so filters refine indices instead of materializing survivors,
-//! and the [`BatchSizer`] adapts scan chunks to measured selectivity.  The
+//! provides the row-oriented pipelined execution substrate —
+//! fixed-capacity [`Batch`]es and the pull-based [`Operator`] protocol —
+//! of the stacked-plan evaluator and the pureXML baseline.  The
+//! [`columnar`] module is its columnar twin, the substrate of the
+//! join-graph executor: [`ColumnBatch`]es carry one rid column per bound
+//! alias plus a selection vector, so filters refine indices instead of
+//! materializing survivors, and the [`BatchSizer`] adapts scan chunks to
+//! measured selectivity.  The
 //! [`morsel`] module layers morsel-driven parallelism on top: leaf scans
 //! split into rid-range [`Morsel`]s, scoped worker threads drain a shared
 //! [`MorselQueue`], and per-worker counters merge back into
@@ -52,8 +54,8 @@ pub use admission::{
     DEFAULT_QUEUE_TIMEOUT,
 };
 pub use batch::{
-    drain, fill_from_pending, fill_from_pending_with_capacity, merge_worker_stats, new_stats_sink,
-    Batch, BoxedOperator, OpStats, Operator, StatsSink, VecSource, BATCH_CAPACITY,
+    drain, fill_from_pending, merge_worker_stats, new_stats_sink, Batch, BoxedOperator, OpStats,
+    Operator, StatsSink, VecSource, BATCH_CAPACITY,
 };
 pub use btree::{BPlusTree, Key};
 pub use cache::{

@@ -398,13 +398,9 @@ pub struct ExecConfig {
     /// Row-id domain positions per leaf [`Morsel`] (upper bound; shrunk by
     /// [`effective_morsel_size`] when the domain is small).
     pub morsel_size: usize,
-    /// Run the vectorized columnar executor (selection vectors,
-    /// column-at-a-time predicates).  `false` selects the row-at-a-time
-    /// scalar path, kept as the always-green fallback.
-    pub vectorize: bool,
     /// Let scan leaves adapt their scan chunk to the measured predicate
     /// selectivity (see [`crate::BatchSizer`]); `false` pins every chunk to
-    /// `batch_capacity`.  Only meaningful on the vectorized path.
+    /// `batch_capacity`.
     pub adaptive: bool,
     /// Run the typed-column kernels (branch-free compare/hash over flat
     /// `i64`/dictionary images, columnar SORT tail) wherever the operand
@@ -447,7 +443,6 @@ pub const EXEC_KNOBS: &[&str] = &[
     "XQJG_THREADS",
     "XQJG_BATCH_CAPACITY",
     "XQJG_MORSEL_SIZE",
-    "XQJG_VECTORIZE",
     "XQJG_ADAPTIVE_BATCH",
     "XQJG_TYPED_KERNELS",
     "XQJG_MEM_BUDGET",
@@ -586,7 +581,6 @@ impl ExecConfig {
             "XQJG_MORSEL_SIZE" => {
                 self.morsel_size = strict_usize(var, value)?.unwrap_or(DEFAULT_MORSEL_SIZE)
             }
-            "XQJG_VECTORIZE" => self.vectorize = strict_bool(var, value)?.unwrap_or(true),
             "XQJG_ADAPTIVE_BATCH" => self.adaptive = strict_bool(var, value)?.unwrap_or(true),
             "XQJG_TYPED_KERNELS" => self.typed_kernels = strict_bool(var, value)?.unwrap_or(true),
             "XQJG_MEM_BUDGET" => self.mem_budget = strict_bytes(var, value)?,
@@ -654,10 +648,10 @@ impl ExecConfig {
 
     /// A sequential configuration with the default batch and morsel sizes
     /// (the reference configuration parity is measured against).  The
-    /// `XQJG_VECTORIZE`, `XQJG_TYPED_KERNELS`, `XQJG_MEM_BUDGET` and
-    /// `XQJG_SPILL_DIR` switches are still honored so the whole test suite
-    /// can be pointed at the scalar fallback path or a tight memory budget
-    /// from the environment (the CI matrix does exactly that).
+    /// `XQJG_TYPED_KERNELS`, `XQJG_MEM_BUDGET` and `XQJG_SPILL_DIR`
+    /// switches are still honored so the whole test suite can be pointed at
+    /// the untyped `Value` comparisons or a tight memory budget from the
+    /// environment (the CI matrix does exactly that).
     pub fn sequential() -> Self {
         ExecConfig {
             threads: 1,
@@ -683,12 +677,6 @@ impl ExecConfig {
     /// Builder: set the morsel size.
     pub fn with_morsel_size(mut self, size: usize) -> Self {
         self.morsel_size = size.max(1);
-        self
-    }
-
-    /// Builder: choose the vectorized or the scalar executor.
-    pub fn with_vectorize(mut self, vectorize: bool) -> Self {
-        self.vectorize = vectorize;
         self
     }
 
@@ -754,8 +742,7 @@ impl ExecConfig {
     /// deliberately excluded so DOP sweeps share the warm plan.
     pub fn cache_fingerprint(&self) -> String {
         format!(
-            "v{}t{}m{}",
-            self.vectorize as u8,
+            "t{}m{}",
             self.typed_kernels as u8,
             self.mem_budget.map(|b| b.to_string()).unwrap_or_default()
         )
@@ -763,7 +750,7 @@ impl ExecConfig {
 }
 
 /// The documented defaults (all cores, [`crate::BATCH_CAPACITY`],
-/// [`DEFAULT_MORSEL_SIZE`], vectorized + adaptive) — deliberately *without*
+/// [`DEFAULT_MORSEL_SIZE`], adaptive batches, typed kernels) — deliberately *without*
 /// the environment reads; use [`ExecConfig::from_env`] to honor the
 /// `XQJG_*` knobs.
 impl Default for ExecConfig {
@@ -772,7 +759,6 @@ impl Default for ExecConfig {
             threads: default_threads(),
             batch_capacity: crate::BATCH_CAPACITY,
             morsel_size: DEFAULT_MORSEL_SIZE,
-            vectorize: true,
             adaptive: true,
             typed_kernels: true,
             mem_budget: None,
@@ -969,6 +955,40 @@ mod tests {
         assert_eq!(cfg.threads, 1);
         assert_eq!(cfg.batch_capacity, 1);
         assert_eq!(cfg.morsel_size, 1);
+    }
+
+    #[test]
+    fn removed_and_unknown_knobs_are_config_errors() {
+        let mut cfg = ExecConfig::default();
+        for var in ["XQJG_VECTORIZE", "XQJG_WARP_DRIVE", "threads"] {
+            let err = cfg.apply_knob(var, "0").expect_err(var);
+            assert_eq!(err.var, var);
+        }
+        assert_eq!(
+            cfg,
+            ExecConfig::default(),
+            "a rejected knob changes nothing"
+        );
+    }
+
+    #[test]
+    fn exec_knobs_lists_exactly_the_names_apply_knob_accepts() {
+        assert_eq!(EXEC_KNOBS.len(), 12);
+        // Every listed name is a match arm (an empty value resets it)…
+        for var in EXEC_KNOBS {
+            let mut cfg = ExecConfig::default();
+            cfg.apply_knob(var, "").expect(var);
+        }
+        // …and every match arm is listed: the arms are the quoted
+        // `"XQJG_*" =>` patterns of `apply_knob` in this file.
+        let src = include_str!("morsel.rs");
+        let body = src
+            .split("pub fn apply_knob")
+            .nth(1)
+            .and_then(|s| s.split("pub fn try_from_env").next())
+            .expect("apply_knob body");
+        let arms: Vec<&str> = body.split('"').filter(|t| t.starts_with("XQJG_")).collect();
+        assert_eq!(arms, EXEC_KNOBS.to_vec());
     }
 
     #[test]

@@ -28,8 +28,8 @@
 //! Spill decisions on the coordinator (build sides, the SORT tail) depend
 //! only on the row stream and the budget — never on the degree of
 //! parallelism — which keeps the `spill_runs` / `spill_bytes` /
-//! `partitions` EXPLAIN actuals byte-identical across DOP, morsel size and
-//! the vectorized/scalar switch, exactly like the other counters.
+//! `partitions` EXPLAIN actuals byte-identical across DOP and morsel size,
+//! exactly like the other counters.
 //!
 //! Every disk interaction in this module is *fallible and checksummed*:
 //! I/O errors, short writes and corrupt records surface as

@@ -17,30 +17,26 @@
 
 use proptest::prelude::*;
 use xqjg::engine::{
-    optimize, Access, ExecStats, JoinMethod, JoinNode, PhysPlan, QueryRequest, SelectItem, SqlCmp,
-    SqlExpr, SqlPredicate,
+    execute_materialized_with_stats, optimize, Access, ExecStats, JoinMethod, JoinNode, PhysPlan,
+    QueryRequest, SelectItem, SqlCmp, SqlExpr, SqlPredicate,
 };
 use xqjg::store::{BPlusTree, Database, ExecConfig, Schema, Table, Value};
-
-/// The old entry points, expressed over the unified [`QueryRequest`] API
-/// (the only execution path this suite drives).
-fn execute(plan: &PhysPlan, db: &Database) -> Table {
-    QueryRequest::new(plan, db).expect_run().rows
-}
-
-fn execute_with_stats_config(
-    plan: &PhysPlan,
-    db: &Database,
-    cfg: &ExecConfig,
-) -> (Table, ExecStats) {
-    let out = QueryRequest::new(plan, db).config(cfg).expect_run();
-    (out.rows, out.stats)
-}
 use xqjg::xml::{encode_document, parse_document, DocTable, Pre};
 use xqjg::{Mode, Processor};
 
-/// The batch capacities the columnar ≡ row properties are pinned at
-/// (acceptance criterion of the vectorization work).
+/// Result rows of `plan` under the environment-default knobs.
+fn run_rows(plan: &PhysPlan, db: &Database) -> Table {
+    QueryRequest::new(plan, db).expect_run().rows
+}
+
+/// Rows and counters of `plan` under pinned knobs.
+fn run_plan(plan: &PhysPlan, db: &Database, cfg: &ExecConfig) -> (Table, ExecStats) {
+    let out = QueryRequest::new(plan, db).config(cfg).expect_run();
+    (out.rows, out.stats)
+}
+
+/// The batch capacities the pipeline ≡ materializing-oracle properties
+/// are pinned at.
 const PROBE_CAPACITIES: [usize; 3] = [1, 64, 1024];
 
 /// Strategy producing a small random XML document built from a fixed
@@ -418,8 +414,8 @@ proptest! {
     ) {
         let db = join_db(&left, &right);
         // Nested-loop and hash join execute the same logical join edge.
-        let mut hash_rows = execute(&join_plan(JoinMethod::Hash, true), &db).into_rows();
-        let mut nl_rows = execute(&join_plan(JoinMethod::NestedLoop, true), &db).into_rows();
+        let mut hash_rows = run_rows(&join_plan(JoinMethod::Hash, true), &db).into_rows();
+        let mut nl_rows = run_rows(&join_plan(JoinMethod::NestedLoop, true), &db).into_rows();
         hash_rows.sort();
         nl_rows.sort();
         prop_assert_eq!(&hash_rows, &nl_rows, "join methods must agree");
@@ -452,7 +448,7 @@ proptest! {
 
         // Residual predicates apply after the join: dropping the residual
         // yields a superset, and re-applying it recovers the filtered set.
-        let mut unfiltered = execute(&join_plan(JoinMethod::Hash, false), &db).into_rows();
+        let mut unfiltered = run_rows(&join_plan(JoinMethod::Hash, false), &db).into_rows();
         prop_assert!(unfiltered.len() >= hash_rows.len());
         unfiltered.retain(|row| match (row[1].as_i64(), row[3].as_i64()) {
             (Some(v), Some(w)) => v <= w,
@@ -463,18 +459,17 @@ proptest! {
     }
 
     #[test]
-    fn columnar_and_row_paths_agree_over_random_predicates(
+    fn pipeline_agrees_with_the_materializing_oracle_over_random_predicates(
         body in arb_xml(3),
         axis_choice in 0usize..3,
         name_choice in 0usize..3,
         pred_choice in 0usize..4,
     ) {
         // A random document, a random path query with a random value /
-        // attribute predicate — optimized once, then executed through the
-        // vectorized (columnar, selection-vector) executor and the scalar
-        // row-at-a-time fallback at every pinned batch capacity.  Rows,
-        // row order, aggregate counters and per-operator actuals must all
-        // agree.
+        // attribute predicate — optimized once, then executed at every
+        // pinned batch capacity.  Rows, row order and aggregate counters
+        // must match the materializing executor; per-operator actuals must
+        // match the sequential kernels-off run.
         let xml = format!("<root>{body}</root>");
         let axis = ["descendant", "child", "descendant-or-self"][axis_choice];
         let name = ["entry", "group", "v"][name_choice];
@@ -490,35 +485,30 @@ proptest! {
             let db = p.database();
             for b in &prepared.branches {
                 let plan = optimize(&b.isolated.query, db).unwrap();
-                let (t_ref, _) = execute_with_stats_config(
-                    &plan,
-                    db,
-                    &ExecConfig::sequential().with_vectorize(false),
-                );
+                let (t_ref, s_ref) = execute_materialized_with_stats(&plan, db);
                 for cap in PROBE_CAPACITIES {
-                    let scalar = ExecConfig::sequential()
-                        .with_vectorize(false)
-                        .with_batch_capacity(cap);
-                    let vectorized = ExecConfig::sequential()
-                        .with_vectorize(true)
-                        .with_batch_capacity(cap);
-                    let (t_row, s_row) = execute_with_stats_config(&plan, db, &scalar);
-                    let (t_col, s_col) = execute_with_stats_config(&plan, db, &vectorized);
-                    prop_assert_eq!(&t_row, &t_ref, "{} cap {}", query, cap);
-                    prop_assert_eq!(&t_col, &t_row, "{} cap {}", query, cap);
+                    let typed = ExecConfig::sequential().with_batch_capacity(cap);
+                    let untyped = typed.clone().with_typed_kernels(false);
+                    let (t_col, s_col) = run_plan(&plan, db, &typed);
+                    let (t_off, s_off) = run_plan(&plan, db, &untyped);
+                    prop_assert_eq!(&t_col, &t_ref, "{} cap {}", query, cap);
+                    prop_assert_eq!(&t_off, &t_ref, "{} cap {}", query, cap);
+                    prop_assert_eq!(
+                        (s_col.index_rows, s_col.scan_rows, s_col.probes, s_col.bindings),
+                        (s_ref.index_rows, s_ref.scan_rows, s_ref.probes, s_ref.bindings),
+                        "{} cap {}: aggregate counters must match the oracle", query, cap);
                     // The kernel-engagement counter reports which
                     // representation ran and is the one actual allowed to
-                    // differ between the two repertoires.
+                    // differ from the kernels-off run.
                     let mut s_col_k = s_col.clone();
-                    let mut s_row_k = s_row.clone();
-                    for op in s_col_k.operators.iter_mut().chain(s_row_k.operators.iter_mut()) {
+                    for op in s_col_k.operators.iter_mut() {
                         op.kernel_rows = 0;
                     }
-                    prop_assert_eq!(&s_col_k, &s_row_k,
+                    prop_assert_eq!(&s_col_k, &s_off,
                         "{} cap {}: aggregate counters and actuals must match", query, cap);
                     // Adaptive chunk sizing must not change anything either.
-                    let (t_fix, s_fix) = execute_with_stats_config(
-                        &plan, db, &vectorized.clone().with_adaptive(false));
+                    let (t_fix, s_fix) = run_plan(
+                        &plan, db, &typed.clone().with_adaptive(false));
                     prop_assert_eq!(&t_fix, &t_col, "{} cap {}", query, cap);
                     prop_assert_eq!(&s_fix, &s_col, "{} cap {}", query, cap);
                 }
@@ -527,26 +517,22 @@ proptest! {
     }
 
     #[test]
-    fn vectorized_join_edge_matches_scalar_at_every_capacity(
+    fn join_edge_matches_the_materializing_oracle_at_every_capacity(
         left in prop::collection::vec((arb_key(), 0i64..10), 0..12),
         right in prop::collection::vec((arb_key(), arb_key()), 0..12),
     ) {
         // NULL keys, hash collisions and residual predicates under both
-        // join methods: the columnar path must reproduce the scalar rows
-        // *in order* at every batch capacity.
+        // join methods: the pipeline must reproduce the materializing
+        // executor's rows *in order* at every batch capacity.
         let db = join_db(&left, &right);
         for method in [JoinMethod::Hash, JoinMethod::NestedLoop] {
             let plan = join_plan(method, true);
-            let (t_ref, s_ref) = execute_with_stats_config(
-                &plan,
-                &db,
-                &ExecConfig::sequential().with_vectorize(false),
-            );
+            let (t_ref, s_ref) = execute_materialized_with_stats(&plan, &db);
             for cap in PROBE_CAPACITIES {
-                let (t, s) = execute_with_stats_config(
+                let (t, s) = run_plan(
                     &plan,
                     &db,
-                    &ExecConfig::sequential().with_vectorize(true).with_batch_capacity(cap),
+                    &ExecConfig::sequential().with_batch_capacity(cap),
                 );
                 prop_assert_eq!(&t, &t_ref, "{:?} cap {}", method, cap);
                 prop_assert_eq!(s.probes, s_ref.probes, "{:?} cap {}", method, cap);
