@@ -493,11 +493,11 @@ impl Plan {
 
     /// All operator ids reachable from the root.
     pub fn reachable(&self) -> Vec<OpId> {
-        let mut seen = HashSet::new();
+        let mut seen = vec![false; self.ops.len()];
         let mut stack = vec![self.root];
         let mut out = Vec::new();
         while let Some(id) = stack.pop() {
-            if !seen.insert(id) {
+            if std::mem::replace(&mut seen[id.0], true) {
                 continue;
             }
             out.push(id);
@@ -553,10 +553,10 @@ impl Plan {
 
     /// Topological order of the reachable sub-DAG (children before parents).
     pub fn topo_order(&self) -> Vec<OpId> {
-        let mut visited = HashSet::new();
+        let mut visited = vec![false; self.ops.len()];
         let mut out = Vec::new();
-        fn visit(plan: &Plan, id: OpId, visited: &mut HashSet<OpId>, out: &mut Vec<OpId>) {
-            if !visited.insert(id) {
+        fn visit(plan: &Plan, id: OpId, visited: &mut [bool], out: &mut Vec<OpId>) {
+            if std::mem::replace(&mut visited[id.0], true) {
                 return;
             }
             for c in plan.op(id).children() {

@@ -1,7 +1,7 @@
 //! XQuery join graph isolation — the paper's contribution.
 //!
-//! * [`properties`] — plan property inference (icols / const / key / set,
-//!   Tables II–V),
+//! * [`properties`] — plan property inference (icols / const / set,
+//!   Tables II–V; the goals `key` serves are met in [`sfw`]),
 //! * [`rewrite`] — the house-cleaning and ϱ-goal rewrite rules of Fig. 5,
 //! * [`sfw`] — join graph / plan tail extraction into a single
 //!   `SELECT DISTINCT-FROM-WHERE-ORDER BY` block (the δ⃝ / ⋈⃝ goals) and the

@@ -1,323 +1,277 @@
 //! Plan property inference (Tables II–V).
 //!
 //! The peephole rewriting of Fig. 5 decides rule applicability by inspecting
-//! four properties of each operator:
+//! these properties of each operator:
 //!
 //! * `icols` — columns required upstream (top-down, seeded `{pos, item}` at
 //!   the serialization point, accumulated over all parents),
-//! * `const` — columns known to hold a constant value (bottom-up),
-//! * `key`   — candidate keys of the operator's output (bottom-up),
+//! * `const` — columns known to hold a constant value (bottom-up; the rules
+//!   only ask *whether* a column is constant, so the values are not kept),
 //! * `set`   — whether the output is subject to duplicate elimination
 //!   further up the plan (top-down, `false` only at the root).
+//!
+//! Table IV's fourth property, `key`, feeds rules 8–11 (moving the one
+//! surviving `δ` and removing the FOR/IF equi-joins); this code realizes
+//! those goals during join graph extraction in [`crate::sfw`], which needs
+//! no key inference, so none is computed here.
+//!
+//! Each inference numbers the plan's column names once (a compiled plan
+//! has a few dozen at most), records every operator's output columns
+//! (`cols(e)`) as numbers, bottom-up, and keeps `icols` and `const` as
+//! bitsets over those numbers.
 
-use std::collections::{HashMap, HashSet};
-use xqjg_algebra::{OpId, OpKind, Plan};
-use xqjg_store::Value;
+use std::collections::HashMap;
+use xqjg_algebra::{OpId, OpKind, Plan, DOC_COLUMNS};
 
-/// Inferred properties for every reachable operator.
+/// Inferred properties for every reachable operator, indexed by operator
+/// id (unreachable arena slots hold empty defaults).
 #[derive(Debug, Clone)]
 pub struct Properties {
-    /// `icols` per operator.
-    pub icols: HashMap<OpId, HashSet<String>>,
-    /// `const` per operator: column → constant value.
-    pub consts: HashMap<OpId, HashMap<String, Value>>,
-    /// `key` per operator: candidate keys (sets of columns).
-    pub keys: HashMap<OpId, Vec<HashSet<String>>>,
-    /// `set` per operator.
-    pub set: HashMap<OpId, bool>,
+    /// Column name → its number.
+    numbers: HashMap<String, usize>,
+    /// Column number → its name.
+    names: Vec<String>,
+    cols: Vec<Vec<usize>>,
+    icols: Vec<ColSet>,
+    consts: Vec<ColSet>,
+    set: Vec<bool>,
+}
+
+/// A set of column numbers.
+#[derive(Debug, Clone, Default)]
+struct ColSet(Vec<u64>);
+
+impl ColSet {
+    fn insert(&mut self, c: usize) {
+        if self.0.len() <= c / 64 {
+            self.0.resize(c / 64 + 1, 0);
+        }
+        self.0[c / 64] |= 1 << (c % 64);
+    }
+
+    fn remove(&mut self, c: usize) {
+        if let Some(word) = self.0.get_mut(c / 64) {
+            *word &= !(1 << (c % 64));
+        }
+    }
+
+    fn contains(&self, c: usize) -> bool {
+        self.0
+            .get(c / 64)
+            .is_some_and(|word| word >> (c % 64) & 1 == 1)
+    }
+
+    fn union_with(&mut self, other: &ColSet) {
+        if self.0.len() < other.0.len() {
+            self.0.resize(other.0.len(), 0);
+        }
+        for (a, b) in self.0.iter_mut().zip(&other.0) {
+            *a |= b;
+        }
+    }
+
+    /// The members of `self` among `cols`.
+    fn within(&self, cols: &[usize]) -> ColSet {
+        let mut out = ColSet::default();
+        for &c in cols.iter().filter(|&&c| self.contains(c)) {
+            out.insert(c);
+        }
+        out
+    }
 }
 
 impl Properties {
-    /// Infer all four properties for the reachable part of the plan.
+    /// Infer the properties for the reachable part of the plan.
     pub fn infer(plan: &Plan) -> Properties {
         let topo = plan.topo_order();
-        let mut consts: HashMap<OpId, HashMap<String, Value>> = HashMap::new();
-        let mut keys: HashMap<OpId, Vec<HashSet<String>>> = HashMap::new();
+        let n = plan.arena_len();
+        let mut props = Properties {
+            numbers: HashMap::new(),
+            names: Vec::new(),
+            cols: vec![Vec::new(); n],
+            icols: vec![ColSet::default(); n],
+            consts: vec![ColSet::default(); n],
+            set: vec![true; n],
+        };
 
-        // Bottom-up: const and key.
+        // Bottom-up: output columns and const.
         for &id in &topo {
-            let (c, k) = infer_bottom_up(plan, id, &consts, &keys);
-            consts.insert(id, c);
-            keys.insert(id, k);
+            props.cols[id.0] = props.output_cols(plan.op(id));
+            props.consts[id.0] = props.infer_const(plan.op(id));
         }
 
         // Top-down: icols and set (walk in reverse topological order).
-        let mut icols: HashMap<OpId, HashSet<String>> = HashMap::new();
-        let mut set: HashMap<OpId, bool> = HashMap::new();
-        for &id in &topo {
-            icols.insert(id, HashSet::new());
-            set.insert(id, true);
-        }
-        // Seed the root.
-        icols.insert(
-            plan.root(),
-            ["pos", "item"].iter().map(|s| s.to_string()).collect(),
-        );
-        set.insert(plan.root(), false);
+        let root = plan.root().0;
+        let mut seed = ColSet::default();
+        props.insert_names(&mut seed, ["pos", "item"]);
+        props.icols[root] = seed;
+        props.set[root] = false;
         for &id in topo.iter().rev() {
-            let own_icols = icols.get(&id).cloned().unwrap_or_default();
-            let own_set = *set.get(&id).unwrap_or(&true);
-            let contributions = infer_top_down(plan, id, &own_icols, own_set);
-            for (child, child_icols, child_set) in contributions {
-                icols.entry(child).or_default().extend(child_icols);
-                let entry = set.entry(child).or_insert(true);
-                *entry = *entry && child_set;
+            for (child, child_icols, child_set) in props.infer_top_down(plan.op(id), id) {
+                props.icols[child.0].union_with(&child_icols);
+                props.set[child.0] &= child_set;
             }
         }
-
-        Properties {
-            icols,
-            consts,
-            keys,
-            set,
-        }
+        props
     }
 
-    /// The `icols` of an operator.
-    pub fn icols_of(&self, id: OpId) -> &HashSet<String> {
-        self.icols.get(&id).expect("icols inferred")
+    /// The output columns of an operator (`cols(e)`).
+    pub fn cols_of(&self, id: OpId) -> impl Iterator<Item = &str> {
+        self.cols[id.0].iter().map(|&c| self.names[c].as_str())
     }
 
-    /// The constant columns of an operator.
-    pub fn consts_of(&self, id: OpId) -> &HashMap<String, Value> {
-        self.consts.get(&id).expect("const inferred")
+    /// Is `col` in the `icols` of an operator?
+    pub fn needs(&self, id: OpId, col: &str) -> bool {
+        self.number(col)
+            .is_some_and(|c| self.icols[id.0].contains(c))
     }
 
-    /// The candidate keys of an operator.
-    pub fn keys_of(&self, id: OpId) -> &[HashSet<String>] {
-        self.keys.get(&id).expect("key inferred")
+    /// Is `col` constant in the output of an operator?
+    pub fn is_const(&self, id: OpId, col: &str) -> bool {
+        self.number(col)
+            .is_some_and(|c| self.consts[id.0].contains(c))
     }
 
     /// The `set` property of an operator.
     pub fn set_of(&self, id: OpId) -> bool {
-        *self.set.get(&id).expect("set inferred")
+        self.set[id.0]
     }
 
-    /// Does the operator's output have a key entirely within its `icols`?
-    pub fn has_needed_key(&self, id: OpId) -> bool {
-        let icols = self.icols_of(id);
-        self.keys_of(id).iter().any(|k| k.is_subset(icols))
+    fn number(&self, name: &str) -> Option<usize> {
+        self.numbers.get(name).copied()
     }
-}
 
-/// Bottom-up inference of (const, key) for a single operator.
-fn infer_bottom_up(
-    plan: &Plan,
-    id: OpId,
-    consts: &HashMap<OpId, HashMap<String, Value>>,
-    keys: &HashMap<OpId, Vec<HashSet<String>>>,
-) -> (HashMap<String, Value>, Vec<HashSet<String>>) {
-    let child_const = |c: OpId| consts.get(&c).cloned().unwrap_or_default();
-    let child_keys = |c: OpId| keys.get(&c).cloned().unwrap_or_default();
-    match plan.op(id) {
-        OpKind::DocTable => {
-            let key = vec![["pre".to_string()].into_iter().collect()];
-            (HashMap::new(), key)
+    /// The number of an output column name, numbering it if it is new.
+    fn intern(&mut self, name: &str) -> usize {
+        if let Some(c) = self.number(name) {
+            return c;
         }
-        OpKind::Literal { columns, rows } => {
-            let mut c = HashMap::new();
-            if rows.len() == 1 {
-                for (i, col) in columns.iter().enumerate() {
-                    c.insert(col.clone(), rows[0][i].clone());
-                }
+        self.names.push(name.to_string());
+        self.numbers.insert(name.to_string(), self.names.len() - 1);
+        self.names.len() - 1
+    }
+
+    /// The output columns of one operator from those of its children — one
+    /// level of [`Plan::output_cols`].
+    fn output_cols(&mut self, op: &OpKind) -> Vec<usize> {
+        match op {
+            OpKind::Serialize { input }
+            | OpKind::Select { input, .. }
+            | OpKind::Distinct { input } => self.cols[input.0].clone(),
+            OpKind::Project { cols, .. } => cols.iter().map(|(new, _)| self.intern(new)).collect(),
+            OpKind::Join { left, right, .. } | OpKind::Cross { left, right } => {
+                let mut out = self.cols[left.0].clone();
+                out.extend_from_slice(&self.cols[right.0]);
+                out
             }
-            // Single-row (or empty) literals are keyed by every column; for
-            // larger literals we stay conservative.
-            let k = if rows.len() <= 1 {
-                columns
-                    .iter()
-                    .map(|col| [col.clone()].into_iter().collect())
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            (c, k)
-        }
-        OpKind::Serialize { input } | OpKind::Select { input, .. } => {
-            (child_const(*input), child_keys(*input))
-        }
-        OpKind::Distinct { input } => {
-            let mut k = child_keys(*input);
-            let all: HashSet<String> = plan.output_cols(*input).into_iter().collect();
-            k.push(all);
-            (child_const(*input), k)
-        }
-        OpKind::Project { input, cols } => {
-            let cc = child_const(*input);
-            let mut c = HashMap::new();
-            for (new, old) in cols {
-                if let Some(v) = cc.get(old) {
-                    c.insert(new.clone(), v.clone());
-                }
+            OpKind::Attach { input, col, .. }
+            | OpKind::RowNum { input, col }
+            | OpKind::Rank { input, col, .. } => {
+                let mut out = self.cols[input.0].clone();
+                out.push(self.intern(col));
+                out
             }
-            // Translate keys whose columns survive the projection.
-            let mut k = Vec::new();
-            for key in child_keys(*input) {
-                let translated: Option<HashSet<String>> = key
-                    .iter()
-                    .map(|kc| {
-                        cols.iter()
-                            .find(|(_, old)| old == kc)
-                            .map(|(new, _)| new.clone())
-                    })
-                    .collect();
-                if let Some(t) = translated {
-                    k.push(t);
-                }
-            }
-            (c, k)
-        }
-        OpKind::Attach { input, col, value } => {
-            let mut c = child_const(*input);
-            c.insert(col.clone(), value.clone());
-            (c, child_keys(*input))
-        }
-        OpKind::RowNum { input, col } => {
-            let mut k = child_keys(*input);
-            k.push([col.clone()].into_iter().collect());
-            (child_const(*input), k)
-        }
-        OpKind::Rank {
-            input,
-            col,
-            order_by,
-        } => {
-            let mut k = child_keys(*input);
-            // ϱ: {a} ∪ (k \ {b1..bn}) is a key for any key k intersecting
-            // the ranking criteria.
-            let extra: Vec<HashSet<String>> = child_keys(*input)
-                .iter()
-                .filter(|key| key.iter().any(|c| order_by.contains(c)))
-                .map(|key| {
-                    let mut nk: HashSet<String> = key
-                        .iter()
-                        .filter(|c| !order_by.contains(*c))
-                        .cloned()
-                        .collect();
-                    nk.insert(col.clone());
-                    nk
-                })
-                .collect();
-            k.extend(extra);
-            (child_const(*input), k)
-        }
-        OpKind::Join { left, right, pred } => {
-            let mut c = child_const(*left);
-            c.extend(child_const(*right));
-            let lk = child_keys(*left);
-            let rk = child_keys(*right);
-            let mut k: Vec<HashSet<String>> = Vec::new();
-            // Generic case: union of a left key and a right key.
-            for a in &lk {
-                for b in &rk {
-                    k.push(a.union(b).cloned().collect());
-                }
-            }
-            // Equi-join refinement: if the join column of one side is a key
-            // of that side, the other side's keys carry over.
-            if let Some((a, b)) = pred.as_single_col_eq() {
-                let left_cols: HashSet<String> = plan.output_cols(*left).into_iter().collect();
-                let (lcol, rcol) = if left_cols.contains(a) {
-                    (a, b)
-                } else {
-                    (b, a)
-                };
-                let l_is_key = lk.iter().any(|k| k.len() == 1 && k.contains(lcol));
-                let r_is_key = rk.iter().any(|k| k.len() == 1 && k.contains(rcol));
-                if r_is_key {
-                    k.extend(lk.iter().cloned());
-                }
-                if l_is_key {
-                    k.extend(rk.iter().cloned());
-                }
-            }
-            (c, k)
-        }
-        OpKind::Cross { left, right } => {
-            let mut c = child_const(*left);
-            c.extend(child_const(*right));
-            let mut k = Vec::new();
-            for a in child_keys(*left) {
-                for b in child_keys(*right) {
-                    k.push(a.union(&b).cloned().collect());
-                }
-            }
-            (c, k)
+            OpKind::DocTable => DOC_COLUMNS.iter().map(|c| self.intern(c)).collect(),
+            OpKind::Literal { columns, .. } => columns.iter().map(|c| self.intern(c)).collect(),
         }
     }
-}
 
-/// Top-down contributions `(child, icols, set)` of an operator to its
-/// children.
-fn infer_top_down(
-    plan: &Plan,
-    id: OpId,
-    icols: &HashSet<String>,
-    set: bool,
-) -> Vec<(OpId, HashSet<String>, bool)> {
-    let s = |x: &str| x.to_string();
-    match plan.op(id) {
-        OpKind::Serialize { input } => {
-            // The serialization point needs the sequence encoding columns.
-            let mut need: HashSet<String> = icols.clone();
-            need.insert(s("pos"));
-            need.insert(s("item"));
-            let available: HashSet<String> = plan.output_cols(*input).into_iter().collect();
-            vec![(
-                *input,
-                need.intersection(&available).cloned().collect(),
-                false,
-            )]
-        }
-        OpKind::Project { input, cols } => {
-            let mut need = HashSet::new();
-            for (new, old) in cols {
-                if icols.contains(new) {
-                    need.insert(old.clone());
+    /// Bottom-up inference of `const` for a single operator (its output
+    /// columns are numbered already).
+    fn infer_const(&self, op: &OpKind) -> ColSet {
+        let mut out = ColSet::default();
+        match op {
+            OpKind::DocTable => {}
+            OpKind::Literal { columns, rows } => {
+                if rows.len() == 1 {
+                    self.insert_names(&mut out, columns);
                 }
             }
-            vec![(*input, need, set)]
+            OpKind::Serialize { input }
+            | OpKind::Select { input, .. }
+            | OpKind::Distinct { input }
+            | OpKind::RowNum { input, .. }
+            | OpKind::Rank { input, .. } => out = self.consts[input.0].clone(),
+            OpKind::Project { input, cols } => {
+                for (new, old) in cols {
+                    if self.is_const(*input, old) {
+                        out.insert(self.numbers[new]);
+                    }
+                }
+            }
+            OpKind::Attach { input, col, .. } => {
+                out = self.consts[input.0].clone();
+                out.insert(self.numbers[col]);
+            }
+            OpKind::Join { left, right, .. } | OpKind::Cross { left, right } => {
+                out = self.consts[left.0].clone();
+                out.union_with(&self.consts[right.0]);
+            }
         }
-        OpKind::Select { input, pred } => {
-            let mut need = icols.clone();
-            need.extend(pred.cols());
-            vec![(*input, need, set)]
+        out
+    }
+
+    /// Insert the numbers of `names` into `set`; names no operator outputs
+    /// cannot be needed from a child and are skipped.
+    fn insert_names<S: AsRef<str>>(&self, set: &mut ColSet, names: impl IntoIterator<Item = S>) {
+        for c in names.into_iter().filter_map(|n| self.number(n.as_ref())) {
+            set.insert(c);
         }
-        OpKind::Join { left, right, pred } => {
-            let mut need = icols.clone();
-            need.extend(pred.cols());
-            let lcols: HashSet<String> = plan.output_cols(*left).into_iter().collect();
-            let rcols: HashSet<String> = plan.output_cols(*right).into_iter().collect();
-            vec![
-                (*left, need.intersection(&lcols).cloned().collect(), set),
-                (*right, need.intersection(&rcols).cloned().collect(), set),
-            ]
+    }
+
+    /// Top-down contributions `(child, icols, set)` of operator `id` to its
+    /// children.
+    fn infer_top_down(&self, op: &OpKind, id: OpId) -> Vec<(OpId, ColSet, bool)> {
+        let icols = &self.icols[id.0];
+        let set = self.set[id.0];
+        match op {
+            OpKind::Serialize { input } => {
+                // The serialization point needs the sequence encoding columns.
+                let mut need = icols.clone();
+                self.insert_names(&mut need, ["pos", "item"]);
+                vec![(*input, need.within(&self.cols[input.0]), false)]
+            }
+            OpKind::Project { input, cols } => {
+                let mut need = ColSet::default();
+                let olds = cols.iter().filter(|(new, _)| self.needs(id, new));
+                self.insert_names(&mut need, olds.map(|(_, old)| old));
+                vec![(*input, need, set)]
+            }
+            OpKind::Select { input, pred } => {
+                let mut need = icols.clone();
+                self.insert_names(&mut need, pred.cols());
+                vec![(*input, need, set)]
+            }
+            OpKind::Join { left, right, pred } => {
+                let mut need = icols.clone();
+                self.insert_names(&mut need, pred.cols());
+                vec![
+                    (*left, need.within(&self.cols[left.0]), set),
+                    (*right, need.within(&self.cols[right.0]), set),
+                ]
+            }
+            OpKind::Cross { left, right } => vec![
+                (*left, icols.within(&self.cols[left.0]), set),
+                (*right, icols.within(&self.cols[right.0]), set),
+            ],
+            OpKind::Distinct { input } => vec![(*input, icols.clone(), true)],
+            OpKind::Attach { input, col, .. } | OpKind::RowNum { input, col } => {
+                let mut need = icols.clone();
+                need.remove(self.numbers[col]);
+                vec![(*input, need, set)]
+            }
+            OpKind::Rank {
+                input,
+                col,
+                order_by,
+            } => {
+                let mut need = icols.clone();
+                need.remove(self.numbers[col]);
+                self.insert_names(&mut need, order_by);
+                vec![(*input, need, set)]
+            }
+            OpKind::DocTable | OpKind::Literal { .. } => vec![],
         }
-        OpKind::Cross { left, right } => {
-            let lcols: HashSet<String> = plan.output_cols(*left).into_iter().collect();
-            let rcols: HashSet<String> = plan.output_cols(*right).into_iter().collect();
-            vec![
-                (*left, icols.intersection(&lcols).cloned().collect(), set),
-                (*right, icols.intersection(&rcols).cloned().collect(), set),
-            ]
-        }
-        OpKind::Distinct { input } => vec![(*input, icols.clone(), true)],
-        OpKind::Attach { input, col, .. } | OpKind::RowNum { input, col } => {
-            let mut need = icols.clone();
-            need.remove(col);
-            vec![(*input, need, set)]
-        }
-        OpKind::Rank {
-            input,
-            col,
-            order_by,
-        } => {
-            let mut need = icols.clone();
-            need.remove(col);
-            need.extend(order_by.iter().cloned());
-            vec![(*input, need, set)]
-        }
-        OpKind::DocTable | OpKind::Literal { .. } => vec![],
     }
 }
 
@@ -325,6 +279,7 @@ fn infer_top_down(
 mod tests {
     use super::*;
     use xqjg_algebra::{Comparison, Predicate};
+    use xqjg_store::Value;
 
     /// serialize(π_pos,item(ϱ_pos:⟨item⟩(δ(π_iter,item(σ_kind=ELEM(doc))))))
     fn ddo_plan() -> Plan {
@@ -358,17 +313,16 @@ mod tests {
         let props = Properties::infer(&p);
         // The rank's input needs item (for ordering and output) but not pos.
         let dis = OpId(3);
-        assert!(props.icols_of(dis).contains("item"));
-        assert!(!props.icols_of(dis).contains("pos"));
+        assert!(props.needs(dis, "item"));
+        assert!(!props.needs(dis, "pos"));
         // The doc leaf must supply pre (item source) and kind (selection
         // predicate) — but not level (iter is never required upstream) nor
         // value.
         let doc = OpId(0);
-        let doc_icols = props.icols_of(doc);
-        assert!(doc_icols.contains("pre"));
-        assert!(doc_icols.contains("kind"));
-        assert!(!doc_icols.contains("level"));
-        assert!(!doc_icols.contains("value"));
+        assert!(props.needs(doc, "pre"));
+        assert!(props.needs(doc, "kind"));
+        assert!(!props.needs(doc, "level"));
+        assert!(!props.needs(doc, "value"));
     }
 
     #[test]
@@ -381,27 +335,6 @@ mod tests {
         // The δ itself and the rank above feed the root without another δ.
         assert!(!props.set_of(OpId(3)));
         assert!(!props.set_of(OpId(4)));
-    }
-
-    #[test]
-    fn keys_flow_through_operators() {
-        let p = ddo_plan();
-        let props = Properties::infer(&p);
-        // doc is keyed by pre.
-        assert!(props
-            .keys_of(OpId(0))
-            .iter()
-            .any(|k| k.len() == 1 && k.contains("pre")));
-        // The projection renames pre to item: key {item}.
-        assert!(props
-            .keys_of(OpId(2))
-            .iter()
-            .any(|k| k.len() == 1 && k.contains("item")));
-        // Distinct adds the all-columns key.
-        assert!(props
-            .keys_of(OpId(3))
-            .iter()
-            .any(|k| k.contains("iter") && k.contains("item")));
     }
 
     #[test]
@@ -419,16 +352,20 @@ mod tests {
         let root = p.add(OpKind::Serialize { input: att });
         p.set_root(root);
         let props = Properties::infer(&p);
-        let c = props.consts_of(att);
-        assert_eq!(c.get("iter"), Some(&Value::Int(1)));
-        assert_eq!(c.get("pos"), Some(&Value::Int(1)));
+        assert!(props.is_const(lit, "iter"));
+        assert!(props.is_const(att, "iter"));
+        assert!(props.is_const(att, "pos"));
+        assert!(!props.is_const(att, "item"));
     }
 
     #[test]
-    fn has_needed_key_detects_keyed_output() {
+    fn cols_match_the_recursive_schema() {
         let p = ddo_plan();
         let props = Properties::infer(&p);
-        // The projection's output is keyed by item which is within its icols.
-        assert!(props.has_needed_key(OpId(2)));
+        for id in p.topo_order() {
+            assert!(props
+                .cols_of(id)
+                .eq(p.output_cols(id).iter().map(String::as_str)));
+        }
     }
 }
