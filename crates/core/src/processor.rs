@@ -21,8 +21,8 @@ use std::time::{Duration, Instant};
 use xqjg_algebra::{doc_relation, evaluate as eval_plan, result_items, EvalContext, Plan};
 use xqjg_compiler::compile;
 use xqjg_engine::{
-    advise, deploy, explain_with_caches, optimize, optimize_cached, BuildCache, ExecCaches,
-    ExecStats, IndexProposal, PhysPlan, PlanCache, QueryRequest, SfwQuery,
+    advise, deploy, explain_with_caches, optimize, optimize_cached, BuildCache, CacheActuals,
+    ExecCaches, ExecStats, IndexProposal, PhysPlan, PlanCache, QueryRequest, SfwQuery,
 };
 use xqjg_store::{CancelToken, Database, ExecConfig, ExecError, IndexDef, PostingsCache};
 use xqjg_xml::{encode_document, serialize_nodes, serialized_node_count, DocTable, Pre};
@@ -139,8 +139,20 @@ pub struct Outcome {
     pub elapsed: Duration,
     /// Relational execution work counters (join-graph mode only).
     pub exec_stats: Option<ExecStats>,
-    /// EXPLAIN text per executed SQL block (join-graph mode only).
-    pub explain: Vec<String>,
+    /// What EXPLAIN renders from, per executed SQL block (join-graph mode
+    /// only): the plan, its actuals and its cache telemetry.
+    branches: Vec<(Arc<PhysPlan>, ExecStats, CacheActuals)>,
+}
+
+impl Outcome {
+    /// EXPLAIN text per executed SQL block (join-graph mode only),
+    /// rendered on request rather than on every execution.
+    pub fn explain(&self) -> Vec<String> {
+        self.branches
+            .iter()
+            .map(|(plan, stats, caches)| explain_with_caches(plan, stats, caches))
+            .collect()
+    }
 }
 
 /// The cross-query caches of a query service: hash-join build sides,
@@ -483,31 +495,26 @@ impl Processor {
                 let start = Instant::now();
                 let mut items = Vec::new();
                 let mut stats = ExecStats::default();
-                let mut branch_actuals = Vec::with_capacity(plans.len());
+                let mut branches = Vec::with_capacity(plans.len());
                 let exec_caches = ExecCaches {
                     builds: Some(self.caches.builds()),
                     postings: Some(self.caches.postings()),
                 };
-                for (b, (plan, plan_hit)) in prepared.branches.iter().zip(&plans) {
-                    let out = QueryRequest::new(plan, db)
+                for (b, (plan, plan_hit)) in prepared.branches.iter().zip(plans) {
+                    let out = QueryRequest::new(&plan, db)
                         .config(cfg)
                         .caches(exec_caches)
                         .cancel(cancel)
                         .run()
                         .map_err(QueryError::Exec)?;
                     let mut actuals = out.cache_actuals;
-                    actuals.plan_cache = *plan_hit;
+                    actuals.plan_cache = plan_hit;
                     stats.merge(&out.stats);
                     items.extend(result_items_from_sql(&out.rows, &b.isolated));
-                    branch_actuals.push((out.stats, actuals));
+                    branches.push((plan, out.stats, actuals));
                 }
                 let elapsed = start.elapsed();
-                let explains = plans
-                    .iter()
-                    .zip(&branch_actuals)
-                    .map(|((plan, _), (s, actuals))| explain_with_caches(plan, s, actuals))
-                    .collect();
-                Ok(self.outcome(items, elapsed, Some(stats), explains))
+                Ok(self.outcome(items, elapsed, Some(stats), branches))
             }
         }
     }
@@ -517,7 +524,7 @@ impl Processor {
         items: Vec<Pre>,
         elapsed: Duration,
         exec_stats: Option<ExecStats>,
-        explain: Vec<String>,
+        branches: Vec<(Arc<PhysPlan>, ExecStats, CacheActuals)>,
     ) -> Outcome {
         let serialized_nodes = serialized_node_count(&self.doc, &items);
         Outcome {
@@ -525,7 +532,7 @@ impl Processor {
             serialized_nodes,
             elapsed,
             exec_stats,
-            explain,
+            branches,
         }
     }
 
@@ -695,11 +702,11 @@ mod tests {
             !stats.operators.is_empty(),
             "per-operator counters recorded"
         );
-        assert_eq!(out.explain.len(), 1);
+        assert_eq!(out.explain().len(), 1);
         assert!(
-            out.explain[0].contains("operator stats"),
+            out.explain()[0].contains("operator stats"),
             "explain carries actuals: {}",
-            out.explain[0]
+            out.explain()[0]
         );
     }
 
@@ -732,16 +739,16 @@ mod tests {
         let q = r#"doc("auction.xml")/descendant::open_auction[bidder]"#;
         let cold = p.execute(q, Mode::JoinGraph).unwrap();
         assert!(
-            cold.explain[0].contains("plan_cache=miss"),
+            cold.explain()[0].contains("plan_cache=miss"),
             "first run misses: {}",
-            cold.explain[0]
+            cold.explain()[0]
         );
         let warm = p.execute(q, Mode::JoinGraph).unwrap();
         assert_eq!(warm.items, cold.items);
         assert!(
-            warm.explain[0].contains("plan_cache=hit"),
+            warm.explain()[0].contains("plan_cache=hit"),
             "repeat run hits: {}",
-            warm.explain[0]
+            warm.explain()[0]
         );
         assert!(p.caches().plans().hits() > 0);
         // DDL moves the catalog version: the cached plan is stale.
@@ -749,9 +756,9 @@ mod tests {
         let after_ddl = p.execute(q, Mode::JoinGraph).unwrap();
         assert_eq!(after_ddl.items, cold.items);
         assert!(
-            after_ddl.explain[0].contains("plan_cache=miss"),
+            after_ddl.explain()[0].contains("plan_cache=miss"),
             "catalog bump invalidates: {}",
-            after_ddl.explain[0]
+            after_ddl.explain()[0]
         );
     }
 
@@ -790,9 +797,9 @@ mod tests {
         p.set_exec_config(Some(cfg));
         let off = p.execute(q, Mode::JoinGraph).unwrap();
         assert!(
-            !off.explain[0].contains("-- caches:"),
+            !off.explain()[0].contains("-- caches:"),
             "caches off leaves the explain untouched: {}",
-            off.explain[0]
+            off.explain()[0]
         );
         assert_eq!(p.caches().plans().lookups(), 0);
         assert_eq!(p.caches().postings().lookups(), 0);
@@ -800,7 +807,11 @@ mod tests {
         p.set_exec_config(Some(caches_on()));
         let on = p.execute(q, Mode::JoinGraph).unwrap();
         assert_eq!(on.items, off.items);
-        assert!(on.explain[0].contains("plan_cache="), "{}", on.explain[0]);
+        assert!(
+            on.explain()[0].contains("plan_cache="),
+            "{}",
+            on.explain()[0]
+        );
     }
 
     #[test]

@@ -46,7 +46,7 @@ use xqjg_store::{
     merge_worker_stats, new_stats_sink, partition_morsels, row_footprint,
     try_execute_morsels_streaming, BatchSizer, BitMask, CancelToken, ColOperator, ColumnBatch,
     Database, ExecConfig, ExecError, ExternalSorter, GraceBuilder, HashKey, Interrupt, KernelCmp,
-    MaskTerm, MemBudget, Morsel, OpStats, PostingsCache, PostingsKey, Row, Schema,
+    MaskTerm, MemBudget, Morsel, OpStats, PostingsCache, PostingsKey, PrefixRun, Row, Schema,
     SpilledPartitions, StatsSink, Table, TypedColumn, Value, BUILD_ENTRY_FOOTPRINT,
 };
 
@@ -177,16 +177,6 @@ fn flatten_stages<'a>(node: &'a JoinNode, db: &'a Database) -> Vec<Stage<'a>> {
 pub(crate) enum Postings {
     Owned(Vec<usize>),
     Shared(Arc<Vec<usize>>),
-}
-
-impl Postings {
-    /// Take an owned vector; copies only when the list is shared.
-    fn into_vec(self) -> Vec<usize> {
-        match self {
-            Postings::Owned(v) => v,
-            Postings::Shared(v) => (*v).clone(),
-        }
-    }
 }
 
 impl std::ops::Deref for Postings {
@@ -1142,6 +1132,18 @@ struct CStage<'a> {
     typed_keys: Option<Vec<KeyImage<'a>>>,
     /// Base tables of the bound outer aliases (slot order).
     outer_tables: Vec<&'a Table>,
+    /// Set when this NLJOIN stage's probes may search a [`PrefixRun`].
+    run: Option<RunSpec<'a>>,
+}
+
+/// An NLJOIN `IndexScan` stage whose equality prefix is all literals and
+/// which has at least one range bound: every probe reads the same run of
+/// index entries, so it can binary-search that run's integer image
+/// instead of walking the B-tree.
+struct RunSpec<'a> {
+    db: &'a Database,
+    index: &'a str,
+    prefix: Vec<Value>,
 }
 
 fn compile_stage<'a>(index: usize, stage: &Stage<'a>, db: &'a Database, typed: bool) -> CStage<'a> {
@@ -1272,9 +1274,25 @@ fn compile_stage<'a>(index: usize, stage: &Stage<'a>, db: &'a Database, typed: b
         None
     };
     let residual: Vec<CPred> = stage.residual.iter().map(cp).collect();
+    let nested_loop = index > 0 && hash_keys.is_empty();
+    let run = match (stage.access, &cbounds) {
+        (Access::IndexScan { index, .. }, Some(cb))
+            if nested_loop && (cb.lower.is_some() || cb.upper.is_some()) =>
+        {
+            cb.eq
+                .iter()
+                .map(|e| match e {
+                    CExpr::Lit(v) => Some(v.clone()),
+                    _ => None,
+                })
+                .collect::<Option<Vec<Value>>>()
+                .map(|prefix| RunSpec { db, index, prefix })
+        }
+        _ => None,
+    };
     // NLJOIN stages (non-leaf, no hash keys) additionally split their
     // predicate lists into static / per-probe / scalar kernel lowerings.
-    let (nl_access, nl_residual) = if typed && index > 0 && hash_keys.is_empty() {
+    let (nl_access, nl_residual) = if typed && nested_loop {
         (
             split_nl_preds(&access_preds, stage.base),
             split_nl_preds(&residual, stage.base),
@@ -1296,6 +1314,7 @@ fn compile_stage<'a>(index: usize, stage: &Stage<'a>, db: &'a Database, typed: b
         hash_keys,
         typed_keys,
         outer_tables: stage.outer_tables.clone(),
+        run,
     }
 }
 
@@ -1332,15 +1351,102 @@ fn resolve_cbounds(bounds: &CBounds, env: &ColEnv<'_>) -> ResolvedBounds {
 }
 
 /// Perform (or recall) the B-tree range scan described by compiled probe
-/// bounds for one outer row ([`resolve_cbounds`] + [`cached_tree_range`]).
+/// bounds for one outer row ([`resolve_cbounds`] + [`cached_tree_range`]),
+/// replacing the contents of `out`.
 fn cindex_range(
     tree: &xqjg_store::BPlusTree,
     bounds: &CBounds,
     env: &ColEnv<'_>,
     index: &str,
     ctx: PostingsCtx<'_>,
-) -> Postings {
-    cached_tree_range(tree, resolve_cbounds(bounds, env), index, ctx)
+    out: &mut Vec<usize>,
+) {
+    let rb = resolve_cbounds(bounds, env);
+    out.clear();
+    match ctx {
+        Some(_) => out.extend_from_slice(&cached_tree_range(tree, rb, index, ctx)),
+        None => tree.range_rids_into(rb.lower_bound(), rb.upper_bound(), out),
+    }
+}
+
+/// A probe bound lowered to `i64` arithmetic: outer columns read their
+/// typed image, anything else evaluates through [`ceval`].
+enum IntExpr<'a> {
+    Lit(i64),
+    Col { slot: usize, vals: &'a [i64] },
+    Add(Box<IntExpr<'a>>, Box<IntExpr<'a>>),
+    Value(&'a CExpr),
+}
+
+impl<'a> IntExpr<'a> {
+    fn lower(e: &'a CExpr, outer_tables: &[&'a Table]) -> IntExpr<'a> {
+        match e {
+            CExpr::Lit(Value::Int(k)) => IntExpr::Lit(*k),
+            CExpr::Outer { slot, col } => match outer_tables[*slot].typed().int_col(*col) {
+                Some(vals) => IntExpr::Col { slot: *slot, vals },
+                None => IntExpr::Value(e),
+            },
+            CExpr::Add(a, b) => IntExpr::Add(
+                Box::new(IntExpr::lower(a, outer_tables)),
+                Box::new(IntExpr::lower(b, outer_tables)),
+            ),
+            _ => IntExpr::Value(e),
+        }
+    }
+
+    /// The bound for one outer row; `None` when it is not an integer
+    /// (NULL, a decimal, an overflowing sum).
+    fn eval(&self, env: &ColEnv<'_>) -> Option<i64> {
+        match self {
+            IntExpr::Lit(k) => Some(*k),
+            IntExpr::Col { slot, vals } => Some(vals[env.cols[*slot][env.idx]]),
+            IntExpr::Add(a, b) => a.eval(env)?.checked_add(b.eval(env)?),
+            IntExpr::Value(e) => match ceval(e, env, None).as_ref() {
+                Value::Int(k) => Some(*k),
+                _ => None,
+            },
+        }
+    }
+}
+
+/// One operator instance's [`PrefixRun`] probe: the run of the stage's
+/// [`RunSpec`] and the stage's range bounds lowered to [`IntExpr`]s.
+struct RunProbe<'a> {
+    run: Arc<PrefixRun>,
+    lower: Option<(IntExpr<'a>, bool)>,
+    upper: Option<(IntExpr<'a>, bool)>,
+}
+
+impl<'a> RunProbe<'a> {
+    /// `None` when the stage is not eligible or its run does not exist
+    /// (a non-integer range column under the prefix).
+    fn resolve(stage: &'a CStage<'a>) -> Option<RunProbe<'a>> {
+        let spec = stage.run.as_ref()?;
+        let bounds = stage.cbounds.as_ref()?;
+        let run = spec.db.prefix_run(spec.index, &spec.prefix)?;
+        let int_bound = |b: &'a Option<(CExpr, bool)>| {
+            b.as_ref()
+                .map(|(e, inc)| (IntExpr::lower(e, &stage.outer_tables), *inc))
+        };
+        Some(RunProbe {
+            run,
+            lower: int_bound(&bounds.lower),
+            upper: int_bound(&bounds.upper),
+        })
+    }
+
+    /// The probe's rids — exactly the B-tree range scan's, in its order —
+    /// or `None` when a bound is not an integer for this outer row.
+    fn rids(&self, env: &ColEnv<'_>) -> Option<&[usize]> {
+        let bound = |b: &Option<(IntExpr<'_>, bool)>| {
+            Some(match b {
+                None => Bound::Unbounded,
+                Some((e, true)) => Bound::Included(e.eval(env)?),
+                Some((e, false)) => Bound::Excluded(e.eval(env)?),
+            })
+        };
+        Some(self.run.range(bound(&self.lower)?, bound(&self.upper)?))
+    }
 }
 
 /// Everything a worker needs to run one morsel's pipeline — borrowed,
@@ -2164,7 +2270,9 @@ fn retain_rids(rids: &mut Vec<usize>, keep: &BitMask) {
 /// column images instead of per-row interpretation: constant-rhs
 /// predicates pre-materialize one survivor rid list per `TBSCAN` inner
 /// (shared by every probe of this operator instance), and outer-dependent
-/// `i64` comparisons fuse into one multi-term mask pass per probe.
+/// `i64` comparisons fuse into one multi-term mask pass per probe.  An
+/// `IXSCAN` inner under a literal equality prefix fetches by two binary
+/// searches over the prefix's [`PrefixRun`] (see [`ColNLJoin::fetch_index`]).
 struct ColNLJoin<'a> {
     input: Box<dyn ColOperator + 'a>,
     stage: &'a CStage<'a>,
@@ -2177,6 +2285,8 @@ struct ColNLJoin<'a> {
     static_list: Option<Vec<usize>>,
     /// Scratch: the probe's candidate rids (reused across probes).
     rid_buf: Vec<usize>,
+    /// Scratch: the mask terms of one fused pass.
+    terms: Vec<MaskTerm<'a>>,
     /// Scratch: packed keep bits of one fused pass.
     keep: BitMask,
     stats: OpStats,
@@ -2184,6 +2294,8 @@ struct ColNLJoin<'a> {
     agg: SharedAgg,
     /// Postings memoization context for `IXSCAN` inner probes.
     postings: PostingsCtx<'a>,
+    /// The stage's prefix-run probe, resolved at the second probe.
+    run: Option<RunProbe<'a>>,
 }
 
 impl<'a> ColNLJoin<'a> {
@@ -2204,12 +2316,48 @@ impl<'a> ColNLJoin<'a> {
             fetched_index: 0,
             static_list: None,
             rid_buf: Vec::new(),
+            terms: Vec::new(),
             keep: BitMask::default(),
             stats: OpStats::named(stage.label.clone()),
             sink,
             agg,
             postings,
+            run: None,
         }
+    }
+
+    /// Fill `rid_buf` with one `IXSCAN` probe's index entries (index
+    /// order) and count them as fetched.  From its second probe on, an
+    /// operator over a [`RunSpec`] stage searches the prefix's run; the
+    /// first probe, a probe whose bounds are not integers, and every
+    /// other stage walk the B-tree through the postings context.  Waiting
+    /// for the second probe keeps single-probe stages from building runs
+    /// they would read once.
+    fn fetch_index(&mut self, env: &ColEnv<'_>) {
+        let stage = self.stage;
+        if self.stats.probes == 2 {
+            self.run = RunProbe::resolve(stage);
+        }
+        match self.run.as_ref().and_then(|r| r.rids(env)) {
+            Some(rids) => {
+                self.rid_buf.clear();
+                self.rid_buf.extend_from_slice(rids);
+            }
+            None => {
+                let Access::IndexScan { index, .. } = stage.access else {
+                    unreachable!("index fetch on a table-scan stage");
+                };
+                cindex_range(
+                    stage.tree.expect("index resolved"),
+                    stage.cbounds.as_ref().expect("bounds compiled"),
+                    env,
+                    index,
+                    self.postings,
+                    &mut self.rid_buf,
+                );
+            }
+        }
+        self.fetched_index += self.rid_buf.len();
     }
 
     fn probe(&mut self, batch: &ColumnBatch, phys: usize, out: &mut ColumnBatch) {
@@ -2239,16 +2387,9 @@ impl<'a> ColNLJoin<'a> {
                 }
                 self.fetched_scan += fetched;
             }
-            Access::IndexScan { index, .. } => {
-                let rids = cindex_range(
-                    stage.tree.expect("index resolved"),
-                    stage.cbounds.as_ref().expect("bounds compiled"),
-                    &env,
-                    index,
-                    self.postings,
-                );
-                self.fetched_index += rids.len();
-                for &rid in rids.iter() {
+            Access::IndexScan { .. } => {
+                self.fetch_index(&env);
+                for &rid in &self.rid_buf {
                     let cur = Some((base, rid));
                     if !stage.access_preds.iter().all(|p| cpred_holds(p, &env, cur)) {
                         continue;
@@ -2272,7 +2413,9 @@ impl<'a> ColNLJoin<'a> {
         env: &ColEnv<'_>,
     ) -> bool {
         let base = self.stage.base;
-        let mut terms: Vec<MaskTerm<'a>> = extra_static.to_vec();
+        let terms = &mut self.terms;
+        terms.clear();
+        terms.extend_from_slice(extra_static);
         let mut fallback: Vec<usize> = Vec::new();
         for t in &split.dynamic {
             match ceval(&t.rhs, env, None).as_ref() {
@@ -2290,7 +2433,7 @@ impl<'a> ColNLJoin<'a> {
             }
         }
         if !terms.is_empty() {
-            mask_terms(&terms, true, &self.rid_buf, &mut self.keep);
+            mask_terms(terms, true, &self.rid_buf, &mut self.keep);
             self.stats.kernel_rows += self.rid_buf.len() * terms.len();
             retain_rids(&mut self.rid_buf, &self.keep);
         }
@@ -2341,18 +2484,11 @@ impl<'a> ColNLJoin<'a> {
                     self.stats.kernel_rows += self.rid_buf.len();
                 }
             }
-            Access::IndexScan { index, .. } => {
+            Access::IndexScan { .. } => {
                 // The buffer is a scratch the split passes mutate below, so
-                // a cached (shared) list is copied out, never aliased.
-                self.rid_buf = cindex_range(
-                    stage.tree.expect("index resolved"),
-                    stage.cbounds.as_ref().expect("bounds compiled"),
-                    env,
-                    index,
-                    self.postings,
-                )
-                .into_vec();
-                self.fetched_index += self.rid_buf.len();
+                // a shared list (cached postings, a prefix run) is copied
+                // in, never aliased.
+                self.fetch_index(env);
                 index_static = &stage.nl_access.static_terms;
             }
         }
@@ -3381,6 +3517,161 @@ mod tests {
         }
         assert!(pc.hits() > 0, "repeated probes hit the postings cache");
         assert!(pc.lookups() > pc.hits(), "cold lookups missed first");
+    }
+
+    /// 3 000 outer rows `o` (even `pre`), each probing the inner `i` rows
+    /// (odd `pre`) of `nkp (name = 'i', kind = 'ELEM', pre > o.pre + 1,
+    /// pre <= upper)`: both bounds can land on an inner key.
+    /// `size` is NULL on every 97th and a decimal on every 89th row, so
+    /// `o.pre + o.size` is not an integer for those probes.
+    fn prefix_run_db() -> Database {
+        let mut t = Table::new(Schema::new(["pre", "size", "level", "kind", "name"]));
+        for pre in 0..6000i64 {
+            let size = match pre {
+                p if p % 97 == 0 => Value::Null,
+                p if p % 89 == 0 => Value::Dec(3.5),
+                p => Value::Int(p * 7 % 40),
+            };
+            t.push(vec![
+                Value::Int(pre),
+                size,
+                Value::Int(pre % 4),
+                Value::str(if pre % 5 == 0 { "TEXT" } else { "ELEM" }),
+                Value::str(if pre % 2 == 0 { "o" } else { "i" }),
+            ]);
+        }
+        let mut db = Database::new();
+        db.create_table("doc", t);
+        db.create_index(IndexDef {
+            name: "nkp".into(),
+            table: "doc".into(),
+            key_columns: vec!["name".into(), "kind".into(), "pre".into()],
+            include_columns: vec![],
+            clustered: false,
+        });
+        db
+    }
+
+    /// `o` scanned under `leaf`, joined to `i` by the NLJOIN–IXSCAN above;
+    /// no ORDER BY, so the result order is the probe order.
+    fn prefix_run_plan(
+        leaf: SqlPredicate,
+        upper: SqlExpr,
+        residual: Vec<SqlPredicate>,
+    ) -> PhysPlan {
+        use crate::physical::JoinMethod;
+        use crate::sql::SelectItem;
+        let outer = JoinNode::Leaf {
+            alias: "o".into(),
+            table: "doc".into(),
+            access: Access::TableScan { preds: vec![leaf] },
+            est_rows: 1.0,
+        };
+        let root = JoinNode::Join {
+            outer: Box::new(outer),
+            alias: "i".into(),
+            table: "doc".into(),
+            access: Access::IndexScan {
+                index: "nkp".into(),
+                bounds: Bounds {
+                    eq: vec![
+                        ("name".into(), SqlExpr::lit("i")),
+                        ("kind".into(), SqlExpr::lit("ELEM")),
+                    ],
+                    range_col: Some("pre".into()),
+                    lower: Some((SqlExpr::col("o", "pre") + SqlExpr::lit(1i64), false)),
+                    upper: Some((upper, true)),
+                },
+                residual: vec![],
+            },
+            method: JoinMethod::NestedLoop,
+            hash_keys: vec![],
+            residual,
+            est_rows: 1.0,
+        };
+        let item = |a: &str| SelectItem::Expr {
+            expr: SqlExpr::col(a, "pre"),
+            alias: a.to_string(),
+        };
+        PhysPlan {
+            root,
+            select: vec![item("o"), item("i")],
+            distinct: false,
+            order_by: vec![],
+            est_cost: 0.0,
+            est_rows: 0.0,
+        }
+    }
+
+    #[test]
+    fn prefix_run_probes_match_the_btree_probes_exactly() {
+        let name_is_o = SqlPredicate::new(SqlExpr::col("o", "name"), SqlCmp::Eq, SqlExpr::lit("o"));
+        let level = SqlPredicate::new(
+            SqlExpr::col("i", "level"),
+            SqlCmp::Gt,
+            SqlExpr::col("o", "level"),
+        );
+        // Upper bounds: integer column + literal (every probe on the run),
+        // and a mixed column (NULL and decimal probes fall back).
+        let uppers = [
+            SqlExpr::col("o", "pre") + SqlExpr::lit(9i64),
+            SqlExpr::col("o", "pre") + SqlExpr::col("o", "size"),
+        ];
+        for upper in uppers {
+            // Without a residual the probe runs interpreted; with one, on
+            // the kernel path.
+            for residual in [vec![], vec![level.clone()]] {
+                let db = prefix_run_db();
+                let plan = prefix_run_plan(name_is_o.clone(), upper.clone(), residual);
+                let (t_ref, agg_ref) = execute_materialized_with_stats(&plan, &db);
+                assert!(agg_ref.probes >= 3000, "{}", agg_ref.probes);
+                // One-row morsels: every operator instance probes once, so
+                // no run is built — the B-tree path's per-operator actuals.
+                let ops_ref = |cap: usize| {
+                    let cfg = ExecConfig::sequential()
+                        .with_morsel_size(1)
+                        .with_batch_capacity(cap);
+                    run(&plan, &db, &cfg).1
+                };
+                let refs = [ops_ref(1), ops_ref(1024)];
+                assert_eq!(db.prefix_runs_built(), 0, "single probes never build a run");
+                for threads in [1, 4] {
+                    for (cap, s_ref) in [1, 1024].into_iter().zip(&refs) {
+                        let cfg = ExecConfig::sequential()
+                            .with_threads(threads)
+                            .with_batch_capacity(cap);
+                        let (t, s) = run(&plan, &db, &cfg);
+                        let what = format!("{upper} DOP {threads} cap {cap}");
+                        assert_eq!(t, t_ref, "{what}: rows and their order");
+                        assert_aggregates_match(&s, &agg_ref, &what);
+                        assert_eq!(&s, s_ref, "{what}: per-operator actuals");
+                    }
+                }
+                assert_eq!(
+                    db.prefix_runs_built(),
+                    1,
+                    "the run served the repeat probes"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_single_probe_stage_never_builds_a_run() {
+        let db = prefix_run_db();
+        let pre_is_2 = SqlPredicate::new(SqlExpr::col("o", "pre"), SqlCmp::Eq, SqlExpr::lit(2i64));
+        let plan = prefix_run_plan(
+            pre_is_2,
+            SqlExpr::col("o", "pre") + SqlExpr::lit(9i64),
+            vec![],
+        );
+        let (t, s) = run(&plan, &db, &ExecConfig::sequential());
+        assert_eq!(
+            (s.probes, t.len()),
+            (1, 3),
+            "pre 7, 9 and 11 (3 is excluded, 5 is TEXT)"
+        );
+        assert_eq!(db.prefix_runs_built(), 0);
     }
 
     #[test]

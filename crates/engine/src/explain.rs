@@ -72,7 +72,12 @@
 //! * `cache_hits=N` — hash-join build sides served from the build cache
 //!   (the sum of the per-operator `cache_hits` actuals), and
 //! * `postings=H/L` — memoized `IXSCAN` posting-list hits over lookups
-//!   *during this execution*.  Unlike every counter above these are
+//!   *during this execution*.  Only probes that walk the B-tree count:
+//!   the leaf scan, hash-join builds, each NLJOIN operator instance's
+//!   first probe, and probes whose equality prefix depends on the outer
+//!   row or whose bounds are not integers.  Repeat probes under a literal
+//!   prefix search the index's prefix run instead and look nothing up
+//!   (see `ColNLJoin::fetch_index`).  Unlike every counter above these are
 //!   **cache-wide deltas, not per-operator actuals**: at DOP > 1 the
 //!   workers race for cold keys, so which probe hits is
 //!   scheduling-dependent even though results and every `OpStats` line

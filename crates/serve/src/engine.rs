@@ -152,7 +152,7 @@ impl Engine {
         match self.run(session, query) {
             Ok((out, _)) => {
                 self.queries_ok.fetch_add(1, Ordering::Relaxed);
-                Response::Explain(out.explain)
+                Response::Explain(out.explain())
             }
             Err(e) => {
                 self.queries_err.fetch_add(1, Ordering::Relaxed);

@@ -259,10 +259,7 @@ impl BPlusTree {
 
     /// Row ids whose key starts with the given prefix (equality lookup).
     pub fn lookup_prefix(&self, prefix: &[Value]) -> Vec<usize> {
-        self.range(Bound::Included(prefix), Bound::Included(prefix))
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect()
+        self.range_rids(Bound::Included(prefix), Bound::Included(prefix))
     }
 
     /// Range scan.  Bounds are key *prefixes*: a bound of length `m` is
@@ -271,54 +268,9 @@ impl BPlusTree {
     /// entries of that name/kind partition regardless of the remaining key
     /// columns.
     pub fn range(&self, lower: Bound<&[Value]>, upper: Bound<&[Value]>) -> Vec<(Key, usize)> {
-        let mut out = Vec::new();
-        if self.len == 0 {
-            return out;
-        }
-        // Find the first leaf that may contain qualifying keys.
-        let mut node_id = self.root;
-        while let Node::Internal {
-            separators,
-            children,
-        } = &self.nodes[node_id]
-        {
-            let idx = match lower {
-                Bound::Unbounded => 0,
-                Bound::Included(p) | Bound::Excluded(p) => {
-                    separators.partition_point(|s| cmp_prefix(s, p) == Ordering::Less)
-                }
-            };
-            node_id = children[idx.min(children.len() - 1)];
-        }
-        // Walk the leaf chain collecting qualifying entries.
-        let mut current = Some(node_id);
-        while let Some(id) = current {
-            if let Node::Leaf { keys, rows, next } = &self.nodes[id] {
-                for (k, &r) in keys.iter().zip(rows.iter()) {
-                    if !lower_ok(k, lower) {
-                        continue;
-                    }
-                    match upper {
-                        Bound::Unbounded => {}
-                        Bound::Included(p) => {
-                            if cmp_prefix(k, p) == Ordering::Greater {
-                                return out;
-                            }
-                        }
-                        Bound::Excluded(p) => {
-                            if cmp_prefix(k, p) != Ordering::Less {
-                                return out;
-                            }
-                        }
-                    }
-                    out.push((k.clone(), r));
-                }
-                current = *next;
-            } else {
-                unreachable!("leaf chain reached an internal node");
-            }
-        }
-        out
+        self.entries(lower, upper)
+            .map(|(k, r)| (k.clone(), r))
+            .collect()
     }
 
     /// All entries in key order (full scan along the leaf chain).
@@ -329,19 +281,8 @@ impl BPlusTree {
     /// Visit every entry in key order along the leaf chain, without
     /// cloning keys (the sorted input of one-pass group statistics).
     pub fn for_each_entry(&self, mut f: impl FnMut(&[Value], usize)) {
-        let mut node_id = self.root;
-        while let Node::Internal { children, .. } = &self.nodes[node_id] {
-            node_id = children[0];
-        }
-        let mut current = Some(node_id);
-        while let Some(id) = current {
-            let Node::Leaf { keys, rows, next } = &self.nodes[id] else {
-                unreachable!("leaf chain reached an internal node");
-            };
-            for (k, &r) in keys.iter().zip(rows) {
-                f(k, r);
-            }
-            current = *next;
+        for (k, r) in self.entries(Bound::Unbounded, Bound::Unbounded) {
+            f(k, r);
         }
     }
 
@@ -350,9 +291,48 @@ impl BPlusTree {
     /// actually consumes.
     pub fn range_rids(&self, lower: Bound<&[Value]>, upper: Bound<&[Value]>) -> Vec<usize> {
         let mut out = Vec::new();
-        if self.len == 0 {
-            return out;
+        self.range_rids_into(lower, upper, &mut out);
+        out
+    }
+
+    /// [`Self::range_rids`] appending to a caller-owned buffer, so a probe
+    /// loop reuses one allocation across probes.
+    pub fn range_rids_into(
+        &self,
+        lower: Bound<&[Value]>,
+        upper: Bound<&[Value]>,
+        out: &mut Vec<usize>,
+    ) {
+        out.extend(self.entries(lower, upper).map(|(_, r)| r));
+    }
+
+    /// The entries under a literal key prefix as a [`PrefixRun`] over the
+    /// next key column, or `None` when any of them holds a non-integer
+    /// there (or the key has no column after the prefix).  One walk over
+    /// the prefix's leaves; no key is cloned.
+    pub fn prefix_run(&self, prefix: &[Value]) -> Option<PrefixRun> {
+        let mut run = PrefixRun::default();
+        let bound = Bound::Included(prefix);
+        for (k, r) in self.entries(bound, bound) {
+            let Some(Value::Int(v)) = k.get(prefix.len()) else {
+                return None;
+            };
+            run.keys.push(*v);
+            run.rids.push(r);
         }
+        Some(run)
+    }
+
+    /// Entries within the bounds, in key order.  The descent picks the
+    /// first leaf that may qualify and a binary search finds the first
+    /// entry in it that passes `lower` (a leaf whose entries all fail it
+    /// hands over to its successor); past that entry `lower` holds for
+    /// every later key, so only `upper` is checked.
+    fn entries<'t, 'b>(
+        &'t self,
+        lower: Bound<&[Value]>,
+        upper: Bound<&'b [Value]>,
+    ) -> Entries<'t, 'b> {
         let mut node_id = self.root;
         while let Node::Internal {
             separators,
@@ -369,32 +349,100 @@ impl BPlusTree {
         }
         let mut current = Some(node_id);
         while let Some(id) = current {
-            if let Node::Leaf { keys, rows, next } = &self.nodes[id] {
-                for (k, &r) in keys.iter().zip(rows.iter()) {
-                    if !lower_ok(k, lower) {
-                        continue;
-                    }
-                    match upper {
-                        Bound::Unbounded => {}
-                        Bound::Included(p) => {
-                            if cmp_prefix(k, p) == Ordering::Greater {
-                                return out;
-                            }
-                        }
-                        Bound::Excluded(p) => {
-                            if cmp_prefix(k, p) != Ordering::Less {
-                                return out;
-                            }
-                        }
-                    }
-                    out.push(r);
-                }
-                current = *next;
-            } else {
-                unreachable!("leaf chain reached an internal node");
+            let (keys, rows, next) = self.leaf(id);
+            let pos = keys.partition_point(|k| !lower_ok(k, lower));
+            if pos < keys.len() {
+                return Entries {
+                    tree: self,
+                    keys: &keys[pos..],
+                    rows: &rows[pos..],
+                    next,
+                    upper,
+                };
             }
+            current = next;
         }
-        out
+        Entries {
+            tree: self,
+            keys: &[],
+            rows: &[],
+            next: None,
+            upper,
+        }
+    }
+
+    fn leaf(&self, id: usize) -> (&[Key], &[usize], Option<usize>) {
+        match &self.nodes[id] {
+            Node::Leaf { keys, rows, next } => (keys, rows, *next),
+            Node::Internal { .. } => unreachable!("leaf chain reached an internal node"),
+        }
+    }
+}
+
+/// Iterator behind every range scan: the rest of the current leaf, then
+/// the leaf chain, until a key passes `upper`.
+struct Entries<'t, 'b> {
+    tree: &'t BPlusTree,
+    keys: &'t [Key],
+    rows: &'t [usize],
+    next: Option<usize>,
+    upper: Bound<&'b [Value]>,
+}
+
+impl<'t> Iterator for Entries<'t, '_> {
+    type Item = (&'t Key, usize);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        while self.keys.is_empty() {
+            let (keys, rows, next) = self.tree.leaf(self.next?);
+            (self.keys, self.rows, self.next) = (keys, rows, next);
+        }
+        let k = &self.keys[0];
+        let beyond = match self.upper {
+            Bound::Unbounded => false,
+            Bound::Included(p) => cmp_prefix(k, p) == Ordering::Greater,
+            Bound::Excluded(p) => cmp_prefix(k, p) != Ordering::Less,
+        };
+        if beyond {
+            self.keys = &[];
+            self.next = None;
+            return None;
+        }
+        let r = self.rows[0];
+        self.keys = &self.keys[1..];
+        self.rows = &self.rows[1..];
+        Some((k, r))
+    }
+}
+
+/// The entries of one index under one literal equality prefix, in index
+/// order, reduced to what an integer range probe reads: `keys[i]` is entry
+/// `i`'s key column right after the prefix, `rids[i]` its row id.  A range
+/// over that column is two binary searches and a slice — the same rids,
+/// in the same order, as the B-tree range scan with the prefix prepended
+/// to both bounds.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct PrefixRun {
+    /// The range column of every entry, ascending.
+    pub keys: Vec<i64>,
+    /// Row ids, aligned with `keys`.
+    pub rids: Vec<usize>,
+}
+
+impl PrefixRun {
+    /// Rids whose range column lies within the bounds.
+    pub fn range(&self, lower: Bound<i64>, upper: Bound<i64>) -> &[usize] {
+        let a = match lower {
+            Bound::Unbounded => 0,
+            Bound::Included(lo) => self.keys.partition_point(|&k| k < lo),
+            Bound::Excluded(lo) => self.keys.partition_point(|&k| k <= lo),
+        };
+        let b = match upper {
+            Bound::Unbounded => self.keys.len(),
+            Bound::Included(hi) => self.keys.partition_point(|&k| k <= hi),
+            Bound::Excluded(hi) => self.keys.partition_point(|&k| k < hi),
+        };
+        &self.rids[a..b.max(a)]
     }
 }
 
@@ -494,6 +542,121 @@ mod tests {
         assert!(BPlusTree::new()
             .range_rids(Bound::Unbounded, Bound::Unbounded)
             .is_empty());
+    }
+
+    /// splitmix64: a deterministic stream per seed.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    #[test]
+    fn range_scans_match_a_sorted_vec_oracle() {
+        // Composite keys over small domains (many duplicates), plus one
+        // key repeated across several leaves, so the first qualifying
+        // entry of an `Excluded` bound can sit leaves past the descent.
+        let mut rng = Rng(7);
+        let mut entries: Vec<(Key, usize)> = (0..3000)
+            .map(|rid| {
+                let k = key(&[
+                    rng.below(4) as i64,
+                    rng.below(20) as i64,
+                    rng.below(5) as i64,
+                ]);
+                (k, rid)
+            })
+            .collect();
+        entries.extend((3000..3300).map(|rid| (key(&[1, 7, 2]), rid)));
+        let bulk = BPlusTree::bulk_load(entries.clone());
+        let mut inc = BPlusTree::new();
+        for (k, r) in &entries {
+            inc.insert(k.clone(), *r);
+        }
+        let mut oracle = entries;
+        oracle.sort_by(|a, b| cmp_key(&a.0, &b.0).then(a.1.cmp(&b.1)));
+        let bound = |rng: &mut Rng, p: &[Value]| -> Bound<Vec<Value>> {
+            let len = 1 + rng.below(3) as usize;
+            match rng.below(3) {
+                0 => Bound::Unbounded,
+                1 => Bound::Included(p[..len].to_vec()),
+                _ => Bound::Excluded(p[..len].to_vec()),
+            }
+        };
+        for _ in 0..600 {
+            // Bound keys from the stored domain (hits) or just outside it.
+            let p = key(&[
+                rng.below(5) as i64,
+                rng.below(21) as i64 - 1,
+                rng.below(6) as i64,
+            ]);
+            let q = if rng.below(2) == 0 {
+                p.clone()
+            } else {
+                key(&[
+                    rng.below(5) as i64,
+                    rng.below(21) as i64,
+                    rng.below(6) as i64,
+                ])
+            };
+            let (lo, hi) = (bound(&mut rng, &p), bound(&mut rng, &q));
+            let (l, u) = (
+                lo.as_ref().map(Vec::as_slice),
+                hi.as_ref().map(Vec::as_slice),
+            );
+            let expected: Vec<usize> = oracle
+                .iter()
+                .filter(|(k, _)| {
+                    lower_ok(k, l)
+                        && match u {
+                            Bound::Unbounded => true,
+                            Bound::Included(p) => cmp_prefix(k, p) != Ordering::Greater,
+                            Bound::Excluded(p) => cmp_prefix(k, p) == Ordering::Less,
+                        }
+                })
+                .map(|(_, r)| *r)
+                .collect();
+            assert_eq!(bulk.range_rids(l, u), expected, "{lo:?} .. {hi:?}");
+            assert_eq!(
+                inc.range_rids(l, u),
+                expected,
+                "insert-built: {lo:?} .. {hi:?}"
+            );
+            let keyed: Vec<usize> = bulk.range(l, u).into_iter().map(|(_, r)| r).collect();
+            assert_eq!(keyed, expected);
+        }
+    }
+
+    #[test]
+    fn prefix_runs_hold_the_next_key_column() {
+        let t = BPlusTree::bulk_load(
+            (0..400i64)
+                .map(|i| (key(&[i % 3, (i * 7) % 50, i]), i as usize))
+                .collect(),
+        );
+        let run = t.prefix_run(&key(&[1])).expect("integer range column");
+        let expected = t.lookup_prefix(&key(&[1]));
+        assert_eq!(run.rids, expected);
+        assert!(run.keys.windows(2).all(|w| w[0] <= w[1]));
+        let lo = key(&[1, 10]);
+        let hi = key(&[1, 20]);
+        assert_eq!(
+            run.range(Bound::Excluded(10), Bound::Included(20)),
+            t.range_rids(Bound::Excluded(&lo), Bound::Included(&hi))
+        );
+        assert!(t.prefix_run(&key(&[9])).unwrap().rids.is_empty());
+        assert!(t.prefix_run(&key(&[1, 17, 31])).is_none(), "no next column");
+        let mixed = BPlusTree::bulk_load(vec![
+            (vec![Value::Int(1), Value::Int(4)], 0),
+            (vec![Value::Int(1), Value::Dec(4.5)], 1),
+        ]);
+        assert!(mixed.prefix_run(&key(&[1])).is_none());
     }
 
     #[test]

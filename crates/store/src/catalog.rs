@@ -6,7 +6,7 @@
 //! real catalog so the optimizer's index selection and statistics lookups
 //! read naturally.
 
-use crate::btree::{BPlusTree, Key};
+use crate::btree::{BPlusTree, Key, PrefixRun};
 use crate::stats::{GroupMax, TableStats};
 use crate::table::Table;
 use crate::value::Value;
@@ -56,6 +56,10 @@ impl BuiltIndex {
 /// One memoized [`GroupMax`]: `(index, prefix length, column, statistic)`.
 type GroupMaxEntry = (String, usize, String, Arc<GroupMax>);
 
+/// One memoized [`PrefixRun`]: `(index, literal prefix, run)`, the run
+/// `None` when a range-column value under the prefix is not an integer.
+type PrefixRunEntry = (String, Vec<Value>, Option<Arc<PrefixRun>>);
+
 /// An in-memory database: tables, indexes, statistics.
 #[derive(Debug, Default)]
 pub struct Database {
@@ -69,6 +73,11 @@ pub struct Database {
     /// statistic of a catalog version.  A handful of entries at most:
     /// linear search, no key allocation on the optimizer's lookup path.
     group_max: Mutex<Vec<GroupMaxEntry>>,
+    /// Integer range runs, `(index, literal prefix)` → [`PrefixRun`]: the
+    /// compact image an index nested-loop join probes when its equality
+    /// prefix is constant.  Built on first request from the index's
+    /// leaves and kept until the next DDL, like `group_max`.
+    prefix_runs: Mutex<Vec<PrefixRunEntry>>,
     /// Catalog version stamp, advanced on every DDL mutation.  Consumers
     /// caching derived physical structures (e.g. memoized hash-join build
     /// sides) compare stamps to detect staleness.  Stamps are drawn from a
@@ -95,6 +104,10 @@ impl Database {
     fn bump_version(&mut self) {
         self.version = CATALOG_VERSION.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         self.group_max
+            .get_mut()
+            .unwrap_or_else(|e| e.into_inner())
+            .clear();
+        self.prefix_runs
             .get_mut()
             .unwrap_or_else(|e| e.into_inner())
             .clear();
@@ -148,6 +161,34 @@ impl Database {
             gm.clone(),
         ));
         Some(gm)
+    }
+
+    /// The entries of `index` under the literal key `prefix` as an integer
+    /// run over the next key column (see [`PrefixRun`]); `None` when the
+    /// index does not exist or that column holds a non-integer under the
+    /// prefix.  Built once per catalog version, on first request — a
+    /// `None` answer is memoized too.
+    pub fn prefix_run(&self, index: &str, prefix: &[Value]) -> Option<Arc<PrefixRun>> {
+        // Same locking discipline as `group_max`.
+        let mut memo = self.prefix_runs.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some((.., run)) = memo
+            .iter()
+            .find(|(i, p, _)| i == index && p.as_slice() == prefix)
+        {
+            return run.clone();
+        }
+        let run = self.index(index)?.tree.prefix_run(prefix).map(Arc::new);
+        memo.push((index.to_string(), prefix.to_vec(), run.clone()));
+        run
+    }
+
+    /// Number of prefix runs (including memoized `None`s) built at this
+    /// catalog version — how tests observe that a query built none.
+    pub fn prefix_runs_built(&self) -> usize {
+        self.prefix_runs
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .len()
     }
 
     /// Registered table names.
@@ -293,6 +334,123 @@ mod tests {
         let fresh = db.group_max("np", 1, "pre").unwrap();
         assert_eq!(fresh.max_for(&[&Value::str("item")]), Some(500));
         assert_eq!(fresh.max_for(&[&Value::str("price")]), None);
+    }
+
+    #[test]
+    fn prefix_runs_answer_range_probes_like_the_btree() {
+        // (name, kind, pre, data): `data` is an integer everywhere but in
+        // one (c, ELEM) row, which holds a decimal.
+        let mut t = Table::new(Schema::new(["name", "kind", "pre", "data"]));
+        let mut seed = 11u64;
+        let mut below = |n: u64| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) % n
+        };
+        for pre in 0..600i64 {
+            let (mut name, mut kind) = (
+                ["a", "b", "c"][below(3) as usize],
+                ["ELEM", "TEXT"][below(2) as usize],
+            );
+            let mut data = Value::Int(below(40) as i64);
+            if pre == 300 {
+                (name, kind, data) = ("c", "ELEM", Value::Dec(0.5));
+            }
+            t.push(vec![
+                Value::str(name),
+                Value::str(kind),
+                Value::Int(pre),
+                data,
+            ]);
+        }
+        let mut db = Database::new();
+        db.create_table("doc", t);
+        for (name, cols) in [
+            ("nkp", ["name", "kind", "pre"]),
+            ("nkd", ["name", "kind", "data"]),
+        ] {
+            db.create_index(IndexDef {
+                name: name.to_string(),
+                table: "doc".to_string(),
+                key_columns: cols.iter().map(|c| c.to_string()).collect(),
+                include_columns: vec![],
+                clustered: false,
+            });
+        }
+        let bound = |b: u64, k: i64| match b {
+            0 => Bound::Unbounded,
+            1 => Bound::Included(k),
+            _ => Bound::Excluded(k),
+        };
+        for _ in 0..500 {
+            let index = ["nkp", "nkd"][below(2) as usize];
+            let name = ["a", "b", "c", "absent"][below(4) as usize];
+            let kind = ["ELEM", "TEXT"][below(2) as usize];
+            let prefix = vec![Value::str(name), Value::str(kind)];
+            let (lo, hi) = (below(620) as i64 - 10, below(620) as i64 - 10);
+            let (lower, upper) = (bound(below(3), lo), bound(below(3), hi));
+            // The B-tree probe: the prefix prepended to each present bound.
+            let key = |b: Bound<i64>| {
+                b.map(|k| {
+                    let mut key = prefix.clone();
+                    key.push(Value::Int(k));
+                    key
+                })
+            };
+            let (lkey, ukey) = (key(lower), key(upper));
+            let via_tree = |l: Bound<&[Value]>, u: Bound<&[Value]>| {
+                db.index(index).unwrap().tree.range_rids(l, u)
+            };
+            let expected = via_tree(
+                match &lkey {
+                    Bound::Unbounded => Bound::Included(prefix.as_slice()),
+                    b => b.as_ref().map(Vec::as_slice),
+                },
+                match &ukey {
+                    Bound::Unbounded => Bound::Included(prefix.as_slice()),
+                    b => b.as_ref().map(Vec::as_slice),
+                },
+            );
+            match db.prefix_run(index, &prefix) {
+                Some(run) => assert_eq!(run.range(lower, upper), expected.as_slice()),
+                None => assert_eq!((index, name, kind), ("nkd", "c", "ELEM")),
+            }
+        }
+        // An absent prefix is an empty run; bounds past the data are an
+        // empty slice of a non-empty one.
+        let absent = [Value::str("absent"), Value::str("ELEM")];
+        assert!(db.prefix_run("nkp", &absent).unwrap().keys.is_empty());
+        let a = [Value::str("a"), Value::str("ELEM")];
+        let run = db.prefix_run("nkp", &a).unwrap();
+        assert!(!run.keys.is_empty());
+        assert!(run
+            .range(Bound::Excluded(1000), Bound::Unbounded)
+            .is_empty());
+        assert!(run
+            .range(Bound::Included(50), Bound::Excluded(50))
+            .is_empty());
+        assert!(db.prefix_run("nope", &a).is_none());
+        // Memoized: the same `Arc` comes back, and so does the `None` of a
+        // mixed column, without another walk.
+        assert!(Arc::ptr_eq(&run, &db.prefix_run("nkp", &a).unwrap()));
+        let mixed = [Value::str("c"), Value::str("ELEM")];
+        let built = db.prefix_runs_built();
+        assert!(db.prefix_run("nkd", &mixed).is_none());
+        assert_eq!(db.prefix_runs_built(), built, "None is memoized");
+        // DDL clears the memo.
+        assert!(db.prefix_runs_built() > 0);
+        db.create_index(IndexDef {
+            name: "p".to_string(),
+            table: "doc".to_string(),
+            key_columns: vec!["pre".to_string()],
+            include_columns: vec![],
+            clustered: true,
+        });
+        assert_eq!(db.prefix_runs_built(), 0);
+        let fresh = db.prefix_run("nkp", &a).unwrap();
+        assert!(!Arc::ptr_eq(&run, &fresh));
+        assert_eq!(*run, *fresh);
     }
 
     #[test]

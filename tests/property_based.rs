@@ -135,7 +135,7 @@ fn assert_join_graph_matches_interpreter(p: &mut Processor, query: &str) -> xqjg
 /// with a derived lower bound (`pre >= x - max(size)`)?
 fn has_derived_window(out: &xqjg::Outcome, name: &str) -> bool {
     let group = format!("name = '{name}', kind = 'ELEM', pre >= ");
-    out.explain
+    out.explain()
         .iter()
         .any(|e| e.lines().any(|l| l.contains(&group) && l.contains(" - ")))
 }
@@ -170,7 +170,7 @@ fn derived_window_is_sound_at_its_edges() {
             &format!("doc(\"t.xml\")//w[@k = \"{k}\"]"),
         );
         assert_eq!(w.items.len(), 1);
-        assert!(has_derived_window(&w, "w"), "{}", w.explain[0]);
+        assert!(has_derived_window(&w, "w"), "{}", w.explain()[0]);
         // ... -> item: for k = 17 the match is the widest item of all, and
         // its last node is the one probing for it.
         for axis in ["ancestor::item", "..", "../.."] {
@@ -180,7 +180,7 @@ fn derived_window_is_sound_at_its_edges() {
             );
             assert_eq!(up.items.len(), 1, "{axis}");
             if axis == "ancestor::item" {
-                assert!(has_derived_window(&up, "item"), "{}", up.explain[0]);
+                assert!(has_derived_window(&up, "item"), "{}", up.explain()[0]);
             }
         }
     }
@@ -199,7 +199,11 @@ fn a_load_that_widens_a_name_refreshes_the_window() {
         &mut p,
         "doc(\"t.xml\")//w[@k = \"7\"]/ancestor::item",
     );
-    assert!(has_derived_window(&narrow, "item"), "{}", narrow.explain[0]);
+    assert!(
+        has_derived_window(&narrow, "item"),
+        "{}",
+        narrow.explain()[0]
+    );
     let query = "doc(\"u.xml\")//w[@k = \"2\"]/ancestor::item";
     let before = p.execute(query, Mode::JoinGraph).unwrap();
     assert!(before.items.is_empty(), "u.xml is not loaded yet");
@@ -210,11 +214,11 @@ fn a_load_that_widens_a_name_refreshes_the_window() {
     assert_eq!(after.items.len(), 1, "the wide item is found");
     // (With the plan cache off — one CI leg — EXPLAIN prints neither.)
     assert!(
-        !after.explain[0].contains("plan_cache=hit"),
+        !after.explain()[0].contains("plan_cache=hit"),
         "the catalog version moved: {}",
-        after.explain[0]
+        after.explain()[0]
     );
-    assert!(has_derived_window(&after, "item"), "{}", after.explain[0]);
+    assert!(has_derived_window(&after, "item"), "{}", after.explain()[0]);
     // Both documents share the catalog and the (item, ELEM) group; the
     // first one still answers through the (now wider) window.
     assert_join_graph_matches_interpreter(&mut p, "doc(\"t.xml\")//w[@k = \"7\"]/ancestor::item");
