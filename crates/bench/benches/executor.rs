@@ -7,10 +7,34 @@
 //! ([`xqjg_engine::QueryRequest`]) vs. the seed's
 //! materialize-every-join-level baseline
 //! ([`xqjg_engine::execute_materialized`]).
+//!
+//! `tail/Q4` times the plan tail at the size where it dominates: Q4 at
+//! XMark scale 8 binds 4 000 rows into `SELECT DISTINCT d1.pre … ORDER BY
+//! d1.pre` (one select column) behind two index probes per row.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use xqjg_bench::{queries, Workload};
+use xqjg_core::Processor;
+use xqjg_data::{generate_xmark_encoded, XmarkConfig};
 use xqjg_engine::{execute_materialized, optimize, PhysPlan, QueryRequest};
+
+/// The optimized plan of every SQL block of `text` on `p`.
+fn optimized_plans(p: &mut Processor, text: &str) -> Vec<PhysPlan> {
+    let prepared = p.prepare(text).expect("query prepares");
+    let db = p.database();
+    prepared
+        .branches
+        .iter()
+        .map(|b| optimize(&b.isolated.query, db).expect("plan optimizes"))
+        .collect()
+}
+
+fn run_pipelined(plans: &[PhysPlan], db: &xqjg_store::Database) -> usize {
+    plans
+        .iter()
+        .map(|p| QueryRequest::new(p, db).expect_run().rows.len())
+        .sum()
+}
 
 fn bench_executor(c: &mut Criterion) {
     let mut workload = Workload::new(0.1);
@@ -20,23 +44,10 @@ fn bench_executor(c: &mut Criterion) {
         .into_iter()
         .filter(|q| q.id == "Q1" || q.id == "Q2")
     {
-        let prepared = workload
-            .processor(&q)
-            .prepare(q.text)
-            .expect("query prepares");
+        let plans = optimized_plans(workload.processor(&q), q.text);
         let db = workload.processor(&q).database();
-        let plans: Vec<PhysPlan> = prepared
-            .branches
-            .iter()
-            .map(|b| optimize(&b.isolated.query, db).expect("plan optimizes"))
-            .collect();
         group.bench_with_input(BenchmarkId::new("pipelined", q.id), &plans, |b, plans| {
-            b.iter(|| {
-                plans
-                    .iter()
-                    .map(|p| QueryRequest::new(p, db).expect_run().rows.len())
-                    .sum::<usize>()
-            })
+            b.iter(|| run_pipelined(plans, db))
         });
         group.bench_with_input(
             BenchmarkId::new("materializing", q.id),
@@ -51,6 +62,20 @@ fn bench_executor(c: &mut Criterion) {
             },
         );
     }
+
+    let mut p = Processor::new();
+    let doc = generate_xmark_encoded("auction.xml", &XmarkConfig::with_scale(8.0));
+    p.load_encoded("auction.xml", doc);
+    p.create_default_indexes();
+    let q4 = queries()
+        .into_iter()
+        .find(|q| q.id == "Q4")
+        .expect("Q4 ships");
+    let plans = optimized_plans(&mut p, q4.text);
+    let db = p.database();
+    group.bench_with_input(BenchmarkId::new("tail", q4.id), &plans, |b, plans| {
+        b.iter(|| run_pipelined(plans, db))
+    });
     group.finish();
 }
 

@@ -43,11 +43,12 @@ use std::rc::Rc;
 use std::sync::Arc;
 use xqjg_store::{
     effective_morsel_size, gather_i64, gather_u32, hash_keys_typed, hash_values, mask_terms,
-    merge_worker_stats, new_stats_sink, partition_morsels, row_footprint,
-    try_execute_morsels_streaming, BatchSizer, BitMask, CancelToken, ColOperator, ColumnBatch,
-    Database, ExecConfig, ExecError, ExternalSorter, GraceBuilder, HashKey, Interrupt, KernelCmp,
-    MaskTerm, MemBudget, Morsel, OpStats, PostingsCache, PostingsKey, PrefixRun, Row, Schema,
-    SpilledPartitions, StatsSink, Table, TypedColumn, Value, BUILD_ENTRY_FOOTPRINT,
+    merge_worker_stats, new_stats_sink, partition_morsels, row_footprint, sort_permutation_i64,
+    sort_permutation_typed, try_execute_morsels_streaming, BatchSizer, BitMask, CancelToken,
+    ColOperator, ColumnBatch, Database, ExecConfig, ExecError, ExternalSorter, GraceBuilder,
+    HashKey, Interrupt, KernelCmp, MaskTerm, MemBudget, Morsel, OpStats, PostingsCache,
+    PostingsKey, PrefixRun, Row, Schema, SortKey, SortVals, SortedRows, SpilledPartitions,
+    StatsSink, Table, TypedColumn, Value, BUILD_ENTRY_FOOTPRINT,
 };
 
 /// Per-morsel error slot.  The pull-based [`ColOperator`] protocol is
@@ -1461,12 +1462,11 @@ struct ExecCtx<'a> {
     /// Whether the aligned build side came from the cache.
     build_hits: Vec<bool>,
     domain: LeafDomain,
-    /// All stage aliases, outer-to-inner.
-    aliases: Vec<String>,
-    /// Base tables of `aliases`.
+    /// Base tables of the stage aliases, outer-to-inner (one per batch
+    /// column).
     tables: Vec<&'a Table>,
-    select: &'a [SelectItem],
-    order_exprs: Vec<SqlExpr>,
+    /// The plan tail's select and order columns.
+    tail: TailSpec<'a>,
     batch_capacity: usize,
     /// Let leaves adapt their scan chunk to measured selectivity.
     adaptive: bool,
@@ -1484,11 +1484,11 @@ struct ExecCtx<'a> {
     postings: PostingsCtx<'a>,
 }
 
-/// What one morsel's pipeline produced: tail rows (select values plus sort
-/// key), per-operator counters (leaf first), the aggregate counters, and
-/// the leaf's adaptive batch-size trace.
+/// What one morsel's pipeline produced: its tail columns (aligned with
+/// [`TailSpec::sources`]), per-operator counters (leaf first), the
+/// aggregate counters, and the leaf's adaptive batch-size trace.
 struct MorselOutput {
-    rows: Vec<(Row, Row)>,
+    cols: Vec<TailCol>,
     ops: Vec<OpStats>,
     tail_rows: usize,
     agg: Agg,
@@ -1780,20 +1780,14 @@ fn run_with_caches(
 
     let aliases: Vec<String> = stages.iter().map(|s| s.alias.to_string()).collect();
     let tables: Vec<&Table> = stages.iter().map(|s| s.base).collect();
-    let order_exprs: Vec<SqlExpr> = plan
-        .order_by
-        .iter()
-        .map(|c| SqlExpr::Col(c.clone()))
-        .collect();
+    let tail = TailSpec::resolve(plan, &aliases, &tables, cfg.typed_kernels);
     let ctx = ExecCtx {
         cstages,
         builds,
         build_hits,
         domain,
-        aliases,
         tables,
-        select: &plan.select,
-        order_exprs,
+        tail,
         batch_capacity: cap,
         adaptive: cfg.adaptive,
         budget: spill.budget.clone(),
@@ -1802,37 +1796,39 @@ fn run_with_caches(
     };
 
     // Parallel + merge phase: workers drain the morsel queue, each running
-    // a private pipeline instance per morsel, and the coordinator consumes
-    // each morsel's output in morsel order *as it completes* — tail rows
-    // stream straight into the sorter instead of collecting every worker's
-    // output first, so the sorter can flush sorted runs while the workers
-    // are still scanning.  Per-morsel counters sum to the sequential
+    // a private pipeline instance per morsel that gathers the tail columns,
+    // and the coordinator consumes each morsel's output in morsel order
+    // *as it completes*.  Per-morsel counters sum to the sequential
     // counters, and morsel-ordered consumption restores the sequential
-    // scan order before the distinct/sort pass.  The SORT tail is the
-    // pipeline breaker here: under a memory budget the sorter flushes
-    // sorted runs to disk and merges them at the end (the run boundaries
-    // depend only on the morsel-ordered row stream and the budget, so the
-    // spill counters — like every other actual — are identical across
-    // degrees of parallelism).
+    // scan order before the distinct/sort pass.  Without a memory budget
+    // the chunks are appended column by column and the tail runs as one
+    // columnar pass at the end ([`finish_tail`]).  Under a budget the
+    // sorter is the pipeline breaker: the chunks' rows stream straight
+    // into it, so it can flush sorted runs to disk while the workers are
+    // still scanning (the run boundaries depend only on the morsel-ordered
+    // row stream and the budget, so the spill counters — like every other
+    // actual — are identical across degrees of parallelism).
     let morsel_size = effective_morsel_size(ctx.domain.len(), threads, cfg.morsel_size);
     let morsels = partition_morsels(ctx.domain.len(), morsel_size);
     let mut agg = pre_agg;
     let mut per_morsel_ops: Vec<Vec<OpStats>> = Vec::new();
     let mut tail_rows_in = 0usize;
     let mut trace = ExecTrace::default();
+    let budgeted = spill.budget.limit().is_some();
+    let mut cols = ctx.tail.columns();
     let mut sorter = ExternalSorter::new(spill.budget.clone(), spill.dir.clone());
     sorter.set_typed_kernels(cfg.typed_kernels);
     sorter.set_retries(cfg.spill_retries);
     sorter.set_interrupt(interrupt.clone());
-    // DISTINCT repertoire: the classical dedup set keeps first-occurrence
-    // semantics but cannot spill (the whole set must stay resident).  With
-    // typed kernels on and a limited budget, a sort-based two-pass
+    // Budgeted DISTINCT repertoire: the classical dedup set keeps
+    // first-occurrence semantics but cannot spill (the whole set must stay
+    // resident).  With typed kernels on, a sort-based two-pass
     // DISTINCT runs instead: pass 1 sorts by the select row (original
     // sequence as tie-break) and drops adjacent duplicates with O(1)
     // carry-over state, pass 2 re-sorts the survivors by (order key,
     // original sequence) — byte-identical rows and order to the dedup set,
     // with both passes free to spill.
-    let sort_distinct = plan.distinct && cfg.typed_kernels && spill.budget.limit().is_some();
+    let sort_distinct = plan.distinct && cfg.typed_kernels && budgeted;
     let mut seen: std::collections::HashSet<Row> = std::collections::HashSet::new();
     let mut seq = 0u64;
     try_execute_morsels_streaming(
@@ -1846,7 +1842,15 @@ fn run_with_caches(
                 trace.leaves.push((ctx.cstages[0].label.clone(), o.trace));
             }
             per_morsel_ops.push(o.ops);
-            for (sel, key) in o.rows {
+            if !budgeted {
+                for (col, chunk) in cols.iter_mut().zip(o.cols) {
+                    col.append(chunk);
+                }
+                return Ok(());
+            }
+            for i in 0..o.tail_rows {
+                let sel = values_at(&o.cols, &ctx.tail.select, i);
+                let key = values_at(&o.cols, &ctx.tail.order, i);
                 if sort_distinct {
                     // Pass-1 record: keyed by the select row; the payload
                     // carries (original sequence, order key, select row).
@@ -1905,52 +1909,28 @@ fn run_with_caches(
     let mut tail = OpStats::named(name);
     tail.rows_in = tail_rows_in;
     tail.build_rows = tail_rows_in;
-    let sorted = if sort_distinct {
-        // Pass 1: rows come back grouped by select row (ties in original
-        // sequence order); adjacent duplicates drop with one carried row.
-        let pass1 = sorter.finish()?;
-        let (runs1, bytes1, typed1, retries1) = (
-            pass1.spill_runs,
-            pass1.spill_bytes,
-            pass1.typed_rows,
-            pass1.retries,
+    let rows: Vec<Row> = if !budgeted {
+        let (rows, kernel_rows) = finish_tail(
+            &ctx.tail,
+            &cols,
+            tail_rows_in,
+            plan.distinct,
+            cfg.typed_kernels,
         );
-        let kw = ctx.order_exprs.len();
-        let mut resort = ExternalSorter::new(spill.budget.clone(), spill.dir.clone());
-        resort.set_typed_kernels(cfg.typed_kernels);
-        resort.set_retries(cfg.spill_retries);
-        resort.set_interrupt(interrupt.clone());
-        let mut prev_sel: Option<Row> = None;
-        for payload in pass1 {
-            let mut payload = payload?;
-            let sel: Row = payload.split_off(1 + kw);
-            let key: Row = payload.split_off(1);
-            if prev_sel.as_ref() == Some(&sel) {
-                continue;
-            }
-            let oseq = match payload[0] {
-                Value::Int(s) => s as u64,
-                _ => unreachable!("pass-1 payload starts with the sequence"),
-            };
-            prev_sel = Some(sel.clone());
-            // Pass 2: survivors re-sort by (order key, original sequence)
-            // — the explicit sequence reproduces the first-occurrence tie
-            // order of the dedup-set path exactly.
-            resort.push_with_seq(oseq, key, sel)?;
-        }
-        let mut sorted = resort.finish()?;
-        sorted.spill_runs += runs1;
-        sorted.spill_bytes += bytes1;
-        sorted.typed_rows += typed1;
-        sorted.retries += retries1;
-        sorted
+        tail.kernel_rows = kernel_rows;
+        rows
     } else {
-        sorter.finish()?
+        let sorted = if sort_distinct {
+            sort_distinct_two_pass(sorter, ctx.tail.order.len(), &spill, cfg.typed_kernels)?
+        } else {
+            sorter.finish()?
+        };
+        tail.spill_runs = sorted.spill_runs;
+        tail.spill_bytes = sorted.spill_bytes;
+        tail.kernel_rows = sorted.typed_rows;
+        tail.retries = sorted.retries;
+        sorted.collect::<Result<_, _>>()?
     };
-    tail.spill_runs = sorted.spill_runs;
-    tail.spill_bytes = sorted.spill_bytes;
-    tail.kernel_rows = sorted.typed_rows;
-    tail.retries = sorted.retries;
 
     // Output schema and table.
     let mut columns: Vec<String> = Vec::new();
@@ -1963,10 +1943,7 @@ fn run_with_caches(
             SelectItem::Expr { alias, .. } => columns.push(alias.clone()),
         }
     }
-    let mut table = Table::new(Schema::new(columns));
-    for sel in sorted {
-        table.push(sel?);
-    }
+    let table = Table::from_rows(Schema::new(columns), rows);
     // `booked` (build footprints + dedup set) and any sorter state release
     // via their guards' Drop impls — on this path and on every early `?`
     // return above; `_drain` then asserts the budget drained to zero.
@@ -1985,12 +1962,59 @@ fn run_with_caches(
     Ok((table, stats, trace))
 }
 
+/// The budgeted sort-based DISTINCT (see `run_with_caches`): `pass1` holds
+/// pass-1 records keyed by the select row; survivors re-sort by their
+/// order key (`kw` columns) under their original sequence.
+fn sort_distinct_two_pass(
+    pass1: ExternalSorter,
+    kw: usize,
+    spill: &SpillCtx,
+    typed: bool,
+) -> Result<SortedRows, ExecError> {
+    // Pass 1: rows come back grouped by select row (ties in original
+    // sequence order); adjacent duplicates drop with one carried row.
+    let pass1 = pass1.finish()?;
+    let (runs1, bytes1, typed1, retries1) = (
+        pass1.spill_runs,
+        pass1.spill_bytes,
+        pass1.typed_rows,
+        pass1.retries,
+    );
+    let mut resort = ExternalSorter::new(spill.budget.clone(), spill.dir.clone());
+    resort.set_typed_kernels(typed);
+    resort.set_retries(spill.retries);
+    resort.set_interrupt(spill.interrupt.clone());
+    let mut prev_sel: Option<Row> = None;
+    for payload in pass1 {
+        let mut payload = payload?;
+        let sel: Row = payload.split_off(1 + kw);
+        let key: Row = payload.split_off(1);
+        if prev_sel.as_ref() == Some(&sel) {
+            continue;
+        }
+        let oseq = match payload[0] {
+            Value::Int(s) => s as u64,
+            _ => unreachable!("pass-1 payload starts with the sequence"),
+        };
+        prev_sel = Some(sel.clone());
+        // Pass 2: survivors re-sort by (order key, original sequence)
+        // — the explicit sequence reproduces the first-occurrence tie
+        // order of the dedup-set path exactly.
+        resort.push_with_seq(oseq, key, sel)?;
+    }
+    let mut sorted = resort.finish()?;
+    sorted.spill_runs += runs1;
+    sorted.spill_bytes += bytes1;
+    sorted.typed_rows += typed1;
+    sorted.retries += retries1;
+    Ok(sorted)
+}
+
 /// Run one morsel through a private pipeline instance: the columnar leaf
-/// over the morsel's domain slice, batch-at-a-time join probes, and a
-/// pre-sort tail loop that reads bindings through a reusable buffer instead
-/// of allocating one `Vec` per binding.  The stats sink and aggregate
-/// counters live and die inside this call — workers never share mutable
-/// state.
+/// over the morsel's domain slice, batch-at-a-time join probes, and the
+/// tail columns gathered batch by batch ([`TailSpec::gather`]).  The stats
+/// sink and aggregate counters live and die inside this call — workers
+/// never share mutable state.
 fn run_morsel(ctx: &ExecCtx<'_>, m: Morsel) -> Result<MorselOutput, ExecError> {
     // One interrupt check per morsel bounds cancellation/timeout latency to
     // a morsel's worth of work without a per-row atomic load.
@@ -2032,22 +2056,11 @@ fn run_morsel(ctx: &ExecCtx<'_>, m: Morsel) -> Result<MorselOutput, ExecError> {
         };
     }
     op.open();
-    let mut rows: Vec<(Row, Row)> = Vec::new();
+    let mut cols = ctx.tail.columns();
     let mut tail_rows = 0usize;
-    let mut binding: Vec<usize> = Vec::with_capacity(ctx.aliases.len());
     while let Some(batch) = op.next_batch() {
-        for i in 0..batch.live() {
-            let p = batch.phys(i);
-            binding.clear();
-            binding.extend(batch.cols().iter().map(|c| c[p]));
-            tail_rows += 1;
-            let env = Env {
-                aliases: &ctx.aliases,
-                tables: &ctx.tables,
-                binding: &binding,
-            };
-            rows.push(tail_row(&env, ctx.select, &ctx.order_exprs));
-        }
+        tail_rows += batch.live();
+        ctx.tail.gather(&batch, &ctx.tables, &mut cols);
     }
     op.close();
     drop(op);
@@ -2058,7 +2071,7 @@ fn run_morsel(ctx: &ExecCtx<'_>, m: Morsel) -> Result<MorselOutput, ExecError> {
     let agg = agg.borrow().clone();
     let trace = trace_cell.borrow().clone();
     Ok(MorselOutput {
-        rows,
+        cols,
         ops,
         tail_rows,
         agg,
@@ -2066,20 +2079,405 @@ fn run_morsel(ctx: &ExecCtx<'_>, m: Morsel) -> Result<MorselOutput, ExecError> {
     })
 }
 
-/// Evaluate the select list and the order key for one binding.
-fn tail_row(env: &Env<'_>, select: &[SelectItem], order_exprs: &[SqlExpr]) -> (Row, Row) {
-    let mut select_vals = Vec::new();
-    for item in select {
-        match item {
-            SelectItem::Star(alias) => {
-                let (table, rid) = env.lookup(alias);
-                select_vals.extend(table.rows()[rid].iter().cloned());
-            }
-            SelectItem::Expr { expr, .. } => select_vals.push(env.eval(expr)),
+// ---------------------------------------------------------------------
+// The plan tail — DISTINCT, ORDER BY, RETURN — over gathered columns.
+// ---------------------------------------------------------------------
+
+/// Where one tail column's values come from, resolved once per execution.
+enum TailSource<'a> {
+    /// Column `col` of the alias in batch column `slot`, which has an
+    /// integer image: rows gather `i64`s straight out of it (plus its
+    /// validity bits when the column bears NULLs).
+    I64 {
+        slot: usize,
+        col: usize,
+        vals: &'a [i64],
+        validity: Option<&'a BitMask>,
+    },
+    /// Everything else — strings, decimals, mixed columns, computed
+    /// expressions, and every column with typed kernels off — evaluated
+    /// to `Value`s through the compiled expression.
+    Value(CExpr),
+}
+
+impl TailSource<'_> {
+    /// Does this source read exactly column `col` of the alias in `slot`?
+    fn reads(&self, slot: usize, col: usize) -> bool {
+        match self {
+            TailSource::I64 {
+                slot: s, col: c, ..
+            } => (*s, *c) == (slot, col),
+            TailSource::Value(CExpr::Outer { slot: s, col: c }) => (*s, *c) == (slot, col),
+            TailSource::Value(_) => false,
         }
     }
-    let order_vals: Row = order_exprs.iter().map(|e| env.eval(e)).collect();
-    (select_vals, order_vals)
+}
+
+/// The plan tail's columns: every select item (`alias.*` expanded to its
+/// columns) and every order column is an index into `sources`, and a
+/// column named more than once is gathered once.
+struct TailSpec<'a> {
+    sources: Vec<TailSource<'a>>,
+    select: Vec<usize>,
+    order: Vec<usize>,
+}
+
+impl<'a> TailSpec<'a> {
+    /// Resolve the tail of `plan` against the stage aliases and their base
+    /// tables (batch column order).  With `typed` off every column is a
+    /// [`TailSource::Value`].
+    fn resolve(
+        plan: &PhysPlan,
+        aliases: &[String],
+        tables: &[&'a Table],
+        typed: bool,
+    ) -> TailSpec<'a> {
+        let mut spec = TailSpec {
+            sources: Vec::new(),
+            select: Vec::new(),
+            order: Vec::new(),
+        };
+        // No stage is current here: every column compiles to an outer one.
+        let cc = |e: &SqlExpr| compile_expr(e, "", tables[0], aliases, tables);
+        for item in &plan.select {
+            match item {
+                SelectItem::Star(alias) => {
+                    let slot = aliases
+                        .iter()
+                        .position(|a| a == alias)
+                        .unwrap_or_else(|| panic!("alias {alias:?} not bound"));
+                    for col in 0..tables[slot].schema().len() {
+                        let i = spec.source(CExpr::Outer { slot, col }, tables, typed);
+                        spec.select.push(i);
+                    }
+                }
+                SelectItem::Expr { expr, .. } => {
+                    let i = spec.source(cc(expr), tables, typed);
+                    spec.select.push(i);
+                }
+            }
+        }
+        for c in &plan.order_by {
+            let i = spec.source(cc(&SqlExpr::Col(c.clone())), tables, typed);
+            spec.order.push(i);
+        }
+        spec
+    }
+
+    /// The index of the source computing `e`, added unless `e` is a column
+    /// some source already reads.
+    fn source(&mut self, e: CExpr, tables: &[&'a Table], typed: bool) -> usize {
+        if let CExpr::Outer { slot, col } = e {
+            if let Some(i) = self.sources.iter().position(|s| s.reads(slot, col)) {
+                return i;
+            }
+            if let Some((vals, validity)) =
+                tables[slot].typed().int_col_nullable(col).filter(|_| typed)
+            {
+                self.sources.push(TailSource::I64 {
+                    slot,
+                    col,
+                    vals,
+                    validity,
+                });
+                return self.sources.len() - 1;
+            }
+        }
+        self.sources.push(TailSource::Value(e));
+        self.sources.len() - 1
+    }
+
+    /// Empty columns, one per source.
+    fn columns(&self) -> Vec<TailCol> {
+        self.sources
+            .iter()
+            .map(|s| match s {
+                TailSource::I64 { validity, .. } => TailCol::I64 {
+                    vals: Vec::new(),
+                    validity: validity.map(|_| BitMask::new()),
+                },
+                TailSource::Value(_) => TailCol::Value(Vec::new()),
+            })
+            .collect()
+    }
+
+    /// Append the live rows of `batch` to `cols` (aligned with `sources`).
+    fn gather(&self, batch: &ColumnBatch, tables: &[&Table], cols: &mut [TailCol]) {
+        for (src, col) in self.sources.iter().zip(cols) {
+            match (src, col) {
+                (
+                    TailSource::I64 {
+                        slot,
+                        vals,
+                        validity,
+                        ..
+                    },
+                    TailCol::I64 {
+                        vals: out,
+                        validity: out_validity,
+                    },
+                ) => {
+                    let rids = batch.col(*slot);
+                    match batch.sel() {
+                        None => gather_i64(vals, rids, out),
+                        Some(sel) => out.extend(sel.iter().map(|&i| vals[rids[i as usize]])),
+                    }
+                    if let (Some(m), Some(out_m)) = (validity, out_validity) {
+                        for i in 0..batch.live() {
+                            out_m.push(m.get(rids[batch.phys(i)]));
+                        }
+                    }
+                }
+                (TailSource::Value(e), TailCol::Value(out)) => {
+                    for i in 0..batch.live() {
+                        let env = ColEnv {
+                            tables,
+                            cols: batch.cols(),
+                            idx: batch.phys(i),
+                        };
+                        out.push(ceval(e, &env, None).into_owned());
+                    }
+                }
+                _ => unreachable!("tail columns are built from their sources"),
+            }
+        }
+    }
+}
+
+/// Row `i` of the tail columns `which` (indices into `cols`) as `Value`s.
+fn values_at(cols: &[TailCol], which: &[usize], i: usize) -> Row {
+    which.iter().map(|&c| cols[c].value(i)).collect()
+}
+
+/// One tail column's gathered values: a morsel's chunk, or — once the
+/// coordinator has appended every chunk in morsel order — the execution's.
+enum TailCol {
+    /// Integers; a cleared validity bit is a NULL (its slot holds the
+    /// image's sentinel).
+    I64 {
+        vals: Vec<i64>,
+        validity: Option<BitMask>,
+    },
+    Value(Vec<Value>),
+}
+
+/// The NULL slot's contribution to a row hash.
+const NULL_HASH: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One step of the row hash (FxHash's combine).
+#[inline]
+fn mix(h: u64, x: u64) -> u64 {
+    (h.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95)
+}
+
+impl TailCol {
+    fn len(&self) -> usize {
+        match self {
+            TailCol::I64 { vals, .. } => vals.len(),
+            TailCol::Value(vals) => vals.len(),
+        }
+    }
+
+    /// Append the next chunk of the same column.
+    fn append(&mut self, chunk: TailCol) {
+        if self.len() == 0 {
+            *self = chunk;
+            return;
+        }
+        match (self, chunk) {
+            (
+                TailCol::I64 { vals, validity },
+                TailCol::I64 {
+                    vals: more,
+                    validity: more_validity,
+                },
+            ) => {
+                vals.extend_from_slice(&more);
+                if let (Some(m), Some(more_m)) = (validity, more_validity) {
+                    for i in 0..more_m.len() {
+                        m.push(more_m.get(i));
+                    }
+                }
+            }
+            (TailCol::Value(vals), TailCol::Value(more)) => vals.extend(more),
+            _ => unreachable!("chunks of one column share its representation"),
+        }
+    }
+
+    #[inline]
+    fn is_valid(validity: &Option<BitMask>, i: usize) -> bool {
+        validity.as_ref().is_none_or(|m| m.get(i))
+    }
+
+    /// Row `i` as a `Value`.
+    fn value(&self, i: usize) -> Value {
+        match self {
+            TailCol::I64 { vals, validity } if Self::is_valid(validity, i) => Value::Int(vals[i]),
+            TailCol::I64 { .. } => Value::Null,
+            TailCol::Value(vals) => vals[i].clone(),
+        }
+    }
+
+    /// Rows `a` and `b` in `Value::cmp` order (NULL first).
+    #[inline]
+    fn cmp_at(&self, a: usize, b: usize) -> std::cmp::Ordering {
+        match self {
+            TailCol::I64 { vals, validity } => {
+                match (Self::is_valid(validity, a), Self::is_valid(validity, b)) {
+                    (true, true) => vals[a].cmp(&vals[b]),
+                    (va, vb) => va.cmp(&vb),
+                }
+            }
+            TailCol::Value(vals) => vals[a].cmp(&vals[b]),
+        }
+    }
+
+    /// Fold every row's value into its running row hash.  Equal values
+    /// hash equally (`Value`'s `Hash` agrees with its `Eq`).
+    fn hash_into(&self, hashes: &mut [u64]) {
+        match self {
+            TailCol::I64 { vals, validity } => {
+                for (i, (h, &v)) in hashes.iter_mut().zip(vals).enumerate() {
+                    let x = if Self::is_valid(validity, i) {
+                        v as u64
+                    } else {
+                        NULL_HASH
+                    };
+                    *h = mix(*h, x);
+                }
+            }
+            TailCol::Value(vals) => {
+                for (h, v) in hashes.iter_mut().zip(vals) {
+                    *h = mix(*h, hash_values(std::iter::once(v)));
+                }
+            }
+        }
+    }
+
+    /// Is every value of `rows` an integer or NULL — the keys the
+    /// sorter's typed finish accepts?
+    fn int_or_null(&self, rows: &[u32]) -> bool {
+        match self {
+            TailCol::I64 { .. } => true,
+            TailCol::Value(vals) => rows
+                .iter()
+                .all(|&r| matches!(vals[r as usize], Value::Int(_) | Value::Null)),
+        }
+    }
+}
+
+/// The unbudgeted plan tail over the `n` gathered rows of `cols`.  DISTINCT
+/// keeps the first occurrence of each select tuple (NULL equals NULL, as in
+/// a `HashSet<Row>`); ORDER BY is a stable sort by the order columns, NULL
+/// first, so ties stay in arrival order — the `(key, seq)` order of the
+/// [`ExternalSorter`].  `Value` rows are built for the emitted rows only.
+/// Also returns the SORT's `kernel_rows`: the rows sorted when typed
+/// kernels are on and every order value is an integer or NULL, exactly
+/// what the sorter's typed finish reports.
+fn finish_tail(
+    spec: &TailSpec<'_>,
+    cols: &[TailCol],
+    n: usize,
+    distinct: bool,
+    typed: bool,
+) -> (Vec<Row>, usize) {
+    let mut rows: Vec<u32> = if distinct {
+        let select: Vec<&TailCol> = spec.select.iter().map(|&c| &cols[c]).collect();
+        first_occurrences(&select, n)
+    } else {
+        (0..n as u32).collect()
+    };
+    let order: Vec<&TailCol> = spec.order.iter().map(|&c| &cols[c]).collect();
+    let mut kernel_rows = 0;
+    if !order.is_empty() {
+        rows = sort_rows(&order, rows);
+        if typed && !rows.is_empty() && order.iter().all(|c| c.int_or_null(&rows)) {
+            kernel_rows = rows.len();
+        }
+    }
+    let out = rows
+        .iter()
+        .map(|&r| values_at(cols, &spec.select, r as usize))
+        .collect();
+    (out, kernel_rows)
+}
+
+/// The rows (ascending) whose tuple over `cols` did not occur earlier:
+/// open addressing over precomputed row hashes, no per-row allocation.
+/// Colliding tuples cost probe steps, never answers — every candidate is
+/// compared column by column.
+fn first_occurrences(cols: &[&TailCol], n: usize) -> Vec<u32> {
+    let mut hashes = vec![0u64; n];
+    for c in cols {
+        c.hash_into(&mut hashes);
+    }
+    // At least twice as many slots as rows; a slot holds a row index.
+    let bits = (2 * n.max(1)).next_power_of_two().trailing_zeros();
+    let mask = (1usize << bits) - 1;
+    let mut slots = vec![u32::MAX; mask + 1];
+    let mut keep = Vec::new();
+    'rows: for (i, &h) in hashes.iter().enumerate() {
+        let mut pos = (h >> (64 - bits)) as usize;
+        loop {
+            match slots[pos] {
+                u32::MAX => {
+                    slots[pos] = i as u32;
+                    keep.push(i as u32);
+                    continue 'rows;
+                }
+                s if hashes[s as usize] == h
+                    && cols.iter().all(|c| c.cmp_at(s as usize, i).is_eq()) =>
+                {
+                    continue 'rows
+                }
+                _ => pos = (pos + 1) & mask,
+            }
+        }
+    }
+    keep
+}
+
+/// Stable sort of `rows` by the order columns.  All-integer keys go
+/// through the permutation-sort kernels over compact key columns; any
+/// `Value` column sorts with the per-column comparator.
+fn sort_rows(order: &[&TailCol], mut rows: Vec<u32>) -> Vec<u32> {
+    if order.iter().any(|c| matches!(c, TailCol::Value(_))) {
+        rows.sort_by(|&a, &b| {
+            order
+                .iter()
+                .map(|c| c.cmp_at(a as usize, b as usize))
+                .find(|o| o.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        return rows;
+    }
+    let mut keys: Vec<Vec<i64>> = Vec::with_capacity(order.len());
+    let mut masks: Vec<Option<BitMask>> = Vec::with_capacity(order.len());
+    for c in order {
+        let TailCol::I64 { vals, validity } = c else {
+            unreachable!("checked above")
+        };
+        keys.push(rows.iter().map(|&r| vals[r as usize]).collect());
+        masks.push(
+            validity
+                .as_ref()
+                .map(|m| BitMask::from_bools(rows.iter().map(|&r| m.get(r as usize)))),
+        );
+    }
+    let perm = if masks.iter().all(Option::is_none) {
+        sort_permutation_i64(&keys, rows.len())
+    } else {
+        let sort_keys: Vec<SortKey<'_>> = keys
+            .iter()
+            .zip(&masks)
+            .map(|(k, m)| SortKey {
+                vals: SortVals::I64(k),
+                validity: m.as_ref(),
+            })
+            .collect();
+        sort_permutation_typed(&sort_keys, rows.len())
+    };
+    perm.iter().map(|&p| rows[p as usize]).collect()
 }
 
 // ---------------------------------------------------------------------

@@ -44,7 +44,12 @@
 //!   pre-masked inner list adds its surviving length once per probe, a
 //!   hash join's composite gather+hash pass adds one per probe row
 //!   (NULL-keyed rows included — the NULL gate is part of the pass), and
-//!   the columnar SORT tail adds one per row it key-compared.  Masked
+//!   the SORT tail reports the rows it ordered when every order value is
+//!   an integer or NULL (0 without `ORDER BY`, for any other key, and
+//!   when the budgeted sorter went external).  The meaning is the same on
+//!   both tail paths: the unbudgeted tail sorts row indices over gathered
+//!   `i64` columns without a sorter, the budgeted one counts its sorter's
+//!   typed finish.  Masked
 //!   aggregate reductions feeding `TableStats` run outside any operator
 //!   and are not counted here,
 //!
