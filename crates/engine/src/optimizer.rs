@@ -10,7 +10,11 @@
 //!   other side from the catalog's column-group extent statistic when a
 //!   containment partner allows it (see [`Planner::implied_lower`]) — the
 //!   step that makes walking *up* from a selective leaf cost a window, not
-//!   half an index partition — and
+//!   half an index partition.  A parent step whose own group is unknown (a
+//!   nameless `*` or `..`) and which no index windows that way is closed
+//!   from the bound child's side instead: the catalog's parent-gap
+//!   statistic of the child's `(name, kind)` group bounds how far before
+//!   the child its parent sits (see [`Planner::child_window`]) — and
 //! * **join tree planning** — dynamic programming over connected sub-plans
 //!   (Selinger-style, left-deep), choosing nested-loop (index probe) or hash
 //!   joins per step.
@@ -738,21 +742,48 @@ impl<'a> Planner<'a> {
             rows,
         };
 
-        for ix in self.db.indexes_on(table) {
-            let (mut bounds, consumed) =
-                match_index_bounds(alias, &ix.def.key_columns, &self.query.where_clause, avail);
-            if bounds.matched_columns() == 0 {
-                continue;
+        // Every index's bounds, with the ancestor-side window where the
+        // extent statistic gives one.  The child-side window of a parent
+        // step (`child_window`) is only the fallback when none does: the
+        // cost model prices a window as if every `pre` in it belonged to
+        // the group, so applied everywhere it would move parent steps that
+        // `nkp` already windows onto `p_nvkls`, which walks more entries.
+        let mut matches: Vec<_> = self
+            .db
+            .indexes_on(table)
+            .into_iter()
+            .filter_map(|ix| {
+                let (mut bounds, consumed) =
+                    match_index_bounds(alias, &ix.def.key_columns, &self.query.where_clause, avail);
+                if bounds.matched_columns() == 0 {
+                    return None;
+                }
+                let mut window = None;
+                if let Some((lower, w)) = self.implied_lower(alias, &ix.def.name, &bounds, avail) {
+                    bounds.lower = Some(lower);
+                    window = Some(w);
+                }
+                Some((ix, bounds, consumed, window))
+            })
+            .collect();
+        if matches.iter().all(|(.., window)| window.is_none()) {
+            for (_, bounds, _, window) in &mut matches {
+                if let Some((lower, gap)) = self.child_window(i, bounds, avail) {
+                    bounds.lower = Some(lower);
+                    *window = Some(gap);
+                }
             }
+        }
+
+        for (ix, bounds, consumed, window) in matches {
             // Selectivity of the predicates folded into the bounds (again
             // with containment windows grouped — this is the NLJOIN
             // per-probe fetch estimate).
             let bound_sel = self.grouped_selectivity(i, &consumed, single);
+            // A one-sided range closed by a window walks at most the
+            // window, however large the group.
             let mut scanned_entries = (total_rows * bound_sel).max(1.0);
-            // A one-sided range closed by the extent statistic walks at
-            // most the window, however large the group.
-            if let Some((lower, window)) = self.implied_lower(alias, &ix.def.name, &bounds, avail) {
-                bounds.lower = Some(lower);
+            if let Some(window) = window {
                 scanned_entries = scanned_entries.min(window);
             }
             let covered =
@@ -825,6 +856,90 @@ impl<'a> Planner<'a> {
             let lower = x.clone() + SqlExpr::lit(max.checked_neg()?);
             Some(((lower, op == SqlCmp::Le), (max as f64 + 1.0).max(1.0)))
         })
+    }
+
+    /// The lower bound a parent step gets from its child's side.
+    ///
+    /// Shape: alias `i` is `y`, its range column is `pre` with `pre < x.pre`
+    /// but no lower bound, `x` another alias of the same table, and `avail`
+    /// holds the rest of "`y` is the parent of `x`": `x.pre <= y.pre +
+    /// y.size` (or `<`) and `y.level + 1 = x.level`.  On a valid
+    /// pre/size/level forest that `y` is unique, and the catalog's
+    /// [`xqjg_store::ParentGap`] of `x`'s literal `(name, kind)` group
+    /// bounds how far before `x` it sits, so `pre >= x.pre - gap`.  As in
+    /// `implied_lower`, the partner predicates stay in the residual.
+    /// Returns the bound and the number of `pre` values it leaves (`gap`).
+    fn child_window(
+        &self,
+        i: usize,
+        bounds: &Bounds,
+        avail: &[usize],
+    ) -> Option<((SqlExpr, bool), f64)> {
+        let (y, table) = (self.aliases[i].alias, self.aliases[i].table);
+        if bounds.lower.is_some() || bounds.range_col.as_deref() != Some("pre") {
+            return None;
+        }
+        let (SqlExpr::Col(upper), false) = bounds.upper.as_ref()? else {
+            return None;
+        };
+        let x = upper.table.as_str();
+        let same_table = self
+            .aliases
+            .iter()
+            .any(|a| a.alias == x && a.table == table);
+        if upper.column != "pre" || x == y || !same_table {
+            return None;
+        }
+        let col = |e: &SqlExpr, alias, column| e.as_column_of(alias) == Some(column);
+        let plus = |e: &SqlExpr, f: &dyn Fn(&SqlExpr, &SqlExpr) -> bool| match e {
+            SqlExpr::Add(a, b) => f(a, b) || f(b, a),
+            _ => false,
+        };
+        // `x.pre <= y.pre + y.size`, either way round.
+        let contained = |p: &SqlPredicate| {
+            let (inner, op, sum) = match (&p.lhs, &p.rhs) {
+                (inner, sum @ SqlExpr::Add(..)) => (inner, p.op, sum),
+                (sum @ SqlExpr::Add(..), inner) => (inner, p.op.flip(), sum),
+                _ => return false,
+            };
+            matches!(op, SqlCmp::Lt | SqlCmp::Le)
+                && col(inner, x, "pre")
+                && plus(sum, &|a, b| col(a, y, "pre") && col(b, y, "size"))
+        };
+        // `y.level + 1 = x.level`, either way round.
+        let one_up = |p: &SqlPredicate| {
+            let up = |a: &SqlExpr, b: &SqlExpr| {
+                col(a, y, "level") && matches!(b, SqlExpr::Lit(xqjg_store::Value::Int(1)))
+            };
+            p.op == SqlCmp::Eq
+                && [(&p.lhs, &p.rhs), (&p.rhs, &p.lhs)]
+                    .iter()
+                    .any(|(sum, child)| plus(sum, &up) && col(child, x, "level"))
+        };
+        let holds = |f: &dyn Fn(&SqlPredicate) -> bool| avail.iter().any(|&k| f(self.pred(k)));
+        if !holds(&contained) || !holds(&one_up) {
+            return None;
+        }
+        // `x`'s group: its literal `name` and `kind` equalities.
+        let literal = |column| {
+            self.query
+                .where_clause
+                .iter()
+                .find_map(|p| match (&p.lhs, p.op, &p.rhs) {
+                    (c, SqlCmp::Eq, SqlExpr::Lit(v)) | (SqlExpr::Lit(v), SqlCmp::Eq, c)
+                        if col(c, x, column) =>
+                    {
+                        Some(v)
+                    }
+                    _ => None,
+                })
+        };
+        let gap = self
+            .db
+            .parent_gap(table)?
+            .max_for(literal("name")?, literal("kind")?)?;
+        let lower = SqlExpr::col(x, "pre") + SqlExpr::lit(gap.checked_neg()?);
+        Some(((lower, true), (gap as f64).max(1.0)))
     }
 }
 

@@ -7,7 +7,7 @@
 //! read naturally.
 
 use crate::btree::{BPlusTree, Key, PrefixRun};
-use crate::stats::{GroupMax, TableStats};
+use crate::stats::{GroupMax, ParentGap, TableStats};
 use crate::table::Table;
 use crate::value::Value;
 use std::collections::HashMap;
@@ -60,6 +60,9 @@ type GroupMaxEntry = (String, usize, String, Arc<GroupMax>);
 /// `None` when a range-column value under the prefix is not an integer.
 type PrefixRunEntry = (String, Vec<Value>, Option<Arc<PrefixRun>>);
 
+/// One memoized [`ParentGap`]: `(table, statistic)`.
+type ParentGapEntry = (String, Option<Arc<ParentGap>>);
+
 /// An in-memory database: tables, indexes, statistics.
 #[derive(Debug, Default)]
 pub struct Database {
@@ -78,6 +81,10 @@ pub struct Database {
     /// prefix is constant.  Built on first request from the index's
     /// leaves and kept until the next DDL, like `group_max`.
     prefix_runs: Mutex<Vec<PrefixRunEntry>>,
+    /// Parent gaps, table → [`ParentGap`] (`None` when the table is not a
+    /// valid pre/size/level forest).  Collected on first request and kept
+    /// until the next DDL, like `group_max`.
+    parent_gaps: Mutex<Vec<ParentGapEntry>>,
     /// Catalog version stamp, advanced on every DDL mutation.  Consumers
     /// caching derived physical structures (e.g. memoized hash-join build
     /// sides) compare stamps to detect staleness.  Stamps are drawn from a
@@ -108,6 +115,10 @@ impl Database {
             .unwrap_or_else(|e| e.into_inner())
             .clear();
         self.prefix_runs
+            .get_mut()
+            .unwrap_or_else(|e| e.into_inner())
+            .clear();
+        self.parent_gaps
             .get_mut()
             .unwrap_or_else(|e| e.into_inner())
             .clear();
@@ -180,6 +191,21 @@ impl Database {
         let run = self.index(index)?.tree.prefix_run(prefix).map(Arc::new);
         memo.push((index.to_string(), prefix.to_vec(), run.clone()));
         run
+    }
+
+    /// How far any member of a `(name, kind)` group of `table` sits from
+    /// its parent (see [`ParentGap`]); `None` when the table does not exist
+    /// or is not a valid pre/size/level forest.  Collected once per catalog
+    /// version, on first request — a `None` answer is memoized too.
+    pub fn parent_gap(&self, table: &str) -> Option<Arc<ParentGap>> {
+        // Same locking discipline as `group_max`.
+        let mut memo = self.parent_gaps.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some((_, gap)) = memo.iter().find(|(t, _)| t == table) {
+            return gap.clone();
+        }
+        let gap = ParentGap::collect(self.tables.get(table)?).map(Arc::new);
+        memo.push((table.to_string(), gap.clone()));
+        gap
     }
 
     /// Number of prefix runs (including memoized `None`s) built at this
@@ -334,6 +360,61 @@ mod tests {
         let fresh = db.group_max("np", 1, "pre").unwrap();
         assert_eq!(fresh.max_for(&[&Value::str("item")]), Some(500));
         assert_eq!(fresh.max_for(&[&Value::str("price")]), None);
+    }
+
+    #[test]
+    fn parent_gap_is_memoized_per_catalog_version() {
+        // A root and `n` children; the last child sits `n` after the root.
+        let forest = |n: i64| {
+            let mut t = Table::new(Schema::new(["pre", "size", "level", "name", "kind"]));
+            t.push(vec![
+                Value::Int(0),
+                Value::Int(n),
+                Value::Int(0),
+                Value::str("r"),
+                Value::str("ELEM"),
+            ]);
+            for pre in 1..=n {
+                t.push(vec![
+                    Value::Int(pre),
+                    Value::Int(0),
+                    Value::Int(1),
+                    Value::str("c"),
+                    Value::str("ELEM"),
+                ]);
+            }
+            t
+        };
+        let (c, elem) = (Value::str("c"), Value::str("ELEM"));
+        let mut db = Database::new();
+        db.create_table("doc", forest(3));
+        let gap = db.parent_gap("doc").expect("a valid forest");
+        assert_eq!(gap.max_for(&c, &elem), Some(3));
+        assert!(
+            Arc::ptr_eq(&gap, &db.parent_gap("doc").unwrap()),
+            "memoized"
+        );
+        assert!(db.parent_gap("nope").is_none());
+        // `db()`'s table has no size/level columns: `None`, memoized too.
+        let mut flat = self::db();
+        assert!(flat.parent_gap("doc").is_none());
+        assert!(flat.parent_gap("doc").is_none());
+        // Any DDL clears it: a wider load is seen, and so is a repair.
+        db.create_table("doc", forest(9));
+        let wide = db.parent_gap("doc").unwrap();
+        assert_eq!(wide.max_for(&c, &elem), Some(9));
+        flat.create_table("doc", forest(2));
+        assert_eq!(flat.parent_gap("doc").unwrap().max_for(&c, &elem), Some(2));
+        db.create_index(IndexDef {
+            name: "p".to_string(),
+            table: "doc".to_string(),
+            key_columns: vec!["pre".to_string()],
+            include_columns: vec![],
+            clustered: true,
+        });
+        let again = db.parent_gap("doc").unwrap();
+        assert!(!Arc::ptr_eq(&wide, &again));
+        assert_eq!(*wide, *again);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! paper leans on: typed scalar [`Value`]s, row [`Table`]s with named
 //! [`Schema`]s, composite-key [`BPlusTree`] indexes with range scans, and
 //! [`TableStats`] (cardinalities, most-common values, histograms, and the
-//! per-index-prefix [`GroupMax`] extents) feeding the cost-based optimizer
+//! per-index-prefix [`GroupMax`] extents and per-`(name, kind)`
+//! [`ParentGap`]s) feeding the cost-based optimizer
 //! in `xqjg-engine`.  A small [`Database`] catalog
 //! ties tables, indexes and statistics together, and the [`batch`] module
 //! provides the row-oriented pipelined execution substrate —
@@ -82,7 +83,7 @@ pub use spill::{
     record_checksum, row_footprint, spill_dir, ExternalSorter, GraceBuilder, MemBudget, SortedRows,
     SpilledPartitions, BUILD_ENTRY_FOOTPRINT, DEFAULT_SPILL_RETRIES, GRACE_FANOUT,
 };
-pub use stats::{ColumnStats, GroupMax, TableStats};
+pub use stats::{ColumnStats, GroupMax, ParentGap, TableStats};
 pub use table::{Row, Table};
 pub use typed::{TypedColumn, TypedColumns};
 pub use value::{cmp_f64_total, hash_values, Value};

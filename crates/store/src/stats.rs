@@ -8,7 +8,9 @@
 //! skewed) and an equi-width histogram for numeric columns — plus one
 //! column-group statistic, [`GroupMax`]: the maximum of an integer column
 //! within each group of an index's equality prefix, from which the
-//! optimizer derives the missing side of one-sided range probes.
+//! optimizer derives the missing side of one-sided range probes — and its
+//! child-side twin [`ParentGap`], the farthest any member of a
+//! `(name, kind)` group sits from its parent.
 
 use crate::btree::BPlusTree;
 use crate::kernel::agg_i64_masked;
@@ -199,6 +201,85 @@ impl GroupMax {
             .binary_search_by(|(g, _)| g.iter().cmp(key.iter().copied()))
             .ok()?;
         self.groups[at].1
+    }
+}
+
+/// Child-side extent statistic of a tree encoding: `max(x.pre - p.pre)`
+/// over the rows `x` of each `(name, kind)` group, `p` the parent of `x`.
+///
+/// It bounds how far a parent can sit before its child: for `y` with
+/// `y.pre < x.pre <= y.pre + y.size` and `y.level + 1 = x.level`, `y` is
+/// the parent of `x`, so `y.pre >= x.pre - max(gap | group of x)`.  That
+/// closes an upward probe from the child's side when the parent's own
+/// group is unknown (a nameless `*` step).  Collected in one pass over the
+/// table's `pre`, `size`, `level`, `name` and `kind` columns, which also
+/// validates the encoding the bound relies on; the [`crate::Database`]
+/// memoizes it per catalog version.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ParentGap {
+    /// `(name, kind, max gap)` in `(name, kind)` order; only groups with a
+    /// member that has a parent appear.
+    groups: Vec<(Value, Value, i64)>,
+}
+
+impl ParentGap {
+    /// Fold the parent gaps of `table`'s rows into their `(name, kind)`
+    /// groups.  `None` unless the rows, in table order, are a valid
+    /// pre/size/level forest: the five columns exist, `pre`, `size` and
+    /// `level` are non-NULL integers, `pre` strictly increases, every
+    /// row's `(pre, pre + size]` nests inside its parent's — the innermost
+    /// interval that contains its `pre` — and its `level` is the parent's
+    /// plus one.
+    pub fn collect(table: &Table) -> Option<Self> {
+        let schema = table.schema();
+        let col = |c| schema.index_of(c);
+        let (pre, size, level) = (col("pre")?, col("size")?, col("level")?);
+        let (name, kind) = (col("name")?, col("kind")?);
+        let int = |row: &[Value], c: usize| match row[c] {
+            Value::Int(v) => Some(v),
+            _ => None,
+        };
+        let mut maxima: HashMap<(&Value, &Value), i64> = HashMap::new();
+        // The open ancestors of the current row: `(pre, pre + size, level)`,
+        // innermost last.
+        let mut open: Vec<(i64, i64, i64)> = Vec::new();
+        let mut last_pre = None;
+        for row in table.rows() {
+            let (p, s, l) = (int(row, pre)?, int(row, size)?, int(row, level)?);
+            if last_pre.is_some_and(|q| p <= q) {
+                return None;
+            }
+            last_pre = Some(p);
+            let end = p.checked_add(s)?;
+            while open.last().is_some_and(|&(_, e, _)| e < p) {
+                open.pop();
+            }
+            if let Some(&(pp, pe, pl)) = open.last() {
+                if end > pe || l != pl.checked_add(1)? {
+                    return None;
+                }
+                let gap = p.checked_sub(pp)?;
+                let max = maxima.entry((&row[name], &row[kind])).or_insert(gap);
+                *max = (*max).max(gap);
+            }
+            open.push((p, end, l));
+        }
+        let mut groups: Vec<(Value, Value, i64)> = maxima
+            .into_iter()
+            .map(|((n, k), gap)| (n.clone(), k.clone(), gap))
+            .collect();
+        groups.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
+        Some(ParentGap { groups })
+    }
+
+    /// The largest distance between a member of the `(name, kind)` group
+    /// and its parent; `None` when no member has a parent.
+    pub fn max_for(&self, name: &Value, kind: &Value) -> Option<i64> {
+        let at = self
+            .groups
+            .binary_search_by(|(n, k, _)| (n, k).cmp(&(name, kind)))
+            .ok()?;
+        Some(self.groups[at].2)
     }
 }
 
@@ -481,6 +562,108 @@ mod tests {
         assert_eq!(get(&by_g, &[Value::str("a")]), Some(7));
         assert_eq!(get(&GroupMax::collect(&tree, 0, &t, 3), &[]), None);
         assert_eq!(get(&GroupMax::collect(&tree, 0, &t, 2), &[]), Some(7));
+    }
+
+    /// Two documents as `(pre, size, level, kind, name)` rows: attributes,
+    /// and in each document a last child farther from its parent than its
+    /// earlier siblings.
+    fn forest() -> Vec<[Value; 5]> {
+        let row = |pre: i64, size: i64, level: i64, kind: &str, name: &str| {
+            [
+                Value::Int(pre),
+                Value::Int(size),
+                Value::Int(level),
+                Value::str(kind),
+                Value::str(name),
+            ]
+        };
+        vec![
+            row(0, 6, 0, "DOC", "a.xml"),
+            row(1, 5, 1, "ELEM", "r"),
+            row(2, 0, 2, "ATTR", "id"),
+            row(3, 1, 2, "ELEM", "x"),
+            row(4, 0, 3, "ATTR", "id"),
+            row(5, 1, 2, "ELEM", "x"),
+            row(6, 0, 3, "ELEM", "y"),
+            row(7, 4, 0, "DOC", "b.xml"),
+            row(8, 3, 1, "ELEM", "r"),
+            row(9, 0, 2, "ATTR", "id"),
+            row(10, 0, 2, "ELEM", "z"),
+            row(11, 0, 2, "ELEM", "x"),
+        ]
+    }
+
+    fn forest_table(rows: &[[Value; 5]]) -> Table {
+        let mut t = Table::new(Schema::new(["pre", "size", "level", "kind", "name"]));
+        for r in rows {
+            t.push(r.to_vec());
+        }
+        t
+    }
+
+    #[test]
+    fn parent_gap_is_the_farthest_member_of_each_group() {
+        let gap = ParentGap::collect(&forest_table(&forest())).expect("a valid forest");
+        let get = |name: &str, kind: &str| gap.max_for(&Value::str(name), &Value::str(kind));
+        // x: 3 - 1, 5 - 1 (the last child of a.xml's r), 11 - 8.
+        assert_eq!(get("x", "ELEM"), Some(4));
+        assert_eq!(get("r", "ELEM"), Some(1));
+        assert_eq!(get("id", "ATTR"), Some(1));
+        // y's parent is x@5, not its grandparent r@1.
+        assert_eq!(get("y", "ELEM"), Some(1));
+        assert_eq!(get("z", "ELEM"), Some(2));
+        // Roots have no parent; absent and cross-kind groups have no gap.
+        assert_eq!(get("a.xml", "DOC"), None);
+        assert_eq!(get("id", "ELEM"), None);
+        assert_eq!(get("w", "ELEM"), None);
+        // Column order does not matter, extra columns are ignored.
+        let mut t = Table::new(Schema::new([
+            "name", "value", "kind", "level", "size", "pre",
+        ]));
+        for [pre, size, level, kind, name] in forest() {
+            t.push(vec![name, Value::Null, kind, level, size, pre]);
+        }
+        assert_eq!(ParentGap::collect(&t), Some(gap));
+    }
+
+    #[test]
+    fn parent_gap_is_none_for_an_invalid_encoding() {
+        let broken = |edit: &dyn Fn(&mut Vec<[Value; 5]>)| {
+            let mut rows = forest();
+            edit(&mut rows);
+            ParentGap::collect(&forest_table(&rows))
+        };
+        assert!(broken(&|_| {}).is_some());
+        // `pre` repeats, then goes backwards.
+        assert_eq!(broken(&|r| r[6][0] = Value::Int(5)), None);
+        assert_eq!(broken(&|r| r.swap(3, 4)), None);
+        // x@5's interval (5, 7] leaves r's (1, 6].
+        assert_eq!(broken(&|r| r[5][1] = Value::Int(2)), None);
+        // y skips a level below x@5; id@2 claims r's level.
+        assert_eq!(broken(&|r| r[6][2] = Value::Int(4)), None);
+        assert_eq!(broken(&|r| r[2][2] = Value::Int(1)), None);
+        // NULL or non-integer pre / size / level.
+        for col in 0..3 {
+            for bad in [Value::Null, Value::Dec(3.0), Value::str("3")] {
+                assert_eq!(broken(&|r| r[3][col] = bad.clone()), None, "{col} {bad:?}");
+            }
+        }
+        // A missing column.
+        let mut t = Table::new(Schema::new(["pre", "size", "level", "kind"]));
+        t.push(vec![
+            Value::Int(0),
+            Value::Int(0),
+            Value::Int(0),
+            Value::Null,
+        ]);
+        assert_eq!(ParentGap::collect(&t), None);
+        // An empty table is a valid, empty forest.
+        assert_eq!(
+            broken(&|r| r.clear())
+                .unwrap()
+                .max_for(&Value::Null, &Value::Null),
+            None
+        );
     }
 
     #[test]

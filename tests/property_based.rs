@@ -13,7 +13,9 @@
 //!   one-sided index range with a statistics-derived lower bound — at the
 //!   window's edges, under same-name recursion, with names shared by
 //!   elements and attributes, across two documents, and after a load that
-//!   widens a name's extent.
+//!   widens a name's extent — and nameless parent steps (`*`, `..`), whose
+//!   probe the optimizer closes from the child's side with the parent-gap
+//!   statistic, at that window's edge and after a load that widens a gap.
 
 use proptest::prelude::*;
 use xqjg::engine::{
@@ -100,8 +102,9 @@ fn arb_auction_xml() -> BoxedStrategy<String> {
 }
 
 /// Upward-step query shapes over document `uri`; `k` picks the literal.
-/// The first [`STEP_SHAPES`] are path steps, the last two value joins
-/// from an attribute to its owner element.
+/// The first [`STEP_SHAPES`] are path steps — named and nameless (`*`,
+/// `..`) parents and ancestors — the last two value joins from an
+/// attribute to its owner element.
 fn upward_queries(uri: &str, k: u32) -> Vec<String> {
     let d = format!("doc(\"{uri}\")");
     vec![
@@ -113,6 +116,9 @@ fn upward_queries(uri: &str, k: u32) -> Vec<String> {
         format!("{d}//item[@id = \"i{k}\"]/.."),
         format!("{d}//incategory[@category = \"c{k}\"]/ancestor::item"),
         format!("{d}//@category/.."),
+        format!("{d}//*[@id = \"i{k}\"]"),
+        format!("{d}//*[v = {k}]"),
+        format!("{d}//v[. = {k}]/ancestor::*"),
         format!("for $r in {d}//itemref, $i in {d}//item where $r/@item = $i/@id return $i"),
         format!(
             "for $i in {d}//item, $c in {d}//category where $i/@category = $c/@id return $c/name"
@@ -120,7 +126,7 @@ fn upward_queries(uri: &str, k: u32) -> Vec<String> {
     ]
 }
 
-const STEP_SHAPES: usize = 8;
+const STEP_SHAPES: usize = 11;
 
 /// Join graph ≡ interpreter (items and order) for `query`; returns the
 /// join-graph outcome for further inspection.
@@ -138,6 +144,16 @@ fn has_derived_window(out: &xqjg::Outcome, name: &str) -> bool {
     out.explain()
         .iter()
         .any(|e| e.lines().any(|l| l.contains(&group) && l.contains(" - ")))
+}
+
+/// Did the optimizer close a nameless parent step from the child's side
+/// with the parent-gap window `pre >= x - gap`?
+fn has_child_window(out: &xqjg::Outcome, gap: i64) -> bool {
+    let window = format!(".pre - {gap}, pre < ");
+    out.explain().iter().any(|e| {
+        e.lines()
+            .any(|l| l.contains("IXSCAN p_nvkls (pre >= ") && l.contains(&window))
+    })
 }
 
 /// A document of `items` `item`s, the `k`-th holding `k % 4` `<x/>`
@@ -222,6 +238,60 @@ fn a_load_that_widens_a_name_refreshes_the_window() {
     // Both documents share the catalog and the (item, ELEM) group; the
     // first one still answers through the (now wider) window.
     assert_join_graph_matches_interpreter(&mut p, "doc(\"t.xml\")//w[@k = \"7\"]/ancestor::item");
+}
+
+#[test]
+fn child_side_window_is_sound_at_its_edge() {
+    // w is the last child of its item, after `@id` and the item's `x`s:
+    // item 17 holds 1 + 9 of them, so its w sits 12 after it — the
+    // largest (w, ELEM) parent gap, exactly on the inclusive edge.
+    let mut p = Processor::new();
+    p.load_document("t.xml", &edge_xml(80, 17, 9)).unwrap();
+    p.create_default_indexes();
+    for k in [0, 3, 17, 79] {
+        for query in [
+            format!("doc(\"t.xml\")//w[@k = \"{k}\"]/.."),
+            format!("doc(\"t.xml\")//*[w/@k = \"{k}\"]"),
+        ] {
+            let up = assert_join_graph_matches_interpreter(&mut p, &query);
+            assert_eq!(up.items.len(), 1, "{query}");
+            assert!(has_child_window(&up, 12), "{}", up.explain()[0]);
+        }
+        // `*` over an attribute: the owner sits one before it.
+        let owner = assert_join_graph_matches_interpreter(
+            &mut p,
+            &format!("doc(\"t.xml\")//*[@id = \"i{k}\"]"),
+        );
+        assert_eq!(owner.items.len(), 1);
+        assert!(has_child_window(&owner, 1), "{}", owner.explain()[0]);
+    }
+    // No `level + 1`, no window: an ancestor step reaches past the parent.
+    let all =
+        assert_join_graph_matches_interpreter(&mut p, "doc(\"t.xml\")//w[@k = \"17\"]/ancestor::*");
+    assert_eq!(all.items.len(), 2, "item and root");
+}
+
+#[test]
+fn a_load_that_widens_a_parent_gap_refreshes_the_window() {
+    // In t.xml a w sits at most 5 after its item; in u.xml item 2's w sits
+    // 40 after it.  A window kept from the first catalog version could
+    // not reach that item.
+    let mut p = Processor::new();
+    p.load_document("t.xml", &edge_xml(60, 0, 0)).unwrap();
+    p.create_default_indexes();
+    let narrow = assert_join_graph_matches_interpreter(&mut p, "doc(\"t.xml\")//w[@k = \"7\"]/..");
+    assert!(has_child_window(&narrow, 5), "{}", narrow.explain()[0]);
+    let query = "doc(\"u.xml\")//w[@k = \"2\"]/..";
+    assert!(p.execute(query, Mode::JoinGraph).unwrap().items.is_empty());
+
+    p.load_document("u.xml", &edge_xml(60, 2, 36)).unwrap();
+    p.create_default_indexes();
+    let after = assert_join_graph_matches_interpreter(&mut p, query);
+    assert_eq!(after.items.len(), 1, "the far parent is found");
+    assert!(has_child_window(&after, 40), "{}", after.explain()[0]);
+    // Both documents share the (w, ELEM) group and its wider gap.
+    let again = assert_join_graph_matches_interpreter(&mut p, "doc(\"t.xml\")//w[@k = \"7\"]/..");
+    assert!(has_child_window(&again, 40), "{}", again.explain()[0]);
 }
 
 /// Strategy producing a nullable join key over a tiny domain (so matches,
