@@ -22,7 +22,7 @@ pub fn doc_relation(doc: &DocTable) -> Table {
             Value::Int(row.size as i64),
             Value::Int(row.level as i64),
             Value::str(row.kind.label()),
-            row.name.clone().map(Value::Str).unwrap_or(Value::Null),
+            row.name.as_deref().map(Value::str).unwrap_or(Value::Null),
             row.value.clone().map(Value::Str).unwrap_or(Value::Null),
             row.data.map(Value::Dec).unwrap_or(Value::Null),
         ]);

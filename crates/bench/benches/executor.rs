@@ -11,10 +11,12 @@
 //! `tail/Q4` times the plan tail at the size where it dominates: Q4 at
 //! XMark scale 8 binds 4 000 rows into `SELECT DISTINCT d1.pre … ORDER BY
 //! d1.pre` (one select column) behind two index probes per row.
+//! `serialize/Q1` times serializing Q1's answer on the same document:
+//! 3 404 `open_auction` subtrees of the default-seed document.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use xqjg_bench::{queries, Workload};
-use xqjg_core::Processor;
+use xqjg_core::{Mode, Processor};
 use xqjg_data::{generate_xmark_encoded, XmarkConfig};
 use xqjg_engine::{execute_materialized, optimize, PhysPlan, QueryRequest};
 
@@ -75,6 +77,20 @@ fn bench_executor(c: &mut Criterion) {
     let db = p.database();
     group.bench_with_input(BenchmarkId::new("tail", q4.id), &plans, |b, plans| {
         b.iter(|| run_pipelined(plans, db))
+    });
+
+    let q1 = queries()
+        .into_iter()
+        .find(|q| q.id == "Q1")
+        .expect("Q1 ships");
+    let items = p.execute(q1.text, Mode::JoinGraph).expect("Q1 runs").items;
+    assert_eq!(
+        items.len(),
+        3_404,
+        "Q1's answer at XMark scale 8, default seed"
+    );
+    group.bench_with_input(BenchmarkId::new("serialize", q1.id), &items, |b, items| {
+        b.iter(|| p.serialize(items).len())
     });
     group.finish();
 }

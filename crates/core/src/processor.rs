@@ -628,6 +628,18 @@ mod tests {
     }
 
     #[test]
+    fn a_load_after_serializing_shows_in_the_next_serialization() {
+        let mut p = Processor::new();
+        p.load_document("a.xml", "<a>1</a>").unwrap();
+        assert_eq!(p.serialize(&[Pre(0)]), "<a>1</a>");
+        p.load_document("b.xml", "<b>2</b>").unwrap();
+        assert_eq!(p.serialize(&[Pre(0), Pre(3)]), "<a>1</a>\n<b>2</b>");
+        let c = encode_document("c.xml", "<c/>").unwrap();
+        p.load_encoded("c.xml", c);
+        assert_eq!(p.serialize(&[Pre(6)]), "<c/>");
+    }
+
+    #[test]
     fn q1_all_modes_agree() {
         let mut p = processor();
         let n = assert_all_modes_agree(

@@ -505,7 +505,7 @@ fn ancestor_names(doc: &DocTable, root: Pre) -> std::collections::HashSet<String
     let mut cur = root;
     while let Some(parent) = xqjg_xml::axis::parent_of(doc, cur) {
         if let Some(name) = &doc.row(parent).name {
-            out.insert(name.clone());
+            out.insert(name.to_string());
         }
         cur = parent;
     }

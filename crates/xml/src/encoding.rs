@@ -19,6 +19,10 @@
 //! Several documents may live in one table (multiple DOC rows), exactly as
 //! described in Section II-A of the paper.
 
+use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
+
+use crate::serialize::TextImage;
 use crate::tree::{Document, TreeNodeKind};
 
 /// Document order rank — the key column of the encoding.
@@ -119,8 +123,10 @@ pub struct NodeRow {
     pub level: u32,
     /// Node kind.
     pub kind: NodeKind,
-    /// Tag / attribute name, or the document URI for DOC rows.
-    pub name: Option<String>,
+    /// Tag / attribute name, or the document URI for DOC rows.  Rows
+    /// loaded by one [`DocTable::add_document`] call share one allocation
+    /// per distinct name.
+    pub name: Option<Arc<str>>,
     /// Untyped string value, populated for rows with `size <= 1`.
     pub value: Option<String>,
     /// `value` cast to decimal when the cast succeeds.
@@ -128,15 +134,20 @@ pub struct NodeRow {
 }
 
 /// The tabular encoding: a dense vector of [`NodeRow`]s indexed by `pre`.
+///
+/// The table also owns its serialized text (`TextImage`), built by the
+/// first serialization and dropped whenever rows change.  It is part of
+/// the document, like a column, so clones share it.
 #[derive(Debug, Clone, Default)]
 pub struct DocTable {
     rows: Vec<NodeRow>,
+    image: OnceLock<Arc<TextImage>>,
 }
 
 impl DocTable {
     /// Create an empty table.
     pub fn new() -> Self {
-        DocTable { rows: Vec::new() }
+        DocTable::default()
     }
 
     /// Build a table directly from pre-computed rows (rows must already be
@@ -145,7 +156,10 @@ impl DocTable {
         for (i, r) in rows.iter().enumerate() {
             debug_assert_eq!(r.pre as usize, i, "rows must be dense in pre order");
         }
-        DocTable { rows }
+        DocTable {
+            rows,
+            image: OnceLock::new(),
+        }
     }
 
     /// Shred a parsed [`Document`] into a fresh table.
@@ -158,17 +172,22 @@ impl DocTable {
     /// Append another document to the table (the table then hosts multiple
     /// trees, distinguishable via their DOC rows).
     pub fn add_document(&mut self, uri: &str, doc: &Document) {
+        self.image = OnceLock::new();
         let base = self.rows.len() as u32;
         let order = doc.document_order();
         self.rows.reserve(order.len());
+        let mut names: HashMap<&str, Arc<str>> = HashMap::new();
         for (offset, node_id) in order.iter().enumerate() {
             let node = doc.node(*node_id);
             let kind = NodeKind::from(node.kind);
             let size = doc.subtree_size(*node_id) as u32;
             let level = doc.level(*node_id) as u32;
             let name = match kind {
-                NodeKind::Document => Some(uri.to_string()),
-                _ => node.name.clone(),
+                NodeKind::Document => Some(Arc::from(uri)),
+                _ => node
+                    .name
+                    .as_deref()
+                    .map(|n| names.entry(n).or_insert_with(|| Arc::from(n)).clone()),
             };
             let value = if size <= 1 && kind != NodeKind::Document {
                 let v = doc.string_value(*node_id);
@@ -214,6 +233,11 @@ impl DocTable {
     /// Access the row with the given `pre` rank, if it exists.
     pub fn get(&self, pre: Pre) -> Option<&NodeRow> {
         self.rows.get(pre.idx())
+    }
+
+    /// The serialized text of every tree in the table, built on first use.
+    pub(crate) fn text_image(&self) -> &TextImage {
+        self.image.get_or_init(|| Arc::new(TextImage::build(self)))
     }
 
     /// Iterate over all rows in `pre` order.
@@ -364,6 +388,14 @@ mod tests {
         assert_eq!(t.row(root2).size, 2);
         assert_eq!(t.owning_root(Pre(11)), Some(root2));
         assert_eq!(t.owning_root(Pre(4)), Some(Pre(0)));
+    }
+
+    #[test]
+    fn one_document_shares_one_allocation_per_name() {
+        let t = DocTable::from_document("t.xml", &parse_document("<a><b/><b/></a>").unwrap());
+        let name = |pre| t.row(Pre(pre)).name.clone().unwrap();
+        assert_eq!(&*name(2), "b");
+        assert!(Arc::ptr_eq(&name(2), &name(3)));
     }
 
     #[test]

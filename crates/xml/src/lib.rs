@@ -11,8 +11,8 @@
 //!   ([`encoding::DocTable`], [`encoding::NodeRow`]),
 //! * the XPath axis / kind-test / name-test predicates of Fig. 3
 //!   ([`axis::Axis`], [`axis::NodeTest`]),
-//! * serialization of a node-sequence result back to XML text
-//!   ([`serialize::serialize_nodes`]).
+//! * serialization of a node-sequence result back to XML text, as byte-range
+//!   copies out of a per-table text image ([`serialize::serialize_nodes`]).
 //!
 //! The encoding is the `doc` table every compiled plan joins against; all
 //! higher layers (`xqjg-algebra`, `xqjg-engine`, `xqjg-core`) treat it as the

@@ -1,7 +1,8 @@
 //! Print the answers and EXPLAIN actuals of Table VIII's Q1–Q6 over one
-//! catalog holding both documents, once cold (fresh caches) and once warm.
-//! Two builds that must agree — before and after an executor change — are
-//! compared by diffing this output byte for byte.
+//! catalog holding both documents, once cold (fresh caches) and once warm,
+//! plus the byte length and a hash of each answer's serialized XML.  Two
+//! builds that must agree — before and after an executor or serializer
+//! change — are compared by diffing this output byte for byte.
 //!
 //! ```text
 //! cargo run --release --example answers -- [xmark_scale] [dblp_scale] [threads]
@@ -9,6 +10,8 @@
 //!
 //! Defaults: scales 0.1 / 0.1, one thread.  The documents are generated
 //! from fixed seeds, so equal arguments give equal documents.
+
+use std::hash::{DefaultHasher, Hash, Hasher};
 
 use xqjg::data::{generate_dblp_encoded, generate_xmark_encoded, DblpConfig, XmarkConfig};
 use xqjg::{Mode, Processor};
@@ -56,6 +59,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 q + 1,
                 items.len(),
                 items.join(" ")
+            );
+            let xml = p.serialize(&out.items);
+            let mut hasher = DefaultHasher::new();
+            xml.hash(&mut hasher);
+            println!(
+                "Q{} {pass} xml bytes={} hash={:016x}",
+                q + 1,
+                xml.len(),
+                hasher.finish()
             );
             for block in out.explain() {
                 println!("{block}");

@@ -1,6 +1,8 @@
 //! Property-based tests over the core invariants:
 //!
-//! * the pre/size/level encoding round-trips through serialization,
+//! * the pre/size/level encoding round-trips through serialization, and
+//!   every node's slice of the memoized document text equals the node's
+//!   subtree serialized row by row, over generated XMark and DBLP,
 //! * axis predicates agree with naive tree navigation,
 //! * B-tree range scans agree with sorted-vector filtering,
 //! * randomly generated path queries evaluate identically through the
@@ -18,12 +20,13 @@
 //!   statistic, at that window's edge and after a load that widens a gap.
 
 use proptest::prelude::*;
+use xqjg::data::{generate_dblp_encoded, generate_xmark_encoded, DblpConfig, XmarkConfig};
 use xqjg::engine::{
     execute_materialized_with_stats, optimize, Access, ExecStats, JoinMethod, JoinNode, PhysPlan,
     QueryRequest, SelectItem, SqlCmp, SqlExpr, SqlPredicate,
 };
 use xqjg::store::{BPlusTree, Database, ExecConfig, Schema, Table, Value};
-use xqjg::xml::{encode_document, parse_document, DocTable, Pre};
+use xqjg::xml::{encode_document, parse_document, DocTable, NodeKind, Pre};
 use xqjg::{Mode, Processor};
 
 /// Result rows of `plan` under the environment-default knobs.
@@ -393,6 +396,107 @@ proptest! {
             }
         }
     }
+}
+
+/// Reference serializer: walks the subtree rooted at `pre` row by row,
+/// as `serialize_subtree` did before it copied slices of a text image.
+fn serialize_rows(table: &DocTable, pre: Pre, out: &mut String) {
+    fn escaped(out: &mut String, s: &str, in_attribute: bool) {
+        for c in s.chars() {
+            match c {
+                '<' => out.push_str("&lt;"),
+                '>' => out.push_str("&gt;"),
+                '&' => out.push_str("&amp;"),
+                '"' if in_attribute => out.push_str("&quot;"),
+                _ => out.push(c),
+            }
+        }
+    }
+    let children = |first: u32, out: &mut String| {
+        let mut p = first;
+        while p <= pre.0 + table.row(pre).size {
+            serialize_rows(table, Pre(p), out);
+            p += table.row(Pre(p)).size + 1;
+        }
+    };
+    let row = table.row(pre);
+    let value = row.value.as_deref().unwrap_or("");
+    match row.kind {
+        NodeKind::Document => children(pre.0 + 1, out),
+        NodeKind::Element => {
+            let name = row.name.as_deref().unwrap();
+            out.push('<');
+            out.push_str(name);
+            let mut p = pre.0 + 1;
+            while p <= pre.0 + row.size
+                && table.row(Pre(p)).kind == NodeKind::Attribute
+                && table.row(Pre(p)).level == row.level + 1
+            {
+                out.push(' ');
+                serialize_rows(table, Pre(p), out);
+                p += 1;
+            }
+            if p > pre.0 + row.size {
+                out.push_str("/>");
+            } else {
+                out.push('>');
+                children(p, out);
+                out.push_str(&format!("</{name}>"));
+            }
+        }
+        NodeKind::Attribute => {
+            out.push_str(&format!("{}=\"", row.name.as_deref().unwrap()));
+            escaped(out, value, true);
+            out.push('"');
+        }
+        NodeKind::Text => escaped(out, value, false),
+        NodeKind::Comment => out.push_str(&format!("<!--{value}-->")),
+        NodeKind::ProcessingInstruction => {
+            out.push_str("<?");
+            out.push_str(row.name.as_deref().unwrap_or(""));
+            if !value.is_empty() {
+                out.push(' ');
+                out.push_str(value);
+            }
+            out.push_str("?>");
+        }
+    }
+}
+
+#[test]
+fn every_text_image_slice_matches_a_row_by_row_serialization() {
+    let mut p = Processor::new();
+    p.load_encoded(
+        "auction.xml",
+        generate_xmark_encoded("auction.xml", &XmarkConfig::with_scale(0.1)),
+    );
+    p.load_encoded(
+        "dblp.xml",
+        generate_dblp_encoded("dblp.xml", &DblpConfig::with_scale(0.1)),
+    );
+    let doc = p.doc();
+    assert_eq!(doc.document_roots().len(), 2);
+    let mut mismatches = Vec::new();
+    for row in doc.rows() {
+        let mut expected = String::new();
+        serialize_rows(doc, Pre(row.pre), &mut expected);
+        if p.serialize(&[Pre(row.pre)]) != expected {
+            mismatches.push(row.pre);
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "{} of {} rows differ, first at pre {:?}",
+        mismatches.len(),
+        doc.len(),
+        mismatches.first()
+    );
+    let roots = doc.document_roots();
+    let mut both = String::new();
+    serialize_rows(doc, roots[0], &mut both);
+    both.push('\n');
+    serialize_rows(doc, roots[1], &mut both);
+    assert_eq!(p.serialize(&roots), both);
 }
 
 proptest! {
