@@ -8,7 +8,10 @@
 //! × budget {unlimited, 256 KiB}.  Rows, order and the aggregate counters
 //! are additionally checked against the materializing executor at batch
 //! capacities {1, 64, 1024}.  A deterministic-random property test sweeps
-//! random predicates, NULL densities and budgets.
+//! random predicates, NULL densities and budgets, and the NLJOIN predicate
+//! shapes that run on the integer images: computed sums over the inner
+//! row, `cur.col + k = outer.col`, and outer-only right-hand sides over
+//! NULL-bearing, decimal and near-`i64::MAX` outer columns.
 //!
 //! [`Value`]: xqjg_store::Value
 
@@ -17,7 +20,7 @@ use xqjg_bench::{queries, Workload};
 use xqjg_engine::{
     execute_materialized_with_stats, optimize, parse_sql, ExecStats, PhysPlan, QueryRequest,
 };
-use xqjg_store::{Database, ExecConfig, OpStats, Schema, Table, Value};
+use xqjg_store::{Database, ExecConfig, IndexDef, OpStats, Schema, Table, Value};
 
 /// Rows and counters of `plan` under pinned knobs.
 fn run_plan(plan: &PhysPlan, db: &Database, cfg: &ExecConfig) -> (Table, ExecStats) {
@@ -309,6 +312,112 @@ proptest! {
             let sans_ref: Vec<OpStats> =
                 s_ref.operators.iter().map(OpStats::sans_spill).collect();
             prop_assert_eq!(sans, sans_ref, "typed {} changed actuals", typed);
+        }
+    }
+
+    /// NLJOIN predicates lowered onto the `i64` images — per-probe
+    /// outer-only right-hand sides and per-rid computed checks — must agree
+    /// with the interpreted `Value` path and the materializing oracle,
+    /// including where the images cannot answer: NULL outer operands, a
+    /// decimal outer column, and sums that overflow `i64`.
+    #[test]
+    fn nljoin_integer_predicates_match_the_interpreted_path_and_the_oracle(
+        rows in 60i64..160,
+        nulls in 2i64..9,
+        bound in 0i64..40,
+        k in -3i64..4,
+        level_step in proptest::bool::ANY,
+        null_rhs in proptest::bool::ANY,
+        dec_rhs in proptest::bool::ANY,
+        near_max in proptest::bool::ANY,
+        four_way in proptest::bool::ANY,
+    ) {
+        let mut t = Table::new(Schema::new(["pre", "size", "lvl", "grp", "dec", "big"]));
+        for i in 0..rows {
+            let grp = if i % nulls == 1 {
+                Value::Null
+            } else {
+                Value::Int(i % 29)
+            };
+            t.push(vec![
+                Value::Int(i),
+                Value::Int((i * 7) % 13),
+                Value::Int(i % 5),
+                grp,
+                Value::Dec(i as f64 / 2.0),
+                Value::Int(i64::MAX - i % 50),
+            ]);
+        }
+        let mut db = Database::new();
+        db.create_table("doc", t);
+        // The document-order index makes the window an index probe, so the
+        // equality below stays an NLJOIN predicate instead of a hash key.
+        db.create_index(IndexDef {
+            name: "p".into(),
+            table: "doc".into(),
+            key_columns: vec!["pre".into()],
+            include_columns: vec![],
+            clustered: true,
+        });
+        // A containment window with a computed sum over the inner row on
+        // one side, plus the optional shapes.
+        let mut preds = vec![
+            format!("d1.pre <= {bound}"),
+            "d1.pre < d2.pre".to_string(),
+            "d1.pre <= d2.pre + d2.size".to_string(),
+            "d2.pre <= d1.pre + d1.size + 20".to_string(),
+        ];
+        if level_step {
+            preds.push(format!("d2.lvl + {k} = d1.lvl"));
+        }
+        if null_rhs {
+            preds.push(format!("d2.pre > d1.grp + {k}"));
+        }
+        if dec_rhs {
+            preds.push("d2.pre >= d1.dec + 1".to_string());
+        }
+        if near_max {
+            preds.push(format!("d2.big + {} >= d1.big", 40 + k));
+            preds.push(format!("d2.pre + {} <= d1.big + 1", 60 + k));
+        }
+        let sql = format!(
+            "SELECT d1.pre AS a, d2.pre AS b FROM doc AS d1, doc AS d2 WHERE {} \
+             ORDER BY d1.pre, d2.pre",
+            preds.join(" AND ")
+        );
+        let plan = optimize(&parse_sql(&sql).unwrap(), &db).unwrap();
+        let threads = if four_way { 4 } else { 1 };
+        let (t_ref, s_ref) = run_plan(
+            &plan,
+            &db,
+            &ExecConfig::sequential().with_typed_kernels(false),
+        );
+        for typed in [true, false] {
+            let cfg = ExecConfig::sequential()
+                .with_typed_kernels(typed)
+                .with_threads(threads)
+                .with_morsel_size(16);
+            let oracle = check_against_materializing_oracle(&plan, &db, &cfg, &sql);
+            prop_assert!(oracle.is_ok(), "typed {}: {:?}", typed, oracle);
+            let (t, s) = run_plan(&plan, &db, &cfg);
+            prop_assert_eq!(&t, &t_ref, "typed {} diverged from kernels-off: {}", typed, &sql);
+            let sans: Vec<OpStats> = s.operators.iter().map(OpStats::sans_spill).collect();
+            let sans_ref: Vec<OpStats> =
+                s_ref.operators.iter().map(OpStats::sans_spill).collect();
+            prop_assert_eq!(sans, sans_ref, "typed {} changed actuals: {}", typed, &sql);
+            let nljoin_kernels: usize = s
+                .operators
+                .iter()
+                .filter(|o| o.name.starts_with("NLJOIN"))
+                .map(|o| o.kernel_rows)
+                .sum();
+            prop_assert_eq!(
+                nljoin_kernels > 0,
+                typed,
+                "typed {}: the NLJOIN probe must run on the images exactly when kernels are on: {} {:?}",
+                typed,
+                &sql, &s.operators
+            );
         }
     }
 }

@@ -972,35 +972,145 @@ fn compile_expr(
     }
 }
 
+/// An integer expression lowered onto a stage's `i64` column images:
+/// literals, bound outer columns, the candidate row's columns and sums of
+/// them.  NLJOIN probe operands, computed containment checks and
+/// [`PrefixRun`] bounds all evaluate through it, so a probe over integer
+/// columns reads no [`Value`] row.  `Value` keeps an outer-only
+/// subexpression the images cannot represent (a decimal literal, a mixed
+/// `Int`/`Dec` column) on [`ceval`].
+enum IntExpr<'a> {
+    Lit(i64),
+    Outer {
+        slot: usize,
+        vals: &'a [i64],
+        validity: Option<&'a BitMask>,
+    },
+    Cur {
+        vals: &'a [i64],
+        validity: Option<&'a BitMask>,
+    },
+    Add(Box<IntExpr<'a>>, Box<IntExpr<'a>>),
+    Value(CExpr),
+}
+
+/// The image slot `i`, or `None` when the validity mask marks it NULL.
+#[inline]
+fn image_at(vals: &[i64], validity: Option<&BitMask>, i: usize) -> Option<i64> {
+    match validity {
+        Some(m) if !m.get(i) => None,
+        _ => Some(vals[i]),
+    }
+}
+
+impl<'a> IntExpr<'a> {
+    /// Lower `e` for a stage over `base`; `None` when it reads a
+    /// candidate-row column that has no `i64` image.
+    fn lower(e: &CExpr, base: &'a Table, outer_tables: &[&'a Table]) -> Option<IntExpr<'a>> {
+        Some(match e {
+            CExpr::Lit(Value::Int(k)) => IntExpr::Lit(*k),
+            CExpr::Outer { slot, col } => {
+                match outer_tables[*slot].typed().int_col_nullable(*col) {
+                    Some((vals, validity)) => IntExpr::Outer {
+                        slot: *slot,
+                        vals,
+                        validity,
+                    },
+                    None => IntExpr::Value(e.clone()),
+                }
+            }
+            CExpr::Cur { col } => {
+                let (vals, validity) = base.typed().int_col_nullable(*col)?;
+                IntExpr::Cur { vals, validity }
+            }
+            CExpr::Add(a, b) => IntExpr::Add(
+                Box::new(IntExpr::lower(a, base, outer_tables)?),
+                Box::new(IntExpr::lower(b, base, outer_tables)?),
+            ),
+            CExpr::Lit(_) => IntExpr::Value(e.clone()),
+        })
+    }
+
+    /// Does every leaf read an `i64` image or literal (no [`ceval`])?
+    fn is_typed(&self) -> bool {
+        match self {
+            IntExpr::Lit(_) | IntExpr::Outer { .. } | IntExpr::Cur { .. } => true,
+            IntExpr::Add(a, b) => a.is_typed() && b.is_typed(),
+            IntExpr::Value(_) => false,
+        }
+    }
+
+    /// The value for one outer row and candidate rid `cur` (required only
+    /// when the expression reads the candidate row); `None` when it is not
+    /// an integer — NULL, a decimal, an overflowing sum — and the caller
+    /// falls back to [`ceval`] for this row.
+    #[inline]
+    fn eval(&self, env: &ColEnv<'_>, cur: Option<usize>) -> Option<i64> {
+        match self {
+            IntExpr::Lit(k) => Some(*k),
+            IntExpr::Outer {
+                slot,
+                vals,
+                validity,
+            } => image_at(vals, *validity, env.cols[*slot][env.idx]),
+            IntExpr::Cur { vals, validity } => {
+                image_at(vals, *validity, cur.expect("candidate row required"))
+            }
+            IntExpr::Add(a, b) => a.eval(env, cur)?.checked_add(b.eval(env, cur)?),
+            IntExpr::Value(e) => match ceval(e, env, None).as_ref() {
+                Value::Int(k) => Some(*k),
+                _ => None,
+            },
+        }
+    }
+}
+
 /// One NLJOIN probe predicate kernelized over the inner column's `i64`
 /// image: `cur.col op <outer-only expression>` (or flipped).  The rhs is
-/// re-evaluated once per probe; an integer result runs the compare kernel
-/// over the probe's candidate rids, a NULL result fails the whole probe,
-/// and anything else falls back to interpreting the source predicate
-/// (`pred` indexes the stage's predicate list) for that probe.
+/// evaluated once per probe from the outer alias's image; an integer
+/// result runs the compare kernel over the probe's candidate rids.  A
+/// non-integer result re-evaluates the source predicate's outer side
+/// (`pred` indexes the stage's predicate list) through [`ceval`]: NULL
+/// fails the whole probe, anything else interprets the predicate for that
+/// probe.
 struct ProbeTerm<'a> {
     vals: &'a [i64],
     validity: Option<&'a BitMask>,
     op: KernelCmp,
-    rhs: CExpr,
+    rhs: IntExpr<'a>,
     /// Index of the source predicate in the stage's list (scalar fallback).
+    pred: usize,
+}
+
+/// An integer predicate whose operands read the candidate row through
+/// computed expressions (`outer.pre <= cur.pre + cur.size`,
+/// `cur.level + 1 = outer.level`): checked per candidate rid over the
+/// images.  A row whose operands are not both integers falls back to
+/// [`cpred_holds`] on the source predicate (`pred`).
+struct IntPred<'a> {
+    lhs: IntExpr<'a>,
+    op: SqlCmp,
+    rhs: IntExpr<'a>,
     pred: usize,
 }
 
 /// The NLJOIN lowering of one inner-side predicate list, split by what
 /// each predicate needs: `static_terms` compare against constants (no
-/// outer row required), `dynamic` terms re-resolve their rhs per probe,
-/// and `scalar` indexes the predicates left to the interpreted path.
+/// outer row required), `dynamic` terms re-resolve their rhs per probe and
+/// join one fused mask pass, `computed` integer predicates are checked per
+/// candidate rid, and `scalar` indexes the predicates left to the
+/// interpreted path (strings, decimals and other non-`i64` operands).
 #[derive(Default)]
 struct NlSplit<'a> {
     static_terms: Vec<MaskTerm<'a>>,
     dynamic: Vec<ProbeTerm<'a>>,
+    computed: Vec<IntPred<'a>>,
     scalar: Vec<usize>,
 }
 
 impl NlSplit<'_> {
     fn is_empty(&self) -> bool {
-        self.static_terms.is_empty() && self.dynamic.is_empty()
+        self.static_terms.is_empty() && self.dynamic.is_empty() && self.computed.is_empty()
     }
 }
 
@@ -1016,7 +1126,12 @@ fn outer_only(e: &CExpr) -> bool {
 
 /// Lower one predicate to an NLJOIN [`ProbeTerm`], if its shape
 /// (`cur.col op outer-only-expr` or flipped) and the column image allow.
-fn compile_probe_term<'a>(p: &CPred, pi: usize, base: &'a Table) -> Option<ProbeTerm<'a>> {
+fn compile_probe_term<'a>(
+    p: &CPred,
+    pi: usize,
+    base: &'a Table,
+    outer_tables: &[&'a Table],
+) -> Option<ProbeTerm<'a>> {
     let (col, op, rhs) = match (&p.lhs, &p.rhs) {
         (CExpr::Cur { col }, r) if outer_only(r) => (*col, p.op, r),
         (l, CExpr::Cur { col }) if outer_only(l) => (*col, p.op.flip(), l),
@@ -1027,19 +1142,39 @@ fn compile_probe_term<'a>(p: &CPred, pi: usize, base: &'a Table) -> Option<Probe
         vals,
         validity,
         op: kcmp(op),
-        rhs: rhs.clone(),
+        rhs: IntExpr::lower(rhs, base, outer_tables)?,
+        pred: pi,
+    })
+}
+
+/// Lower one predicate to a per-rid [`IntPred`], if both sides are integer
+/// expressions over `i64` images and literals.
+fn compile_int_pred<'a>(
+    p: &CPred,
+    pi: usize,
+    base: &'a Table,
+    outer_tables: &[&'a Table],
+) -> Option<IntPred<'a>> {
+    let lhs = IntExpr::lower(&p.lhs, base, outer_tables)?;
+    let rhs = IntExpr::lower(&p.rhs, base, outer_tables)?;
+    (lhs.is_typed() && rhs.is_typed()).then_some(IntPred {
+        lhs,
+        op: p.op,
+        rhs,
         pred: pi,
     })
 }
 
 /// Split an NLJOIN inner-side predicate list into its kernel lowerings.
-fn split_nl_preds<'a>(preds: &[CPred], base: &'a Table) -> NlSplit<'a> {
+fn split_nl_preds<'a>(preds: &[CPred], base: &'a Table, outer_tables: &[&'a Table]) -> NlSplit<'a> {
     let mut split = NlSplit::default();
     for (pi, p) in preds.iter().enumerate() {
         if let Some(t) = compile_typed_pred(p, base).term() {
             split.static_terms.push(t);
-        } else if let Some(t) = compile_probe_term(p, pi, base) {
+        } else if let Some(t) = compile_probe_term(p, pi, base, outer_tables) {
             split.dynamic.push(t);
+        } else if let Some(t) = compile_int_pred(p, pi, base, outer_tables) {
+            split.computed.push(t);
         } else {
             split.scalar.push(pi);
         }
@@ -1140,11 +1275,14 @@ struct CStage<'a> {
 /// An NLJOIN `IndexScan` stage whose equality prefix is all literals and
 /// which has at least one range bound: every probe reads the same run of
 /// index entries, so it can binary-search that run's integer image
-/// instead of walking the B-tree.
+/// instead of walking the B-tree.  The range bounds are lowered to
+/// [`IntExpr`]s once, at compile time.
 struct RunSpec<'a> {
     db: &'a Database,
     index: &'a str,
     prefix: Vec<Value>,
+    lower: Option<(IntExpr<'a>, bool)>,
+    upper: Option<(IntExpr<'a>, bool)>,
 }
 
 fn compile_stage<'a>(index: usize, stage: &Stage<'a>, db: &'a Database, typed: bool) -> CStage<'a> {
@@ -1280,6 +1418,13 @@ fn compile_stage<'a>(index: usize, stage: &Stage<'a>, db: &'a Database, typed: b
         (Access::IndexScan { index, .. }, Some(cb))
             if nested_loop && (cb.lower.is_some() || cb.upper.is_some()) =>
         {
+            // Probe bounds never read the candidate row, so they lower.
+            let int_bound = |b: &Option<(CExpr, bool)>| {
+                b.as_ref().map(|(e, inc)| {
+                    let e = IntExpr::lower(e, stage.base, &stage.outer_tables);
+                    (e.expect("probe bounds are outer-only"), *inc)
+                })
+            };
             cb.eq
                 .iter()
                 .map(|e| match e {
@@ -1287,16 +1432,22 @@ fn compile_stage<'a>(index: usize, stage: &Stage<'a>, db: &'a Database, typed: b
                     _ => None,
                 })
                 .collect::<Option<Vec<Value>>>()
-                .map(|prefix| RunSpec { db, index, prefix })
+                .map(|prefix| RunSpec {
+                    db,
+                    index,
+                    prefix,
+                    lower: int_bound(&cb.lower),
+                    upper: int_bound(&cb.upper),
+                })
         }
         _ => None,
     };
     // NLJOIN stages (non-leaf, no hash keys) additionally split their
-    // predicate lists into static / per-probe / scalar kernel lowerings.
+    // predicate lists into static / per-probe / per-rid / scalar lowerings.
     let (nl_access, nl_residual) = if typed && nested_loop {
         (
-            split_nl_preds(&access_preds, stage.base),
-            split_nl_preds(&residual, stage.base),
+            split_nl_preds(&access_preds, stage.base, &stage.outer_tables),
+            split_nl_preds(&residual, stage.base, &stage.outer_tables),
         )
     } else {
         (NlSplit::default(), NlSplit::default())
@@ -1370,52 +1521,11 @@ fn cindex_range(
     }
 }
 
-/// A probe bound lowered to `i64` arithmetic: outer columns read their
-/// typed image, anything else evaluates through [`ceval`].
-enum IntExpr<'a> {
-    Lit(i64),
-    Col { slot: usize, vals: &'a [i64] },
-    Add(Box<IntExpr<'a>>, Box<IntExpr<'a>>),
-    Value(&'a CExpr),
-}
-
-impl<'a> IntExpr<'a> {
-    fn lower(e: &'a CExpr, outer_tables: &[&'a Table]) -> IntExpr<'a> {
-        match e {
-            CExpr::Lit(Value::Int(k)) => IntExpr::Lit(*k),
-            CExpr::Outer { slot, col } => match outer_tables[*slot].typed().int_col(*col) {
-                Some(vals) => IntExpr::Col { slot: *slot, vals },
-                None => IntExpr::Value(e),
-            },
-            CExpr::Add(a, b) => IntExpr::Add(
-                Box::new(IntExpr::lower(a, outer_tables)),
-                Box::new(IntExpr::lower(b, outer_tables)),
-            ),
-            _ => IntExpr::Value(e),
-        }
-    }
-
-    /// The bound for one outer row; `None` when it is not an integer
-    /// (NULL, a decimal, an overflowing sum).
-    fn eval(&self, env: &ColEnv<'_>) -> Option<i64> {
-        match self {
-            IntExpr::Lit(k) => Some(*k),
-            IntExpr::Col { slot, vals } => Some(vals[env.cols[*slot][env.idx]]),
-            IntExpr::Add(a, b) => a.eval(env)?.checked_add(b.eval(env)?),
-            IntExpr::Value(e) => match ceval(e, env, None).as_ref() {
-                Value::Int(k) => Some(*k),
-                _ => None,
-            },
-        }
-    }
-}
-
 /// One operator instance's [`PrefixRun`] probe: the run of the stage's
-/// [`RunSpec`] and the stage's range bounds lowered to [`IntExpr`]s.
+/// [`RunSpec`], searched with the spec's lowered range bounds.
 struct RunProbe<'a> {
     run: Arc<PrefixRun>,
-    lower: Option<(IntExpr<'a>, bool)>,
-    upper: Option<(IntExpr<'a>, bool)>,
+    spec: &'a RunSpec<'a>,
 }
 
 impl<'a> RunProbe<'a> {
@@ -1423,17 +1533,8 @@ impl<'a> RunProbe<'a> {
     /// (a non-integer range column under the prefix).
     fn resolve(stage: &'a CStage<'a>) -> Option<RunProbe<'a>> {
         let spec = stage.run.as_ref()?;
-        let bounds = stage.cbounds.as_ref()?;
         let run = spec.db.prefix_run(spec.index, &spec.prefix)?;
-        let int_bound = |b: &'a Option<(CExpr, bool)>| {
-            b.as_ref()
-                .map(|(e, inc)| (IntExpr::lower(e, &stage.outer_tables), *inc))
-        };
-        Some(RunProbe {
-            run,
-            lower: int_bound(&bounds.lower),
-            upper: int_bound(&bounds.upper),
-        })
+        Some(RunProbe { run, spec })
     }
 
     /// The probe's rids — exactly the B-tree range scan's, in its order —
@@ -1442,11 +1543,14 @@ impl<'a> RunProbe<'a> {
         let bound = |b: &Option<(IntExpr<'_>, bool)>| {
             Some(match b {
                 None => Bound::Unbounded,
-                Some((e, true)) => Bound::Included(e.eval(env)?),
-                Some((e, false)) => Bound::Excluded(e.eval(env)?),
+                Some((e, true)) => Bound::Included(e.eval(env, None)?),
+                Some((e, false)) => Bound::Excluded(e.eval(env, None)?),
             })
         };
-        Some(self.run.range(bound(&self.lower)?, bound(&self.upper)?))
+        Some(
+            self.run
+                .range(bound(&self.spec.lower)?, bound(&self.spec.upper)?),
+        )
     }
 }
 
@@ -2667,8 +2771,10 @@ fn retain_rids(rids: &mut Vec<usize>, keep: &BitMask) {
 /// ([`NlSplit`]), each probe runs as selection kernels over the inner
 /// column images instead of per-row interpretation: constant-rhs
 /// predicates pre-materialize one survivor rid list per `TBSCAN` inner
-/// (shared by every probe of this operator instance), and outer-dependent
-/// `i64` comparisons fuse into one multi-term mask pass per probe.  An
+/// (shared by every probe of this operator instance), outer-dependent
+/// `i64` comparisons fuse into one multi-term mask pass per probe, and
+/// computed integer checks (`outer.pre <= cur.pre + cur.size`) run per
+/// candidate rid over the images.  An
 /// `IXSCAN` inner under a literal equality prefix fetches by two binary
 /// searches over the prefix's [`PrefixRun`] (see [`ColNLJoin::fetch_index`]).
 struct ColNLJoin<'a> {
@@ -2816,24 +2922,40 @@ impl<'a> ColNLJoin<'a> {
         terms.extend_from_slice(extra_static);
         let mut fallback: Vec<usize> = Vec::new();
         for t in &split.dynamic {
-            match ceval(&t.rhs, env, None).as_ref() {
-                Value::Int(k) => terms.push(MaskTerm::I64 {
-                    vals: t.vals,
-                    validity: t.validity,
-                    op: t.op,
-                    rhs: *k,
-                }),
-                // SQL three-valued logic: a NULL comparand fails every row.
-                Value::Null => return false,
-                // Non-integer rhs (e.g. a decimal): interpret this
+            let Some(rhs) = t.rhs.eval(env, None) else {
+                // Not an integer for this outer row.  A NULL comparand
+                // fails every row (SQL three-valued logic); anything else
+                // (a decimal, an overflowing sum) interprets this
                 // predicate for this probe only.
-                _ => fallback.push(t.pred),
-            }
+                let p = &preds[t.pred];
+                let side = if outer_only(&p.rhs) { &p.rhs } else { &p.lhs };
+                if ceval(side, env, None).is_null() {
+                    return false;
+                }
+                fallback.push(t.pred);
+                continue;
+            };
+            terms.push(MaskTerm::I64 {
+                vals: t.vals,
+                validity: t.validity,
+                op: t.op,
+                rhs,
+            });
         }
         if !terms.is_empty() {
             mask_terms(terms, true, &self.rid_buf, &mut self.keep);
             self.stats.kernel_rows += self.rid_buf.len() * terms.len();
             retain_rids(&mut self.rid_buf, &self.keep);
+        }
+        for t in &split.computed {
+            self.stats.kernel_rows += self.rid_buf.len();
+            let p = &preds[t.pred];
+            self.rid_buf.retain(|&rid| {
+                match (t.lhs.eval(env, Some(rid)), t.rhs.eval(env, Some(rid))) {
+                    (Some(l), Some(r)) => t.op.eval(l.cmp(&r)),
+                    _ => cpred_holds(p, env, Some((base, rid))),
+                }
+            });
         }
         for &pi in split.scalar.iter().chain(&fallback) {
             let p = &preds[pi];
@@ -3655,6 +3777,43 @@ mod tests {
     }
 
     #[test]
+    fn run_sql_promotes_an_overflowing_sum_instead_of_wrapping() {
+        let mut t = Table::new(Schema::new(["pre", "v"]));
+        for (pre, v) in [(0, i64::MAX), (1, i64::MAX - 1), (2, 5)] {
+            t.push(vec![Value::Int(pre), Value::Int(v)]);
+        }
+        let mut db = Database::new();
+        db.create_table("doc", t);
+        let out = run_sql(
+            "SELECT d1.pre AS p, d1.v + 1 AS s FROM doc AS d1 ORDER BY d1.pre",
+            &db,
+        )
+        .unwrap();
+        let sums: Vec<Value> = out.rows().iter().map(|r| r[1].clone()).collect();
+        assert_eq!(
+            sums,
+            [
+                Value::Dec(i64::MAX as f64 + 1.0),
+                Value::Int(i64::MAX),
+                Value::Int(6)
+            ]
+        );
+        // As a join predicate the overflowing row still compares numerically
+        // (`MAX + 1 >= MAX`), typed kernels on or off.
+        let sql = "SELECT d1.pre AS a, d2.pre AS b FROM doc AS d1, doc AS d2 \
+                   WHERE d2.v + 1 >= d1.v AND d1.pre = 0 ORDER BY d2.pre";
+        let plan = optimize(&parse_sql(sql).unwrap(), &db).unwrap();
+        for typed in [true, false] {
+            let (t, _) = run(
+                &plan,
+                &db,
+                &ExecConfig::sequential().with_typed_kernels(typed),
+            );
+            assert_eq!(t.len(), 2, "typed {typed}: rows with v + 1 >= 2^63");
+        }
+    }
+
+    #[test]
     fn exec_stats_count_probes_and_rows() {
         let db = db();
         let q = parse_sql(Q1_LIKE).unwrap();
@@ -4383,6 +4542,98 @@ mod tests {
         assert!(
             nljoins.iter().any(|o| o.kernel_rows > 0),
             "probe terms engage the fused kernel: {nljoins:?}"
+        );
+    }
+
+    /// The shipped catalog at benchmark scale 0.1: XMark and DBLP in one
+    /// `doc` table under the standing index set.
+    fn shipped_db() -> Database {
+        use xqjg_data::{generate_dblp, generate_xmark, DblpConfig, XmarkConfig};
+        let xmark = XmarkConfig {
+            scale: 0.1,
+            seed: 2,
+        };
+        let dblp = DblpConfig {
+            scale: 0.1,
+            seed: 3,
+        };
+        let mut doc = xqjg_xml::DocTable::from_document("auction.xml", &generate_xmark(&xmark));
+        doc.add_document("dblp.xml", &generate_dblp(&dblp));
+        let mut db = Database::new();
+        db.create_table("doc", xqjg_algebra::doc_relation(&doc));
+        for (name, key, clustered) in [
+            ("nkp", &["name", "kind", "pre"][..], false),
+            ("nkdp", &["name", "kind", "data", "pre"][..], false),
+            ("vnkp", &["value", "name", "kind", "pre"][..], false),
+            ("p_nvkls", &["pre"][..], true),
+        ] {
+            let include: &[&str] = if clustered {
+                &["name", "value", "kind", "level", "size"]
+            } else {
+                &[]
+            };
+            db.create_index(IndexDef {
+                name: name.into(),
+                table: "doc".into(),
+                key_columns: key.iter().map(|c| c.to_string()).collect(),
+                include_columns: include.iter().map(|c| c.to_string()).collect(),
+                clustered,
+            });
+        }
+        db
+    }
+
+    /// Is every leaf of `e` an integer literal or a column with an `i64`
+    /// image (NULL-bearing or not)?
+    fn integer_only(e: &CExpr, base: &Table, outer_tables: &[&Table]) -> bool {
+        match e {
+            CExpr::Lit(v) => matches!(v, Value::Int(_)),
+            CExpr::Cur { col } => base.typed().int_col_nullable(*col).is_some(),
+            CExpr::Outer { slot, col } => {
+                outer_tables[*slot].typed().int_col_nullable(*col).is_some()
+            }
+            CExpr::Add(a, b) => {
+                integer_only(a, base, outer_tables) && integer_only(b, base, outer_tables)
+            }
+        }
+    }
+
+    #[test]
+    fn shipped_queries_leave_no_integer_nljoin_predicate_interpreted() {
+        // Q1-Q6's isolated SQL, one block per `== Qn branch k` header.
+        let golden = include_str!("../../bench/tests/golden_isolated.txt");
+        let db = shipped_db();
+        let (mut blocks, mut computed) = (0, 0);
+        for block in golden.split("== ").filter(|b| !b.is_empty()) {
+            let (header, sql) = block.split_once('\n').expect("header line");
+            let plan = optimize(&parse_sql(sql).unwrap(), &db).unwrap();
+            blocks += 1;
+            for (i, stage) in flatten_stages(&plan.root, &db).iter().enumerate() {
+                let cs = compile_stage(i, stage, &db, true);
+                if !cs.label.starts_with("NLJOIN") {
+                    continue;
+                }
+                for (split, preds) in [
+                    (&cs.nl_access, &cs.access_preds),
+                    (&cs.nl_residual, &cs.residual),
+                ] {
+                    computed += split.computed.len();
+                    for &pi in &split.scalar {
+                        let p = &preds[pi];
+                        assert!(
+                            !(integer_only(&p.lhs, cs.base, &cs.outer_tables)
+                                && integer_only(&p.rhs, cs.base, &cs.outer_tables)),
+                            "{header}: {} interprets an integer predicate",
+                            cs.label
+                        );
+                    }
+                }
+            }
+        }
+        assert!(blocks >= 6, "every shipped query compiled");
+        assert!(
+            computed > 0,
+            "Q2's upward containment checks run on the images"
         );
     }
 

@@ -93,11 +93,16 @@ impl Value {
     }
 
     /// Numeric addition with Int/Dec promotion; NULL-propagating, and NULL
-    /// for non-numeric operands.  This is the single `+` semantics shared
-    /// by the SQL executor's scalar expressions and the algebra evaluator.
+    /// for non-numeric operands.  An `Int + Int` sum that overflows `i64`
+    /// promotes to `Dec`, as `Int + Dec` does.  This is the single `+`
+    /// semantics shared by the SQL executor's scalar expressions and the
+    /// algebra evaluator.
     pub fn numeric_add(&self, other: &Value) -> Value {
         match (self, other) {
-            (Value::Int(x), Value::Int(y)) => Value::Int(x + y),
+            (Value::Int(x), Value::Int(y)) => match x.checked_add(*y) {
+                Some(sum) => Value::Int(sum),
+                None => Value::Dec(*x as f64 + *y as f64),
+            },
             _ => match (self.as_f64(), other.as_f64()) {
                 (Some(x), Some(y)) => Value::Dec(x + y),
                 _ => Value::Null,
@@ -394,6 +399,17 @@ mod tests {
         assert_eq!(&Value::Null + &Value::Int(1), Value::Null);
         assert_eq!(&Value::str("x") + &Value::Int(1), Value::Null);
         assert_eq!(&Value::Bool(true) + &Value::Int(1), Value::Null);
+    }
+
+    #[test]
+    fn numeric_add_promotes_an_overflowing_int_sum_to_dec() {
+        let max = Value::Int(i64::MAX);
+        assert_eq!(&max + &Value::Int(0), max);
+        assert_eq!(&max + &Value::Int(1), Value::Dec(i64::MAX as f64 + 1.0));
+        assert_eq!(
+            &Value::Int(i64::MIN) + &Value::Int(-1),
+            Value::Dec(i64::MIN as f64 - 1.0)
+        );
     }
 
     #[test]
