@@ -25,7 +25,7 @@ fn processor_with(uri: &str, doc: &DocTable, caches: &QueryCaches, cfg: &ExecCon
 
 /// The sequential configuration with all three caches pinned *on*: the
 /// suite's subject, whatever `XQJG_*_CACHE` the environment carries (CI's
-/// "escape hatches off" leg sets all three to 0).
+/// "caches off" leg sets all three to 0).
 fn caches_on() -> ExecConfig {
     ExecConfig::sequential()
         .with_build_cache(true)

@@ -20,7 +20,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 use xqjg_bench::{queries, Workload};
 use xqjg_core::{Mode, QueryError};
-use xqjg_engine::{optimize, parse_sql, BuildCache, ExecStats, ExecTrace, PhysPlan, QueryRequest};
+use xqjg_engine::{optimize, parse_sql, BuildCache, ExecStats, PhysPlan, QueryRequest};
 use xqjg_store::fault::{self, FaultKind, FaultPlan, Trigger};
 use xqjg_store::spill::{decode_row, decode_value, encode_row};
 use xqjg_store::{CancelToken, Database, ExecConfig, ExecError, Schema, Table, Value};
@@ -42,7 +42,7 @@ fn try_run_full(
     cfg: &ExecConfig,
     cache: Option<&BuildCache>,
     cancel: Option<&CancelToken>,
-) -> Result<(Table, ExecStats, ExecTrace), ExecError> {
+) -> Result<(Table, ExecStats), ExecError> {
     let mut req = QueryRequest::new(plan, db).config(cfg);
     if let Some(c) = cache {
         req = req.build_cache(c);
@@ -51,7 +51,7 @@ fn try_run_full(
         req = req.cancel(t);
     }
     let out = req.run()?;
-    Ok((out.rows, out.stats, out.trace))
+    Ok((out.rows, out.stats))
 }
 
 /// A budget that forces both pipeline breakers of the equijoin fixture —
@@ -337,7 +337,7 @@ fn failed_build_leaves_no_cache_entry() {
         "the failing run never consulted the cache — assertion is vacuous"
     );
     token.clear();
-    let (table, _, _) =
+    let (table, _) =
         try_run_full(&plan, &db, &cfg, Some(&cache), Some(&token)).expect("rebuild succeeds");
     assert_eq!(table, reference.0, "rebuild rows differ");
     assert_eq!(
@@ -346,7 +346,7 @@ fn failed_build_leaves_no_cache_entry() {
         "the failed build left a (partial) cached entry behind"
     );
     // The rebuilt entry is genuine: a third run hits it and still agrees.
-    let (table, _, _) =
+    let (table, _) =
         try_run_full(&plan, &db, &cfg, Some(&cache), Some(&token)).expect("cached run");
     assert_eq!(table, reference.0, "cached-run rows differ");
     assert!(cache.hits() > 0, "the successful rebuild was not memoized");
@@ -368,8 +368,7 @@ fn failed_build_leaves_no_cache_entry() {
     assert!(failed.is_err(), "partition-write fault must fail the build");
     drop(guard);
     assert_eq!(leaked_files(&dir), Vec::<String>::new(), "run files leaked");
-    let (table, _, _) =
-        try_run_full(&plan, &db, &tight, Some(&cache), None).expect("retry succeeds");
+    let (table, _) = try_run_full(&plan, &db, &tight, Some(&cache), None).expect("retry succeeds");
     assert_eq!(table, tight_ref.0, "post-fault retry rows differ");
     let _ = std::fs::remove_dir(&dir);
 }

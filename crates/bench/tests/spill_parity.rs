@@ -3,7 +3,8 @@
 //! rows, identical row order, and identical EXPLAIN actuals *modulo* the
 //! spill counters (`spill_runs` / `spill_bytes` / `partitions`), across
 //! budgets {tiny, medium, unlimited} and DOP {1, 4}; the unlimited
-//! reference is itself checked against the materializing executor.  A
+//! reference's rows, aggregate counters and per-join-level actuals are
+//! themselves checked against the materializing executor.  A
 //! deterministic-random property test additionally sweeps arbitrary
 //! budgets.
 
@@ -84,6 +85,19 @@ fn table9_queries_identical_across_budgets_and_dop() {
                 aggregates(&reference.1),
                 aggregates(&s_oracle),
                 "{}: aggregate counters differ from the oracle",
+                q.id
+            );
+            // One oracle entry per join level; the pipeline adds its tail.
+            let levels = |ops: &[OpStats]| -> Vec<(String, usize, usize, usize)> {
+                ops.iter()
+                    .map(|o| (o.name.clone(), o.rows_out, o.fetched, o.probes))
+                    .collect()
+            };
+            let (_, joins) = reference.1.operators.split_last().expect("a plan tail");
+            assert_eq!(
+                levels(joins),
+                levels(&s_oracle.operators),
+                "{}: per-join-level (label, rows_out, fetched, probes) differ from the oracle",
                 q.id
             );
             for budget in [TINY, MEDIUM, UNLIMITED] {

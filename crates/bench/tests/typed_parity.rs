@@ -1,17 +1,17 @@
-//! Typed-kernel parity suite: execution with the typed-column kernels
-//! (`XQJG_TYPED_KERNELS=1`, the default) must be *observationally
-//! identical* to the untyped [`Value`] comparisons — identical result
-//! rows, identical row order, and identical EXPLAIN actuals modulo the
-//! governor-dependent counters (`spill_runs` / `spill_bytes` /
-//! `partitions` / `kernel_rows`) — across the Table IX workload and a
-//! synthetic hash-join workload, swept over typed {on, off} × DOP {1, 4}
-//! × budget {unlimited, 256 KiB}.  Rows, order and the aggregate counters
-//! are additionally checked against the materializing executor at batch
-//! capacities {1, 64, 1024}.  A deterministic-random property test sweeps
-//! random predicates, NULL densities and budgets, and the NLJOIN predicate
-//! shapes that run on the integer images: computed sums over the inner
-//! row, `cur.col + k = outer.col`, and outer-only right-hand sides over
-//! NULL-bearing, decimal and near-`i64::MAX` outer columns.
+//! Typed-kernel parity suite: execution on the typed-column kernels must be
+//! *observationally identical* to the untyped [`Value`] comparisons of the
+//! materializing executor — identical result rows, identical row order,
+//! identical aggregate counters and identical per-join-level actuals
+//! (`rows_out`, `fetched`, `probes`) at batch capacities {1, 64, 1024} —
+//! across the Table IX workload and a synthetic hash-join workload.  Every
+//! other EXPLAIN actual must not move across DOP {1, 4} × budget
+//! {unlimited, 256 KiB}, modulo the governor-dependent counters
+//! (`spill_runs` / `spill_bytes` / `partitions` / `kernel_rows`).  A
+//! deterministic-random property test sweeps random predicates, NULL
+//! densities and budgets, and the NLJOIN predicate shapes that run on the
+//! integer images: computed sums over the inner row, `cur.col + k =
+//! outer.col`, and outer-only right-hand sides over NULL-bearing, decimal
+//! and near-`i64::MAX` outer columns.
 //!
 //! [`Value`]: xqjg_store::Value
 
@@ -28,9 +28,21 @@ fn run_plan(plan: &PhysPlan, db: &Database, cfg: &ExecConfig) -> (Table, ExecSta
     (out.rows, out.stats)
 }
 
+/// The per-join-level actuals the materializing oracle reports — label,
+/// `rows_out`, `fetched`, `probes` — of every operator of `s` but the
+/// pipeline's plan tail (the oracle has none).
+fn join_levels(s: &ExecStats, pipeline: bool) -> Vec<(String, usize, usize, usize)> {
+    let n = s.operators.len() - usize::from(pipeline);
+    s.operators[..n]
+        .iter()
+        .map(|o| (o.name.clone(), o.rows_out, o.fetched, o.probes))
+        .collect()
+}
+
 /// The oracle that is not the executor: at batch capacities {1, 64, 1024}
 /// the pipeline under `cfg` must return the materializing executor's rows
-/// in its order and report its aggregate work counters.
+/// in its order and report its aggregate work counters and per-join-level
+/// actuals.
 fn check_against_materializing_oracle(
     plan: &PhysPlan,
     db: &Database,
@@ -52,6 +64,12 @@ fn check_against_materializing_oracle(
                 "{what} cap {cap}: (index_rows, scan_rows, probes, bindings) {got:?} != oracle {want:?}"
             ));
         }
+        let (got, want) = (join_levels(&s, true), join_levels(&s_ref, false));
+        if got != want {
+            return Err(format!(
+                "{what} cap {cap}: per-join-level (label, rows_out, fetched, probes) {got:?} != oracle {want:?}"
+            ));
+        }
     }
     Ok(())
 }
@@ -60,9 +78,8 @@ const UNLIMITED: Option<usize> = None;
 const BOUNDED: Option<usize> = Some(256 * 1024);
 
 /// Actuals must agree except for the governor-dependent counters; the
-/// aggregate work counters must agree exactly (the kernels change the
-/// representation comparisons run on, never how many rows were scanned,
-/// probed or bound).
+/// aggregate work counters must agree exactly (DOP and budget change where
+/// rows wait, never how many were scanned, probed or bound).
 fn assert_stats_match_modulo_spill(got: &ExecStats, reference: &ExecStats, what: &str) {
     assert_eq!(got.index_rows, reference.index_rows, "{what}: index_rows");
     assert_eq!(got.scan_rows, reference.scan_rows, "{what}: scan_rows");
@@ -102,26 +119,20 @@ fn table9_queries_identical_across_typed_toggle_dop_and_budget() {
         let plans = plans_for(&mut workload, &q);
         let db: &Database = workload.processor(&q).database();
         for plan in &plans {
-            let ref_cfg = ExecConfig::sequential()
-                .with_typed_kernels(true)
-                .with_mem_budget(UNLIMITED);
+            let ref_cfg = ExecConfig::sequential().with_mem_budget(UNLIMITED);
             let reference = run_plan(plan, db, &ref_cfg);
             check_against_materializing_oracle(plan, db, &ref_cfg, q.id)
                 .unwrap_or_else(|e| panic!("{e}"));
-            for typed in [true, false] {
-                for budget in [UNLIMITED, BOUNDED] {
-                    for threads in [1, 4] {
-                        let cfg = ExecConfig::sequential()
-                            .with_typed_kernels(typed)
-                            .with_mem_budget(budget)
-                            .with_threads(threads)
-                            .with_morsel_size(16);
-                        let (t, s) = run_plan(plan, db, &cfg);
-                        let what =
-                            format!("{} typed {typed} budget {budget:?} DOP {threads}", q.id);
-                        assert_eq!(t, reference.0, "{what}: rows/order differ");
-                        assert_stats_match_modulo_spill(&s, &reference.1, &what);
-                    }
+            for budget in [UNLIMITED, BOUNDED] {
+                for threads in [1, 4] {
+                    let cfg = ExecConfig::sequential()
+                        .with_mem_budget(budget)
+                        .with_threads(threads)
+                        .with_morsel_size(16);
+                    let (t, s) = run_plan(plan, db, &cfg);
+                    let what = format!("{} budget {budget:?} DOP {threads}", q.id);
+                    assert_eq!(t, reference.0, "{what}: rows/order differ");
+                    assert_stats_match_modulo_spill(&s, &reference.1, &what);
                 }
             }
         }
@@ -158,49 +169,38 @@ fn equijoin_fixture(rows: i64, distinct: bool) -> (Database, PhysPlan) {
 fn hash_workload_identical_across_typed_toggle_and_engages_kernels() {
     for distinct in [false, true] {
         let (db, plan) = equijoin_fixture(900, distinct);
-        let ref_cfg = ExecConfig::sequential()
-            .with_typed_kernels(true)
-            .with_mem_budget(UNLIMITED);
+        let ref_cfg = ExecConfig::sequential().with_mem_budget(UNLIMITED);
         let reference = run_plan(&plan, &db, &ref_cfg);
         check_against_materializing_oracle(&plan, &db, &ref_cfg, "hash workload")
             .unwrap_or_else(|e| panic!("distinct {distinct}: {e}"));
-        let mut engaged = false;
-        for typed in [true, false] {
-            for budget in [UNLIMITED, BOUNDED, Some(8 * 1024)] {
-                for threads in [1, 4] {
-                    let cfg = ExecConfig::sequential()
-                        .with_typed_kernels(typed)
-                        .with_mem_budget(budget)
-                        .with_threads(threads)
-                        .with_morsel_size(64);
-                    let (t, s) = run_plan(&plan, &db, &cfg);
-                    let what = format!(
-                        "distinct {distinct} typed {typed} budget {budget:?} DOP {threads}"
-                    );
-                    assert_eq!(t, reference.0, "{what}: rows/order differ");
-                    assert_stats_match_modulo_spill(&s, &reference.1, &what);
-                    let kernels = s.operators.iter().map(|o| o.kernel_rows).sum::<usize>();
-                    if typed {
-                        engaged |= kernels > 0;
-                    } else {
-                        assert_eq!(kernels, 0, "{what}: kernels off must not engage");
-                    }
-                }
+        for budget in [UNLIMITED, BOUNDED, Some(8 * 1024)] {
+            for threads in [1, 4] {
+                let cfg = ExecConfig::sequential()
+                    .with_mem_budget(budget)
+                    .with_threads(threads)
+                    .with_morsel_size(64);
+                let (t, s) = run_plan(&plan, &db, &cfg);
+                let what = format!("distinct {distinct} budget {budget:?} DOP {threads}");
+                assert_eq!(t, reference.0, "{what}: rows/order differ");
+                assert_stats_match_modulo_spill(&s, &reference.1, &what);
+                let kernels = s.operators.iter().map(|o| o.kernel_rows).sum::<usize>();
+                assert!(
+                    kernels > 0,
+                    "{what}: no kernel engaged — the suite is vacuous"
+                );
             }
         }
-        assert!(
-            engaged,
-            "distinct {distinct}: the typed legs never engaged a kernel — the suite is vacuous"
-        );
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random predicate constants, budgets and DOP: typed kernels and the
-    /// untyped `Value` comparisons must return identical rows in identical
-    /// order, with identical actuals modulo the governor counters.
+    /// Random predicate constants, budgets and DOP: the typed kernels and
+    /// the materializing oracle's untyped `Value` comparisons must return
+    /// identical rows in identical order, with identical aggregate counters
+    /// and per-join-level actuals; every other actual must match the
+    /// sequential unbudgeted run modulo the governor counters.
     #[test]
     fn typed_and_untyped_comparisons_agree_over_random_predicates(
         bound in 0i64..900,
@@ -231,25 +231,21 @@ proptest! {
             .with_mem_budget(budget)
             .with_threads(threads)
             .with_morsel_size(64);
-        let (t_on, s_on) =
-            run_plan(&plan, &db, &cfg.clone().with_typed_kernels(true));
-        let (t_off, s_off) =
-            run_plan(&plan, &db, &cfg.with_typed_kernels(false));
-        prop_assert_eq!(&t_on, &t_off, "typed toggle changed rows");
-        let sans_on: Vec<OpStats> = s_on.operators.iter().map(OpStats::sans_spill).collect();
-        let sans_off: Vec<OpStats> = s_off.operators.iter().map(OpStats::sans_spill).collect();
-        prop_assert_eq!(sans_on, sans_off, "typed toggle changed actuals");
-        prop_assert_eq!(s_on.scan_rows, s_off.scan_rows);
-        prop_assert_eq!(s_on.probes, s_off.probes);
-        prop_assert_eq!(s_on.bindings, s_off.bindings);
+        let oracle = check_against_materializing_oracle(&plan, &db, &cfg, &sql);
+        prop_assert!(oracle.is_ok(), "{:?}", oracle);
+        let (_, s) = run_plan(&plan, &db, &cfg);
+        let (_, s_ref) = run_plan(&plan, &db, &ExecConfig::sequential().with_mem_budget(None));
+        let sans: Vec<OpStats> = s.operators.iter().map(OpStats::sans_spill).collect();
+        let sans_ref: Vec<OpStats> = s_ref.operators.iter().map(OpStats::sans_spill).collect();
+        prop_assert_eq!(sans, sans_ref, "DOP/budget changed actuals");
     }
 
     /// NULL-aware sweep: random NULL densities over an `i64` and a
     /// dictionary column, a composite (two-column, NULL-bearing) equijoin
     /// key, and a multi-term conjunctive residual — every configuration
-    /// must return the materializing oracle's rows, order and aggregate
-    /// counters, and the per-operator actuals of the sequential kernels-off
-    /// run, spilled legs included.
+    /// must return the materializing oracle's rows, order, aggregate
+    /// counters and per-join-level actuals, and every other actual of the
+    /// sequential run, spilled legs included.
     #[test]
     fn null_density_composite_keys_and_multi_term_predicates_match_the_oracle(
         rows in 150i64..500,
@@ -287,32 +283,25 @@ proptest! {
         let plan = optimize(&parse_sql(&sql).unwrap(), &db).unwrap();
         let threads = if four_way { 4 } else { 1 };
         let budget = tiny.then_some(4 * 1024);
-        // Per-operator reference: sequential, kernels off.
+        // Reference for the actuals the oracle does not define: the
+        // sequential run under the same budget.
         let (t_ref, s_ref) = run_plan(
             &plan,
             &db,
-            &ExecConfig::sequential()
-                .with_typed_kernels(false)
-                .with_mem_budget(budget),
+            &ExecConfig::sequential().with_mem_budget(budget),
         );
-        for typed in [true, false] {
-            let cfg = ExecConfig::sequential()
-                .with_typed_kernels(typed)
-                .with_mem_budget(budget)
-                .with_threads(threads)
-                .with_morsel_size(32);
-            let oracle = check_against_materializing_oracle(&plan, &db, &cfg, "null sweep");
-            prop_assert!(oracle.is_ok(), "typed {}: {:?}", typed, oracle);
-            let (t, s) = run_plan(&plan, &db, &cfg);
-            prop_assert_eq!(&t, &t_ref, "typed {} diverged from kernels-off", typed);
-            prop_assert_eq!(s.scan_rows, s_ref.scan_rows);
-            prop_assert_eq!(s.probes, s_ref.probes);
-            prop_assert_eq!(s.bindings, s_ref.bindings);
-            let sans: Vec<OpStats> = s.operators.iter().map(OpStats::sans_spill).collect();
-            let sans_ref: Vec<OpStats> =
-                s_ref.operators.iter().map(OpStats::sans_spill).collect();
-            prop_assert_eq!(sans, sans_ref, "typed {} changed actuals", typed);
-        }
+        let cfg = ExecConfig::sequential()
+            .with_mem_budget(budget)
+            .with_threads(threads)
+            .with_morsel_size(32);
+        let oracle = check_against_materializing_oracle(&plan, &db, &cfg, "null sweep");
+        prop_assert!(oracle.is_ok(), "{:?}", oracle);
+        let (t, s) = run_plan(&plan, &db, &cfg);
+        prop_assert_eq!(&t, &t_ref, "DOP {} diverged from the sequential run", threads);
+        let sans: Vec<OpStats> = s.operators.iter().map(OpStats::sans_spill).collect();
+        let sans_ref: Vec<OpStats> =
+            s_ref.operators.iter().map(OpStats::sans_spill).collect();
+        prop_assert_eq!(sans, sans_ref, "DOP {} changed actuals", threads);
     }
 
     /// NLJOIN predicates lowered onto the `i64` images — per-probe
@@ -387,37 +376,25 @@ proptest! {
         );
         let plan = optimize(&parse_sql(&sql).unwrap(), &db).unwrap();
         let threads = if four_way { 4 } else { 1 };
-        let (t_ref, s_ref) = run_plan(
-            &plan,
-            &db,
-            &ExecConfig::sequential().with_typed_kernels(false),
+        let (t_ref, s_ref) = run_plan(&plan, &db, &ExecConfig::sequential());
+        let cfg = ExecConfig::sequential()
+            .with_threads(threads)
+            .with_morsel_size(16);
+        let oracle = check_against_materializing_oracle(&plan, &db, &cfg, &sql);
+        prop_assert!(oracle.is_ok(), "{:?}", oracle);
+        let (t, s) = run_plan(&plan, &db, &cfg);
+        prop_assert_eq!(&t, &t_ref, "DOP {} diverged from the sequential run: {}", threads, &sql);
+        prop_assert_eq!(&s.operators, &s_ref.operators, "DOP {} changed actuals: {}", threads, &sql);
+        let nljoin_kernels: usize = s
+            .operators
+            .iter()
+            .filter(|o| o.name.starts_with("NLJOIN"))
+            .map(|o| o.kernel_rows)
+            .sum();
+        prop_assert!(
+            nljoin_kernels > 0,
+            "the NLJOIN probe must run on the images: {} {:?}",
+            &sql, &s.operators
         );
-        for typed in [true, false] {
-            let cfg = ExecConfig::sequential()
-                .with_typed_kernels(typed)
-                .with_threads(threads)
-                .with_morsel_size(16);
-            let oracle = check_against_materializing_oracle(&plan, &db, &cfg, &sql);
-            prop_assert!(oracle.is_ok(), "typed {}: {:?}", typed, oracle);
-            let (t, s) = run_plan(&plan, &db, &cfg);
-            prop_assert_eq!(&t, &t_ref, "typed {} diverged from kernels-off: {}", typed, &sql);
-            let sans: Vec<OpStats> = s.operators.iter().map(OpStats::sans_spill).collect();
-            let sans_ref: Vec<OpStats> =
-                s_ref.operators.iter().map(OpStats::sans_spill).collect();
-            prop_assert_eq!(sans, sans_ref, "typed {} changed actuals: {}", typed, &sql);
-            let nljoin_kernels: usize = s
-                .operators
-                .iter()
-                .filter(|o| o.name.starts_with("NLJOIN"))
-                .map(|o| o.kernel_rows)
-                .sum();
-            prop_assert_eq!(
-                nljoin_kernels > 0,
-                typed,
-                "typed {}: the NLJOIN probe must run on the images exactly when kernels are on: {} {:?}",
-                typed,
-                &sql, &s.operators
-            );
-        }
     }
 }

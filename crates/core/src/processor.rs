@@ -606,8 +606,8 @@ mod tests {
     }
 
     /// The environment's knobs with all three caches pinned on, for the
-    /// tests whose subject is the caches (CI's "escape hatches off" leg
-    /// runs the suite with `XQJG_*_CACHE=0`).
+    /// tests whose subject is the caches (CI's "caches off" leg runs the
+    /// suite with `XQJG_*_CACHE=0`).
     fn caches_on() -> ExecConfig {
         ExecConfig::from_env()
             .with_build_cache(true)

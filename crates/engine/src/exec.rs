@@ -43,12 +43,12 @@ use std::rc::Rc;
 use std::sync::Arc;
 use xqjg_store::{
     effective_morsel_size, gather_i64, gather_u32, hash_keys_typed, hash_values, mask_terms,
-    merge_worker_stats, new_stats_sink, partition_morsels, row_footprint, sort_permutation_i64,
-    sort_permutation_typed, try_execute_morsels_streaming, BatchSizer, BitMask, CancelToken,
-    ColOperator, ColumnBatch, Database, ExecConfig, ExecError, ExternalSorter, GraceBuilder,
-    HashKey, Interrupt, KernelCmp, MaskTerm, MemBudget, Morsel, OpStats, PostingsCache,
-    PostingsKey, PrefixRun, Row, Schema, SortKey, SortVals, SortedRows, SpilledPartitions,
-    StatsSink, Table, TypedColumn, Value, BUILD_ENTRY_FOOTPRINT,
+    merge_worker_stats, new_stats_sink, partition_morsels, sort_permutation_i64,
+    sort_permutation_typed, try_execute_morsels_streaming, BitMask, CancelToken, ColOperator,
+    ColumnBatch, Database, ExecConfig, ExecError, ExternalSorter, GraceBuilder, HashKey, Interrupt,
+    KernelCmp, MaskTerm, MemBudget, Morsel, OpStats, PostingsCache, PostingsKey, PrefixRun, Row,
+    Schema, SortKey, SortVals, SortedRows, SpilledPartitions, StatsSink, Table, TypedColumn, Value,
+    BUILD_ENTRY_FOOTPRINT,
 };
 
 /// Per-morsel error slot.  The pull-based [`ColOperator`] protocol is
@@ -1247,13 +1247,13 @@ struct CStage<'a> {
     /// Compiled access-level predicates: the pushed-down filters of a
     /// `TableScan`, or the sargable residuals of an `IndexScan`.
     access_preds: Vec<CPred>,
-    /// Kernel lowerings of `access_preds` (aligned; empty when typed
-    /// kernels are off — the leaf then treats every slot as `Scalar`).
+    /// Kernel lowerings of `access_preds` (aligned; `Scalar` where the
+    /// operands have no typed image).
     typed_preds: Vec<TypedPred<'a>>,
     /// Compiled join-level residual predicates.
     residual: Vec<CPred>,
-    /// NLJOIN kernel split of `access_preds` (empty for leaf/hash stages
-    /// or with typed kernels off).
+    /// NLJOIN kernel split of `access_preds` (empty for leaf/hash
+    /// stages).
     nl_access: NlSplit<'a>,
     /// NLJOIN kernel split of `residual`.
     nl_residual: NlSplit<'a>,
@@ -1285,7 +1285,7 @@ struct RunSpec<'a> {
     upper: Option<(IntExpr<'a>, bool)>,
 }
 
-fn compile_stage<'a>(index: usize, stage: &Stage<'a>, db: &'a Database, typed: bool) -> CStage<'a> {
+fn compile_stage<'a>(index: usize, stage: &Stage<'a>, db: &'a Database) -> CStage<'a> {
     let cc = |e: &SqlExpr| {
         compile_expr(
             e,
@@ -1340,20 +1340,16 @@ fn compile_stage<'a>(index: usize, stage: &Stage<'a>, db: &'a Database, typed: b
     } else {
         format!("HSJOIN({})", stage.alias)
     };
-    let typed_preds: Vec<TypedPred<'a>> = if typed {
-        access_preds
-            .iter()
-            .map(|p| compile_typed_pred(p, stage.base))
-            .collect()
-    } else {
-        Vec::new()
-    };
+    let typed_preds: Vec<TypedPred<'a>> = access_preds
+        .iter()
+        .map(|p| compile_typed_pred(p, stage.base))
+        .collect();
     let hash_keys: Vec<(CExpr, usize)> = stage
         .hash_keys
         .iter()
         .map(|(e, col)| (cc(e), stage.base.schema().expect_index(col)))
         .collect();
-    let typed_keys = if typed && !hash_keys.is_empty() {
+    let typed_keys = if !hash_keys.is_empty() {
         hash_keys
             .iter()
             .map(|(e, col)| {
@@ -1444,7 +1440,7 @@ fn compile_stage<'a>(index: usize, stage: &Stage<'a>, db: &'a Database, typed: b
     };
     // NLJOIN stages (non-leaf, no hash keys) additionally split their
     // predicate lists into static / per-probe / per-rid / scalar lowerings.
-    let (nl_access, nl_residual) = if typed && nested_loop {
+    let (nl_access, nl_residual) = if nested_loop {
         (
             split_nl_preds(&access_preds, stage.base, &stage.outer_tables),
             split_nl_preds(&residual, stage.base, &stage.outer_tables),
@@ -1572,8 +1568,6 @@ struct ExecCtx<'a> {
     /// The plan tail's select and order columns.
     tail: TailSpec<'a>,
     batch_capacity: usize,
-    /// Let leaves adapt their scan chunk to measured selectivity.
-    adaptive: bool,
     /// The execution's shared memory accountant (probe-side partition
     /// caches of spilled builds reserve against it).
     budget: Arc<MemBudget>,
@@ -1589,25 +1583,13 @@ struct ExecCtx<'a> {
 }
 
 /// What one morsel's pipeline produced: its tail columns (aligned with
-/// [`TailSpec::sources`]), per-operator counters (leaf first), the
-/// aggregate counters, and the leaf's adaptive batch-size trace.
+/// [`TailSpec::sources`]), per-operator counters (leaf first) and the
+/// aggregate counters.
 struct MorselOutput {
     cols: Vec<TailCol>,
     ops: Vec<OpStats>,
     tail_rows: usize,
     agg: Agg,
-    trace: Vec<usize>,
-}
-
-/// Side-channel record of one execution's adaptive batch-size decisions:
-/// for each scan leaf, the chunk sizes the [`BatchSizer`] chose (morsel
-/// order).  Deliberately *not* part of [`ExecStats`]: the trace depends on
-/// morsel boundaries and so is not invariant across degrees of
-/// parallelism, unlike the EXPLAIN actuals.
-#[derive(Debug, Clone, Default)]
-pub struct ExecTrace {
-    /// `(leaf operator label, chunk sizes chosen)`.
-    pub leaves: Vec<(String, Vec<usize>)>,
 }
 
 /// The shared warm-path caches an execution may consult: hash-join build
@@ -1646,18 +1628,15 @@ pub struct QueryRequest<'a> {
 }
 
 /// Everything one [`QueryRequest::run`] produced: the result rows, the
-/// DOP-invariant work counters, the adaptive batch-size trace, and the
-/// warm-path cache actuals of this execution ([`CacheActuals::plan_cache`]
-/// stays `None` here — plan caching happens in front of the executor, so
-/// the planning layer fills it in).
+/// DOP-invariant work counters and the warm-path cache actuals of this
+/// execution ([`CacheActuals::plan_cache`] stays `None` here — plan caching
+/// happens in front of the executor, so the planning layer fills it in).
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
     /// The result table, byte-identical across every DOP / knob setting.
     pub rows: Table,
     /// Aggregate and per-operator work counters.
     pub stats: ExecStats,
-    /// Adaptive batch-size decisions (not DOP-invariant; see [`ExecTrace`]).
-    pub trace: ExecTrace,
     /// Warm-path cache telemetry of this execution.
     pub cache_actuals: CacheActuals,
 }
@@ -1732,8 +1711,7 @@ impl<'a> QueryRequest<'a> {
         // concurrent traffic, not DOP-invariant actuals.
         let postings = self.caches.postings.filter(|_| cfg.postings_cache);
         let postings0 = postings.map(|p| (p.hits(), p.lookups()));
-        let (rows, stats, trace) =
-            run_with_caches(self.plan, self.db, cfg, self.caches, self.cancel)?;
+        let (rows, stats) = run_with_caches(self.plan, self.db, cfg, self.caches, self.cancel)?;
         let (postings_hits, postings_lookups) = match (postings, postings0) {
             (Some(p), Some((h0, l0))) => (p.hits() - h0, p.lookups() - l0),
             _ => (0, 0),
@@ -1747,7 +1725,6 @@ impl<'a> QueryRequest<'a> {
         Ok(QueryOutcome {
             rows,
             stats,
-            trace,
             cache_actuals,
         })
     }
@@ -1791,7 +1768,7 @@ fn run_with_caches(
     cfg: &ExecConfig,
     caches: ExecCaches<'_>,
     cancel: Option<&CancelToken>,
-) -> Result<(Table, ExecStats, ExecTrace), ExecError> {
+) -> Result<(Table, ExecStats), ExecError> {
     let build_cache = if cfg.build_cache { caches.builds } else { None };
     let postings_ctx: PostingsCtx<'_> = if cfg.postings_cache {
         caches.postings.map(|p| (p, db.version()))
@@ -1831,7 +1808,7 @@ fn run_with_caches(
     let cstages: Vec<CStage<'_>> = stages
         .iter()
         .enumerate()
-        .map(|(i, s)| compile_stage(i, s, db, cfg.typed_kernels))
+        .map(|(i, s)| compile_stage(i, s, db))
         .collect();
 
     // Pre-phase: resolve the leaf domain and build (or fetch from the
@@ -1849,9 +1826,9 @@ fn run_with_caches(
         }
     };
     let mut build_hits = vec![false; stages.len()];
-    // Every booking of this execution — resident build footprints and the
-    // DISTINCT dedup set — goes through one guard, so early error returns
-    // release it all without bespoke cleanup code.
+    // Every booking of this execution — the resident build footprints —
+    // goes through one guard, so early error returns release it all
+    // without bespoke cleanup code.
     let mut booked = Booked::new(budget.clone());
     let mut builds: Vec<Option<Arc<JoinBuild>>> = Vec::with_capacity(stages.len());
     for (i, s) in stages.iter().enumerate() {
@@ -1884,7 +1861,7 @@ fn run_with_caches(
 
     let aliases: Vec<String> = stages.iter().map(|s| s.alias.to_string()).collect();
     let tables: Vec<&Table> = stages.iter().map(|s| s.base).collect();
-    let tail = TailSpec::resolve(plan, &aliases, &tables, cfg.typed_kernels);
+    let tail = TailSpec::resolve(plan, &aliases, &tables);
     let ctx = ExecCtx {
         cstages,
         builds,
@@ -1893,7 +1870,6 @@ fn run_with_caches(
         tables,
         tail,
         batch_capacity: cap,
-        adaptive: cfg.adaptive,
         budget: spill.budget.clone(),
         interrupt: interrupt.clone(),
         postings: postings_ctx,
@@ -1917,23 +1893,17 @@ fn run_with_caches(
     let mut agg = pre_agg;
     let mut per_morsel_ops: Vec<Vec<OpStats>> = Vec::new();
     let mut tail_rows_in = 0usize;
-    let mut trace = ExecTrace::default();
     let budgeted = spill.budget.limit().is_some();
     let mut cols = ctx.tail.columns();
     let mut sorter = ExternalSorter::new(spill.budget.clone(), spill.dir.clone());
-    sorter.set_typed_kernels(cfg.typed_kernels);
     sorter.set_retries(cfg.spill_retries);
     sorter.set_interrupt(interrupt.clone());
-    // Budgeted DISTINCT repertoire: the classical dedup set keeps
-    // first-occurrence semantics but cannot spill (the whole set must stay
-    // resident).  With typed kernels on, a sort-based two-pass
-    // DISTINCT runs instead: pass 1 sorts by the select row (original
-    // sequence as tie-break) and drops adjacent duplicates with O(1)
-    // carry-over state, pass 2 re-sorts the survivors by (order key,
-    // original sequence) — byte-identical rows and order to the dedup set,
-    // with both passes free to spill.
-    let sort_distinct = plan.distinct && cfg.typed_kernels && budgeted;
-    let mut seen: std::collections::HashSet<Row> = std::collections::HashSet::new();
+    // Budgeted DISTINCT is sort-based and two-pass: pass 1 sorts by the
+    // select row (original sequence as tie-break) and drops adjacent
+    // duplicates with O(1) carry-over state, pass 2 re-sorts the survivors
+    // by (order key, original sequence) — the first-occurrence rows and
+    // order of a dedup set, with both passes free to spill.
+    let sort_distinct = plan.distinct && budgeted;
     let mut seq = 0u64;
     try_execute_morsels_streaming(
         threads,
@@ -1942,9 +1912,6 @@ fn run_with_caches(
         |_, o: MorselOutput| {
             agg.add(&o.agg);
             tail_rows_in += o.tail_rows;
-            if !o.trace.is_empty() {
-                trace.leaves.push((ctx.cstages[0].label.clone(), o.trace));
-            }
             per_morsel_ops.push(o.ops);
             if !budgeted {
                 for (col, chunk) in cols.iter_mut().zip(o.cols) {
@@ -1964,19 +1931,9 @@ fn run_with_caches(
                     payload.extend(sel.iter().cloned());
                     sorter.push(sel, payload)?;
                     seq += 1;
-                    continue;
+                } else {
+                    sorter.push(key, sel)?;
                 }
-                if plan.distinct {
-                    if !seen.insert(sel.clone()) {
-                        continue;
-                    }
-                    // The dedup set is a genuine buffer too: account it (it
-                    // cannot spill — first-occurrence semantics need the whole
-                    // set — so the booking is forced and pressures the sorter
-                    // to go external earlier).
-                    booked.force(row_footprint(&sel) + 48);
-                }
-                sorter.push(key, sel)?;
             }
             Ok(())
         },
@@ -2014,18 +1971,12 @@ fn run_with_caches(
     tail.rows_in = tail_rows_in;
     tail.build_rows = tail_rows_in;
     let rows: Vec<Row> = if !budgeted {
-        let (rows, kernel_rows) = finish_tail(
-            &ctx.tail,
-            &cols,
-            tail_rows_in,
-            plan.distinct,
-            cfg.typed_kernels,
-        );
+        let (rows, kernel_rows) = finish_tail(&ctx.tail, &cols, tail_rows_in, plan.distinct);
         tail.kernel_rows = kernel_rows;
         rows
     } else {
         let sorted = if sort_distinct {
-            sort_distinct_two_pass(sorter, ctx.tail.order.len(), &spill, cfg.typed_kernels)?
+            sort_distinct_two_pass(sorter, ctx.tail.order.len(), &spill)?
         } else {
             sorter.finish()?
         };
@@ -2048,10 +1999,9 @@ fn run_with_caches(
         }
     }
     let table = Table::from_rows(Schema::new(columns), rows);
-    // `booked` (build footprints + dedup set) and any sorter state release
-    // via their guards' Drop impls — on this path and on every early `?`
-    // return above; `_drain` then asserts the budget drained to zero.
-    drop(seen);
+    // `booked` (build footprints) and any sorter state release via their
+    // guards' Drop impls — on this path and on every early `?` return
+    // above; `_drain` then asserts the budget drained to zero.
     booked.clear();
     tail.rows_out = table.len();
     tail.batches = tail.rows_out.div_ceil(cap);
@@ -2063,7 +2013,7 @@ fn run_with_caches(
         bindings: agg.bindings,
         operators,
     };
-    Ok((table, stats, trace))
+    Ok((table, stats))
 }
 
 /// The budgeted sort-based DISTINCT (see `run_with_caches`): `pass1` holds
@@ -2073,7 +2023,6 @@ fn sort_distinct_two_pass(
     pass1: ExternalSorter,
     kw: usize,
     spill: &SpillCtx,
-    typed: bool,
 ) -> Result<SortedRows, ExecError> {
     // Pass 1: rows come back grouped by select row (ties in original
     // sequence order); adjacent duplicates drop with one carried row.
@@ -2085,7 +2034,6 @@ fn sort_distinct_two_pass(
         pass1.retries,
     );
     let mut resort = ExternalSorter::new(spill.budget.clone(), spill.dir.clone());
-    resort.set_typed_kernels(typed);
     resort.set_retries(spill.retries);
     resort.set_interrupt(spill.interrupt.clone());
     let mut prev_sel: Option<Row> = None;
@@ -2102,8 +2050,7 @@ fn sort_distinct_two_pass(
         };
         prev_sel = Some(sel.clone());
         // Pass 2: survivors re-sort by (order key, original sequence)
-        // — the explicit sequence reproduces the first-occurrence tie
-        // order of the dedup-set path exactly.
+        // — the explicit sequence reproduces first-occurrence tie order.
         resort.push_with_seq(oseq, key, sel)?;
     }
     let mut sorted = resort.finish()?;
@@ -2125,17 +2072,14 @@ fn run_morsel(ctx: &ExecCtx<'_>, m: Morsel) -> Result<MorselOutput, ExecError> {
     ctx.interrupt.check()?;
     let sink = new_stats_sink();
     let agg: SharedAgg = Rc::new(RefCell::new(Agg::default()));
-    let trace_cell: Rc<RefCell<Vec<usize>>> = Rc::new(RefCell::new(Vec::new()));
     let err: ErrSlot = Rc::new(RefCell::new(None));
     let mut op: Box<dyn ColOperator + '_> = Box::new(ColScanLeaf::new(
         &ctx.cstages[0],
         &ctx.domain,
         m,
         ctx.batch_capacity,
-        ctx.adaptive,
         sink.clone(),
         agg.clone(),
-        trace_cell.clone(),
     ));
     for (cstage, build) in ctx.cstages[1..].iter().zip(&ctx.builds[1..]) {
         op = match build {
@@ -2173,13 +2117,11 @@ fn run_morsel(ctx: &ExecCtx<'_>, m: Morsel) -> Result<MorselOutput, ExecError> {
     }
     let ops = sink.borrow().clone();
     let agg = agg.borrow().clone();
-    let trace = trace_cell.borrow().clone();
     Ok(MorselOutput {
         cols,
         ops,
         tail_rows,
         agg,
-        trace,
     })
 }
 
@@ -2199,8 +2141,8 @@ enum TailSource<'a> {
         validity: Option<&'a BitMask>,
     },
     /// Everything else — strings, decimals, mixed columns, computed
-    /// expressions, and every column with typed kernels off — evaluated
-    /// to `Value`s through the compiled expression.
+    /// expressions — evaluated to `Value`s through the compiled
+    /// expression.
     Value(CExpr),
 }
 
@@ -2228,14 +2170,8 @@ struct TailSpec<'a> {
 
 impl<'a> TailSpec<'a> {
     /// Resolve the tail of `plan` against the stage aliases and their base
-    /// tables (batch column order).  With `typed` off every column is a
-    /// [`TailSource::Value`].
-    fn resolve(
-        plan: &PhysPlan,
-        aliases: &[String],
-        tables: &[&'a Table],
-        typed: bool,
-    ) -> TailSpec<'a> {
+    /// tables (batch column order).
+    fn resolve(plan: &PhysPlan, aliases: &[String], tables: &[&'a Table]) -> TailSpec<'a> {
         let mut spec = TailSpec {
             sources: Vec::new(),
             select: Vec::new(),
@@ -2251,18 +2187,18 @@ impl<'a> TailSpec<'a> {
                         .position(|a| a == alias)
                         .unwrap_or_else(|| panic!("alias {alias:?} not bound"));
                     for col in 0..tables[slot].schema().len() {
-                        let i = spec.source(CExpr::Outer { slot, col }, tables, typed);
+                        let i = spec.source(CExpr::Outer { slot, col }, tables);
                         spec.select.push(i);
                     }
                 }
                 SelectItem::Expr { expr, .. } => {
-                    let i = spec.source(cc(expr), tables, typed);
+                    let i = spec.source(cc(expr), tables);
                     spec.select.push(i);
                 }
             }
         }
         for c in &plan.order_by {
-            let i = spec.source(cc(&SqlExpr::Col(c.clone())), tables, typed);
+            let i = spec.source(cc(&SqlExpr::Col(c.clone())), tables);
             spec.order.push(i);
         }
         spec
@@ -2270,14 +2206,12 @@ impl<'a> TailSpec<'a> {
 
     /// The index of the source computing `e`, added unless `e` is a column
     /// some source already reads.
-    fn source(&mut self, e: CExpr, tables: &[&'a Table], typed: bool) -> usize {
+    fn source(&mut self, e: CExpr, tables: &[&'a Table]) -> usize {
         if let CExpr::Outer { slot, col } = e {
             if let Some(i) = self.sources.iter().position(|s| s.reads(slot, col)) {
                 return i;
             }
-            if let Some((vals, validity)) =
-                tables[slot].typed().int_col_nullable(col).filter(|_| typed)
-            {
+            if let Some((vals, validity)) = tables[slot].typed().int_col_nullable(col) {
                 self.sources.push(TailSource::I64 {
                     slot,
                     col,
@@ -2475,15 +2409,14 @@ impl TailCol {
 /// a `HashSet<Row>`); ORDER BY is a stable sort by the order columns, NULL
 /// first, so ties stay in arrival order — the `(key, seq)` order of the
 /// [`ExternalSorter`].  `Value` rows are built for the emitted rows only.
-/// Also returns the SORT's `kernel_rows`: the rows sorted when typed
-/// kernels are on and every order value is an integer or NULL, exactly
-/// what the sorter's typed finish reports.
+/// Also returns the SORT's `kernel_rows`: the rows sorted when every order
+/// value is an integer or NULL, exactly what the sorter's typed finish
+/// reports.
 fn finish_tail(
     spec: &TailSpec<'_>,
     cols: &[TailCol],
     n: usize,
     distinct: bool,
-    typed: bool,
 ) -> (Vec<Row>, usize) {
     let mut rows: Vec<u32> = if distinct {
         let select: Vec<&TailCol> = spec.select.iter().map(|&c| &cols[c]).collect();
@@ -2495,7 +2428,7 @@ fn finish_tail(
     let mut kernel_rows = 0;
     if !order.is_empty() {
         rows = sort_rows(&order, rows);
-        if typed && !rows.is_empty() && order.iter().all(|c| c.int_or_null(&rows)) {
+        if !rows.is_empty() && order.iter().all(|c| c.int_or_null(&rows)) {
             kernel_rows = rows.len();
         }
     }
@@ -2598,13 +2531,11 @@ enum DomainCursor<'a> {
 
 /// Columnar scan leaf: fills one rid column directly from the morsel's
 /// domain slice (a bulk extend, not a per-tuple push), then evaluates each
-/// pushed-down predicate column-at-a-time into the selection vector.  The
-/// [`BatchSizer`] grows the scan chunk when the filters turn out to be
-/// selective, so downstream operators keep seeing usefully full batches.
+/// pushed-down predicate column-at-a-time into the selection vector.  Each
+/// call scans `cap` domain positions.
 struct ColScanLeaf<'a> {
     stage: &'a CStage<'a>,
     cursor: DomainCursor<'a>,
-    sizer: BatchSizer,
     cap: usize,
     /// Rows surviving the pushed-down filters (TBSCAN accounting).
     scan_rows: usize,
@@ -2621,20 +2552,16 @@ struct ColScanLeaf<'a> {
     stats: OpStats,
     sink: StatsSink,
     agg: SharedAgg,
-    trace: Rc<RefCell<Vec<usize>>>,
 }
 
 impl<'a> ColScanLeaf<'a> {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         stage: &'a CStage<'a>,
         domain: &'a LeafDomain,
         m: Morsel,
         cap: usize,
-        adaptive: bool,
         sink: StatsSink,
         agg: SharedAgg,
-        trace: Rc<RefCell<Vec<usize>>>,
     ) -> Self {
         let cursor = match domain {
             LeafDomain::Rids(n) => DomainCursor::Rids {
@@ -2648,8 +2575,7 @@ impl<'a> ColScanLeaf<'a> {
         };
         let mut kernel_terms: Vec<MaskTerm<'a>> = Vec::new();
         let mut scalar_preds: Vec<usize> = Vec::new();
-        for pi in 0..stage.access_preds.len() {
-            let tp = stage.typed_preds.get(pi).unwrap_or(&TypedPred::Scalar);
+        for (pi, tp) in stage.typed_preds.iter().enumerate() {
             match tp.term() {
                 Some(t) => kernel_terms.push(t),
                 None => scalar_preds.push(pi),
@@ -2658,7 +2584,6 @@ impl<'a> ColScanLeaf<'a> {
         ColScanLeaf {
             stage,
             cursor,
-            sizer: BatchSizer::new(cap, adaptive),
             cap,
             scan_rows: 0,
             kernel_terms,
@@ -2668,7 +2593,6 @@ impl<'a> ColScanLeaf<'a> {
             stats: OpStats::named(stage.label.clone()),
             sink,
             agg,
-            trace,
         }
     }
 }
@@ -2679,28 +2603,25 @@ impl ColOperator for ColScanLeaf<'_> {
     fn next_batch(&mut self) -> Option<ColumnBatch> {
         let base = self.stage.base;
         loop {
-            let chunk = self.sizer.chunk();
-            let mut out = ColumnBatch::new(1, self.cap.max(chunk));
-            let scanned = match &mut self.cursor {
+            let mut out = ColumnBatch::new(1, self.cap);
+            match &mut self.cursor {
                 DomainCursor::Rids { next, end } => {
-                    let n = chunk.min(*end - *next);
+                    let n = self.cap.min(*end - *next);
                     if n == 0 {
                         return None;
                     }
                     out.col_mut(0).extend(*next..*next + n);
                     *next += n;
-                    n
                 }
                 DomainCursor::Postings { rids, pos } => {
-                    let n = chunk.min(rids.len() - *pos);
+                    let n = self.cap.min(rids.len() - *pos);
                     if n == 0 {
                         return None;
                     }
                     out.col_mut(0).extend_from_slice(&rids[*pos..*pos + n]);
                     *pos += n;
-                    n
                 }
-            };
+            }
             // Column-at-a-time filtering: every typed-lowered predicate
             // evaluates in ONE fused selection pass (single gather over
             // the batch's rids, conjunction folded word-wise), then the
@@ -2716,7 +2637,6 @@ impl ColOperator for ColScanLeaf<'_> {
                 let pred = &self.stage.access_preds[pi];
                 out.retain_by_col(0, |rid| cpred_holds(pred, &EMPTY_ENV, Some((base, rid))));
             }
-            self.sizer.observe(scanned, out.live());
             if out.is_empty() {
                 continue;
             }
@@ -2733,7 +2653,6 @@ impl ColOperator for ColScanLeaf<'_> {
         self.agg.borrow_mut().scan_rows += self.scan_rows;
         self.stats.fetched = self.scan_rows;
         self.sink.borrow_mut().push(self.stats.clone());
-        self.trace.borrow_mut().extend(self.sizer.trace());
     }
 
     fn stats(&self) -> OpStats {
@@ -3799,18 +3718,13 @@ mod tests {
             ]
         );
         // As a join predicate the overflowing row still compares numerically
-        // (`MAX + 1 >= MAX`), typed kernels on or off.
+        // (`MAX + 1 >= MAX`), as it does in the materializing oracle.
         let sql = "SELECT d1.pre AS a, d2.pre AS b FROM doc AS d1, doc AS d2 \
                    WHERE d2.v + 1 >= d1.v AND d1.pre = 0 ORDER BY d2.pre";
         let plan = optimize(&parse_sql(sql).unwrap(), &db).unwrap();
-        for typed in [true, false] {
-            let (t, _) = run(
-                &plan,
-                &db,
-                &ExecConfig::sequential().with_typed_kernels(typed),
-            );
-            assert_eq!(t.len(), 2, "typed {typed}: rows with v + 1 >= 2^63");
-        }
+        let (t, _) = run(&plan, &db, &ExecConfig::sequential());
+        assert_eq!(t.len(), 2, "rows with v + 1 >= 2^63");
+        assert_eq!(t, execute_materialized_with_stats(&plan, &db).0);
     }
 
     #[test]
@@ -4249,18 +4163,6 @@ mod tests {
         assert!(pc.is_empty());
     }
 
-    /// A copy of `s` with every operator's `kernel_rows` zeroed: the only
-    /// actual allowed to differ between typed kernels on and off (kernel
-    /// engagement reports which representation ran, not what the operators
-    /// computed).
-    fn sans_kernels(s: &ExecStats) -> ExecStats {
-        let mut s = s.clone();
-        for op in &mut s.operators {
-            op.kernel_rows = 0;
-        }
-        s
-    }
-
     /// Assert `got` reports the materializing oracle's aggregate counters.
     fn assert_aggregates_match(got: &ExecStats, oracle: &ExecStats, what: &str) {
         let aggregates = |s: &ExecStats| (s.index_rows, s.scan_rows, s.probes, s.bindings);
@@ -4268,6 +4170,27 @@ mod tests {
             aggregates(got),
             aggregates(oracle),
             "{what}: (index_rows, scan_rows, probes, bindings)"
+        );
+    }
+
+    /// Assert `got`'s join levels (every operator but the plan tail) report
+    /// the materializing oracle's per-level label, `rows_out`, `fetched`
+    /// and `probes`.
+    fn assert_join_levels_match(got: &ExecStats, oracle: &ExecStats, what: &str) {
+        let levels = |ops: &[OpStats]| -> Vec<(String, usize, usize, usize)> {
+            ops.iter()
+                .map(|o| (o.name.clone(), o.rows_out, o.fetched, o.probes))
+                .collect()
+        };
+        let (tail, joins) = got.operators.split_last().expect("a plan tail");
+        assert!(matches!(
+            tail.name.as_str(),
+            "SORT(distinct)" | "SORT" | "RETURN"
+        ));
+        assert_eq!(
+            levels(joins),
+            levels(&oracle.operators),
+            "{what}: per-join-level (label, rows_out, fetched, probes)"
         );
     }
 
@@ -4281,55 +4204,24 @@ mod tests {
         ] {
             let q = parse_sql(&sql).unwrap();
             let plan = optimize(&q, &db).unwrap();
-            // Rows, row order and aggregate counters: the independent
-            // materializing executor.  Per-operator actuals: the sequential
-            // kernels-off run (every comparison on the untyped `Value`s).
-            let (t_ref, agg_ref) = execute_materialized_with_stats(&plan, &db);
-            let (_, ops_ref) = run(
-                &plan,
-                &db,
-                &ExecConfig::sequential().with_typed_kernels(false),
-            );
+            // Rows, row order, aggregate counters and per-join-level
+            // actuals: the independent materializing executor.  Every
+            // other actual but `batches`: the default-capacity run.
+            let (t_ref, s_ref) = execute_materialized_with_stats(&plan, &db);
+            let (_, ops_ref) = run(&plan, &db, &ExecConfig::sequential());
             for cap in [1, 64, 1024] {
                 let cfg = ExecConfig::sequential().with_batch_capacity(cap);
                 let (t, s) = run(&plan, &db, &cfg);
-                assert_eq!(t, t_ref, "{sql} cap {cap}");
-                assert_aggregates_match(&s, &agg_ref, &format!("{sql} cap {cap}"));
+                let what = format!("{sql} cap {cap}");
+                assert_eq!(t, t_ref, "{what}");
+                assert_aggregates_match(&s, &s_ref, &what);
+                assert_join_levels_match(&s, &s_ref, &what);
                 for (a, b) in s.operators.iter().zip(&ops_ref.operators) {
                     let (mut a, mut b) = (a.clone(), b.clone());
-                    (a.kernel_rows, a.batches, b.batches) = (0, 0, 0);
-                    assert_eq!(a, b, "{sql} cap {cap}: per-operator actuals");
+                    (a.batches, b.batches) = (0, 0);
+                    assert_eq!(a, b, "{what}: per-operator actuals");
                 }
                 assert_eq!(s.operators.len(), ops_ref.operators.len());
-            }
-        }
-    }
-
-    #[test]
-    fn adaptive_leaf_grows_chunks_for_selective_filters_without_changing_results() {
-        let db = db();
-        let q =
-            parse_sql("SELECT d1.pre AS p FROM doc AS d1 WHERE d1.kind = 'TEXT' ORDER BY d1.pre")
-                .unwrap();
-        let plan = optimize(&q, &db).unwrap();
-        let base_cfg = ExecConfig::sequential().with_batch_capacity(2);
-        let adaptive_cfg = base_cfg.clone().with_adaptive(true);
-        let fixed_cfg = base_cfg.with_adaptive(false);
-        let adaptive = QueryRequest::new(&plan, &db)
-            .config(&adaptive_cfg)
-            .expect_run();
-        let fixed = QueryRequest::new(&plan, &db)
-            .config(&fixed_cfg)
-            .expect_run();
-        assert_eq!(adaptive.rows, fixed.rows);
-        let (trace, fixed_trace) = (adaptive.trace, fixed.trace);
-        // The fixed policy records no trace; the adaptive one records its
-        // chunk decisions whenever the leaf observed at least one chunk.
-        assert!(fixed_trace.leaves.is_empty());
-        for (name, chunks) in &trace.leaves {
-            assert!(!name.is_empty());
-            for &c in chunks {
-                assert!((2..=2 * xqjg_store::MAX_ADAPTIVE_GROWTH).contains(&c));
             }
         }
     }
@@ -4451,38 +4343,6 @@ mod tests {
     }
 
     #[test]
-    fn typed_kernels_toggle_changes_only_kernel_engagement() {
-        let db = big_db(1500);
-        let q = parse_sql(SPILL_SQL).unwrap();
-        let plan = optimize(&q, &db).unwrap();
-        for budget in [None, Some(16 * 1024)] {
-            let base = ExecConfig::sequential().with_mem_budget(budget);
-            let (t_on, s_on) = run(&plan, &db, &base.clone().with_typed_kernels(true));
-            let (t_off, s_off) = run(&plan, &db, &base.with_typed_kernels(false));
-            assert_eq!(t_on, t_off, "budget {budget:?}");
-            // No DISTINCT in the plan: even the spill counters must agree —
-            // the kernels change the representation, not the row stream the
-            // pipeline breakers see.
-            assert_eq!(
-                sans_kernels(&s_on),
-                sans_kernels(&s_off),
-                "budget {budget:?}: toggle must be invisible modulo kernel_rows"
-            );
-            // With kernels on, the leaf predicate (`pre <= 200` over an
-            // all-i64 column) and the hash-join key pass both engage.
-            let leaf = &s_on.operators[0];
-            assert!(leaf.kernel_rows > 0, "leaf kernel engaged");
-            let hsjoin = s_on
-                .operators
-                .iter()
-                .find(|o| o.name.starts_with("HSJOIN"))
-                .unwrap();
-            assert!(hsjoin.kernel_rows > 0, "join key kernel engaged");
-            assert!(s_off.operators.iter().all(|o| o.kernel_rows == 0));
-        }
-    }
-
-    #[test]
     fn dictionary_predicates_run_on_the_code_kernel() {
         let db = big_db(300);
         // `payload` is an all-string column, so its dictionary image is
@@ -4502,18 +4362,11 @@ mod tests {
             let sql = format!("SELECT d1.pre AS p FROM doc AS d1 WHERE {pred} ORDER BY d1.pre");
             let q = parse_sql(&sql).unwrap();
             let plan = optimize(&q, &db).unwrap();
-            let (t_on, s_on) = run(
-                &plan,
-                &db,
-                &ExecConfig::sequential().with_typed_kernels(true),
-            );
-            let (t_off, _) = run(
-                &plan,
-                &db,
-                &ExecConfig::sequential().with_typed_kernels(false),
-            );
-            assert_eq!(t_on, t_off, "{pred}");
-            let leaf = &s_on.operators[0];
+            let (t, s) = run(&plan, &db, &ExecConfig::sequential());
+            let (t_ref, s_ref) = execute_materialized_with_stats(&plan, &db);
+            assert_eq!(t, t_ref, "{pred}");
+            assert_join_levels_match(&s, &s_ref, pred);
+            let leaf = &s.operators[0];
             assert_eq!(leaf.kernel_rows > 0, engaged, "{pred}");
         }
     }
@@ -4528,12 +4381,12 @@ mod tests {
         let db = db();
         let q = parse_sql(Q1_LIKE).unwrap();
         let plan = optimize(&q, &db).unwrap();
-        let base = ExecConfig::sequential();
-        let (t_on, s_on) = run(&plan, &db, &base.clone().with_typed_kernels(true));
-        let (t_off, s_off) = run(&plan, &db, &base.with_typed_kernels(false));
-        assert_eq!(t_on, t_off);
-        assert_eq!(sans_kernels(&s_on), sans_kernels(&s_off));
-        let nljoins: Vec<&OpStats> = s_on
+        let (t, s) = run(&plan, &db, &ExecConfig::sequential());
+        let (t_ref, s_ref) = execute_materialized_with_stats(&plan, &db);
+        assert_eq!(t, t_ref);
+        assert_aggregates_match(&s, &s_ref, "Q1-like");
+        assert_join_levels_match(&s, &s_ref, "Q1-like");
+        let nljoins: Vec<&OpStats> = s
             .operators
             .iter()
             .filter(|o| o.name.starts_with("NLJOIN"))
@@ -4609,7 +4462,7 @@ mod tests {
             let plan = optimize(&parse_sql(sql).unwrap(), &db).unwrap();
             blocks += 1;
             for (i, stage) in flatten_stages(&plan.root, &db).iter().enumerate() {
-                let cs = compile_stage(i, stage, &db, true);
+                let cs = compile_stage(i, stage, &db);
                 if !cs.label.starts_with("NLJOIN") {
                     continue;
                 }
@@ -4669,8 +4522,9 @@ mod tests {
     fn null_bearing_leaf_predicates_engage_masked_kernels() {
         let db = null_db(400);
         // Every comparison shape over the NULL-bearing int and dictionary
-        // columns: the masked kernels must agree with the untyped `Value`
-        // comparison, and NULL never satisfies a predicate — not even `<>`.
+        // columns: the masked kernels must agree with the materializing
+        // oracle's `Value` comparison, and NULL never satisfies a predicate
+        // — not even `<>`.
         for pred in [
             "d1.grp = 5",
             "d1.grp <> 3",
@@ -4684,11 +4538,11 @@ mod tests {
             let sql = format!("SELECT d1.pre AS p FROM doc AS d1 WHERE {pred} ORDER BY d1.pre");
             let q = parse_sql(&sql).unwrap();
             let plan = optimize(&q, &db).unwrap();
-            let base = ExecConfig::sequential();
-            let (t_on, s_on) = run(&plan, &db, &base.clone().with_typed_kernels(true));
-            let (t_off, _) = run(&plan, &db, &base.with_typed_kernels(false));
-            assert_eq!(t_on, t_off, "{pred}");
-            assert!(s_on.operators[0].kernel_rows > 0, "{pred}: kernel engaged");
+            let (t, s) = run(&plan, &db, &ExecConfig::sequential());
+            let (t_ref, s_ref) = execute_materialized_with_stats(&plan, &db);
+            assert_eq!(t, t_ref, "{pred}");
+            assert_join_levels_match(&s, &s_ref, pred);
+            assert!(s.operators[0].kernel_rows > 0, "{pred}: kernel engaged");
             // NULL rows never qualify: `pre % 11 == 3` rows have NULL grp,
             // `pre % 13 == 7` rows have NULL tag.
             let (m, r) = if pred.contains("grp") {
@@ -4697,9 +4551,7 @@ mod tests {
                 (13, 7)
             };
             assert!(
-                t_on.rows()
-                    .iter()
-                    .all(|row| row[0].as_i64().unwrap() % m != r),
+                t.rows().iter().all(|row| row[0].as_i64().unwrap() % m != r),
                 "{pred}: NULL must not match"
             );
         }
@@ -4718,18 +4570,13 @@ mod tests {
         let db = null_db(800);
         let q = parse_sql(COMPOSITE_SQL).unwrap();
         let plan = optimize(&q, &db).unwrap();
-        // Oracle for rows, order and aggregate counters: the materializing
-        // executor (owned `Vec<Value>` keys, no hashing kernels, no spill).
-        // Per-operator actuals: the kernels-off run under no budget.
+        // Oracle for rows, order, aggregate counters and per-join-level
+        // actuals: the materializing executor (owned `Vec<Value>` keys, no
+        // hashing kernels, no spill).  Every other actual: the run under no
+        // budget.
         let (t_ref, agg_ref) = execute_materialized_with_stats(&plan, &db);
-        let (t_off, s_ref) = run(
-            &plan,
-            &db,
-            &ExecConfig::sequential()
-                .with_typed_kernels(false)
-                .with_mem_budget(None),
-        );
-        assert_eq!(t_off, t_ref);
+        let (t_mem, s_ref) = run(&plan, &db, &ExecConfig::sequential().with_mem_budget(None));
+        assert_eq!(t_mem, t_ref);
         assert!(
             s_ref.operators.iter().any(|o| o.name.starts_with("HSJOIN")),
             "fixture plan must contain a hash join"
@@ -4741,36 +4588,25 @@ mod tests {
             .all(|r| r[0].as_i64().unwrap() % 11 != 3 && r[0].as_i64().unwrap() % 13 != 7));
         let mut spilled = false;
         for budget in [None, Some(8 * 1024)] {
-            for typed in [true, false] {
-                let cfg = ExecConfig::sequential()
-                    .with_typed_kernels(typed)
-                    .with_mem_budget(budget);
-                let (t, s) = run(&plan, &db, &cfg);
-                assert_eq!(t, t_ref, "budget {budget:?} typed {typed}");
-                assert_aggregates_match(&s, &agg_ref, &format!("budget {budget:?} typed {typed}"));
-                let sans: Vec<OpStats> = sans_kernels(&s)
-                    .operators
-                    .iter()
-                    .map(OpStats::sans_spill)
-                    .collect();
-                let sans_ref: Vec<OpStats> = sans_kernels(&s_ref)
-                    .operators
-                    .iter()
-                    .map(OpStats::sans_spill)
-                    .collect();
-                assert_eq!(sans, sans_ref, "budget {budget:?} typed {typed}");
-                let hsjoin = s
-                    .operators
-                    .iter()
-                    .find(|o| o.name.starts_with("HSJOIN"))
-                    .unwrap();
-                // The fused gather+hash pass engages exactly when the typed
-                // kernels are on — NULL-bearing keys included — and its
-                // hashes route the spilled legs through the same Grace
-                // partitions as the `Value` hash chain.
-                assert_eq!(hsjoin.kernel_rows > 0, typed, "budget {budget:?}");
-                spilled |= hsjoin.partitions > 0;
-            }
+            let cfg = ExecConfig::sequential().with_mem_budget(budget);
+            let (t, s) = run(&plan, &db, &cfg);
+            let what = format!("budget {budget:?}");
+            assert_eq!(t, t_ref, "{what}");
+            assert_aggregates_match(&s, &agg_ref, &what);
+            assert_join_levels_match(&s, &agg_ref, &what);
+            let sans: Vec<OpStats> = s.operators.iter().map(OpStats::sans_spill).collect();
+            let sans_ref: Vec<OpStats> = s_ref.operators.iter().map(OpStats::sans_spill).collect();
+            assert_eq!(sans, sans_ref, "{what}");
+            let hsjoin = s
+                .operators
+                .iter()
+                .find(|o| o.name.starts_with("HSJOIN"))
+                .unwrap();
+            // The fused gather+hash pass engages — NULL-bearing keys
+            // included — and its hashes route the spilled leg through the
+            // same Grace partitions as the `Value` hash chain.
+            assert!(hsjoin.kernel_rows > 0, "{what}");
+            spilled |= hsjoin.partitions > 0;
         }
         assert!(spilled, "the tiny budget must exercise the spilled leg");
     }
@@ -4782,30 +4618,26 @@ mod tests {
         let q = parse_sql(sql).unwrap();
         let plan = optimize(&q, &db).unwrap();
         assert!(plan.distinct);
+        // The unbudgeted tail dedups in one hash pass; it and the
+        // materializing oracle's dedup set are the references.
         let unlimited = ExecConfig::sequential().with_mem_budget(None);
         let (t_ref, s_ref) = run(&plan, &db, &unlimited);
         assert_eq!(t_ref.len(), 97);
+        let (t_oracle, s_oracle) = execute_materialized_with_stats(&plan, &db);
+        assert_eq!(t_ref, t_oracle);
         for budget in [Some(4 * 1024), Some(64 * 1024)] {
+            // A limited budget engages the two-pass sort DISTINCT.
             let base = ExecConfig::sequential().with_mem_budget(budget);
-            // Typed kernels + limited budget engage the two-pass sort
-            // DISTINCT; kernels off keeps the classical dedup set.
-            let (t_sort, s_sort) = run(&plan, &db, &base.clone().with_typed_kernels(true));
-            let (t_hash, s_hash) = run(&plan, &db, &base.with_typed_kernels(false));
+            let (t_sort, s_sort) = run(&plan, &db, &base);
             assert_eq!(t_sort, t_ref, "budget {budget:?}");
-            assert_eq!(t_hash, t_ref, "budget {budget:?}");
+            assert_join_levels_match(&s_sort, &s_oracle, &format!("budget {budget:?}"));
             let sans_sort: Vec<OpStats> =
                 s_sort.operators.iter().map(OpStats::sans_spill).collect();
-            let sans_hash: Vec<OpStats> =
-                s_hash.operators.iter().map(OpStats::sans_spill).collect();
             let sans_ref: Vec<OpStats> = s_ref.operators.iter().map(OpStats::sans_spill).collect();
             assert_eq!(sans_sort, sans_ref);
-            assert_eq!(sans_hash, sans_ref);
         }
-        // Under real pressure the sort DISTINCT spills where the dedup set
-        // could only overshoot its forced reservation.
-        let tight = ExecConfig::sequential()
-            .with_mem_budget(Some(4 * 1024))
-            .with_typed_kernels(true);
+        // Under real pressure the sort DISTINCT spills.
+        let tight = ExecConfig::sequential().with_mem_budget(Some(4 * 1024));
         let (_, s) = run(&plan, &db, &tight);
         let tail = s.operators.last().unwrap();
         assert_eq!(tail.name, "SORT(distinct)");

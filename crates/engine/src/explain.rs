@@ -37,8 +37,7 @@
 //!
 //! * `kernel_rows` — rows the operator pushed through a branch-free
 //!   typed-column kernel instead of the untyped `Value` comparison; `0`
-//!   when `XQJG_TYPED_KERNELS=0` or when the operand columns have no
-//!   typed image.  Each kernel pass
+//!   when the operand columns have no typed image.  Each kernel pass
 //!   counts once per (row, term): a leaf or NLJOIN fusing a k-term
 //!   conjunction over n fetched rows adds `n·k`, an NLJOIN's static
 //!   pre-masked inner list adds its surviving length once per probe, a
@@ -56,18 +55,19 @@
 //! and derives
 //!
 //! * `sel` — the operator's measured selectivity (`rows_out / rows_in`;
-//!   values above 1 mean the operator expands, as joins do), the quantity
-//!   the adaptive batch sizer steers on, and
+//!   values above 1 mean the operator expands, as joins do), and
 //! * `avg_vec` — the average vector length (`rows_out / batches`), i.e.
-//!   how full the batches the operator shipped downstream actually were.
+//!   how full the batches the operator shipped downstream actually were;
+//!   a scan leaf reads `batch_capacity` domain positions per batch, so a
+//!   filtered leaf ships batches below capacity.
 //!
 //! The actuals are byte-identical across degrees of parallelism (the
 //! spill counters included, because spill decisions are made on the
-//! coordinator against the morsel-ordered row stream) and byte-identical
-//! modulo `kernel_rows` across the `XQJG_TYPED_KERNELS` toggle (the typed
-//! parity suite).  Across
-//! *budgets* the actuals additionally agree modulo the spill counters
-//! (the spill parity suite).
+//! coordinator against the morsel-ordered row stream).  Per join level,
+//! `rows_out`, `fetched` and `probes` equal what the materializing
+//! executor reports (the typed parity suite).  Across *budgets* the
+//! actuals additionally agree modulo the spill counters (the spill parity
+//! suite).
 //!
 //! [`explain_with_caches`] additionally appends one warm-path cache line
 //!

@@ -30,8 +30,7 @@ pub mod sqlparse;
 
 pub use advisor::{advise, deploy, IndexProposal};
 pub use exec::{
-    run_sql, BuildCache, ExecCaches, ExecStats, ExecTrace, QueryOutcome, QueryRequest,
-    BUILD_CACHE_BYTES,
+    run_sql, BuildCache, ExecCaches, ExecStats, QueryOutcome, QueryRequest, BUILD_CACHE_BYTES,
 };
 pub use explain::{explain, explain_with_caches, explain_with_stats, CacheActuals};
 pub use materialize::{execute_materialized, execute_materialized_with_stats};

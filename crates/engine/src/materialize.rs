@@ -6,13 +6,14 @@
 //! level starts, and the hash join clones an owned `Vec<Value>` key per
 //! inner row and per probe — no batches, no compiled predicates, no typed
 //! kernels, no spilling.  Keep this module semantically frozen: the parity
-//! suites treat its rows, row order and aggregate counters as ground truth.
+//! suites treat its rows, row order, aggregate counters and per-join-level
+//! actuals as ground truth.
 
 use crate::exec::{alias_table, exec_access, pred_holds, Env, ExecStats, Fetched};
-use crate::physical::{JoinNode, PhysPlan};
+use crate::physical::{Access, JoinNode, PhysPlan};
 use crate::sql::{SelectItem, SqlExpr};
 use std::collections::HashMap;
-use xqjg_store::{Database, Schema, Table, Value};
+use xqjg_store::{Database, OpStats, Schema, Table, Value};
 
 /// Execute a physical plan by materializing every join level, returning
 /// the result table.
@@ -21,8 +22,11 @@ pub fn execute_materialized(plan: &PhysPlan, db: &Database) -> Table {
 }
 
 /// Execute a physical plan by materializing every join level, returning
-/// the result table and aggregate work counters (per-operator counters are
-/// a pipelined-executor feature; the baseline reports none).
+/// the result table and work counters.  `operators` holds one entry per
+/// join level, leaf first, labelled as EXPLAIN labels the pipeline's
+/// operators; each carries only the actuals both executors define the
+/// same way: `rows_out`, `fetched` and `probes`.  The plan tail has no
+/// entry.
 pub fn execute_materialized_with_stats(plan: &PhysPlan, db: &Database) -> (Table, ExecStats) {
     let mut stats = ExecStats::default();
     let (aliases, bindings) = exec_node(&plan.root, db, &mut stats);
@@ -85,10 +89,17 @@ pub fn execute_materialized_with_stats(plan: &PhysPlan, db: &Database) -> (Table
     (table, stats)
 }
 
-fn record(stats: &mut ExecStats, fetched: Fetched) {
+/// Add `fetched` to the aggregate counters and return it.
+fn record(stats: &mut ExecStats, fetched: Fetched) -> usize {
     match fetched {
-        Fetched::Scanned(n) => stats.scan_rows += n,
-        Fetched::Indexed(n) => stats.index_rows += n,
+        Fetched::Scanned(n) => {
+            stats.scan_rows += n;
+            n
+        }
+        Fetched::Indexed(n) => {
+            stats.index_rows += n;
+            n
+        }
     }
 }
 
@@ -105,7 +116,13 @@ fn exec_node(
             ..
         } => {
             let (rows, fetched) = exec_access(access, alias, table, db, None, None);
-            record(stats, fetched);
+            let mut op = OpStats::named(match access {
+                Access::TableScan { .. } => format!("TBSCAN({alias})"),
+                Access::IndexScan { index, .. } => format!("IXSCAN({alias} ix={index})"),
+            });
+            op.fetched = record(stats, fetched);
+            op.rows_out = rows.len();
+            stats.operators.push(op);
             (vec![alias.clone()], rows.iter().map(|&r| vec![r]).collect())
         }
         JoinNode::Join {
@@ -123,6 +140,12 @@ fn exec_node(
                 aliases.iter().map(|a| alias_table(outer, a, db)).collect();
             let base = db.table(table).expect("table registered");
             let mut result: Vec<Vec<usize>> = Vec::new();
+            let probes0 = stats.probes;
+            let mut op = OpStats::named(if hash_keys.is_empty() {
+                format!("NLJOIN({alias})")
+            } else {
+                format!("HSJOIN({alias})")
+            });
 
             if hash_keys.is_empty() {
                 // Nested-loop join: probe the access path per outer binding.
@@ -134,7 +157,7 @@ fn exec_node(
                         binding,
                     };
                     let (rows, fetched) = exec_access(access, alias, table, db, Some(&env), None);
-                    record(stats, fetched);
+                    op.fetched += record(stats, fetched);
                     for &rid in rows.iter() {
                         let ok = residual
                             .iter()
@@ -151,7 +174,7 @@ fn exec_node(
                 // (owned key vectors per inner row and per probe — the
                 // allocation behaviour the pipelined executor fixes).
                 let (inner_rows, fetched) = exec_access(access, alias, table, db, None, None);
-                record(stats, fetched);
+                op.fetched = record(stats, fetched);
                 let key_cols: Vec<usize> = hash_keys
                     .iter()
                     .map(|(_, col)| base.schema().expect_index(col))
@@ -197,6 +220,9 @@ fn exec_node(
             }
             aliases.push(alias.clone());
             stats.bindings += result.len();
+            op.probes = stats.probes - probes0;
+            op.rows_out = result.len();
+            stats.operators.push(op);
             (aliases, result)
         }
     }
@@ -254,7 +280,12 @@ mod tests {
         let (t, stats) = execute_materialized_with_stats(&plan, &db);
         assert_eq!(t.len(), 2);
         assert!(stats.index_rows + stats.scan_rows > 0);
-        // The baseline reports aggregate counters only.
-        assert!(stats.operators.is_empty());
+        // One entry per join level (here: the leaf alone), no tail, and
+        // `fetched` is the split of the aggregate counters.
+        assert_eq!(stats.operators.len(), 1);
+        let leaf = &stats.operators[0];
+        assert!(leaf.name.starts_with("IXSCAN(d1") || leaf.name == "TBSCAN(d1)");
+        assert_eq!(leaf.rows_out, 2);
+        assert_eq!(leaf.fetched, stats.index_rows + stats.scan_rows);
     }
 }

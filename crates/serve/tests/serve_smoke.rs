@@ -141,17 +141,31 @@ fn line_protocol_session_lifecycle() {
     // errors, unknown knobs rejected.
     assert_eq!(c.roundtrip("SET threads 2"), "OK threads=2");
     assert_eq!(
-        c.roundtrip("SET XQJG_TYPED_KERNELS off"),
-        "OK XQJG_TYPED_KERNELS=off"
+        c.roundtrip("SET XQJG_POSTINGS_CACHE off"),
+        "OK XQJG_POSTINGS_CACHE=off"
     );
     assert!(c.roundtrip("SET threads lots").starts_with("ERR config"));
     assert!(c.roundtrip("SET warp_drive 1").starts_with("ERR config"));
+    // Thread counts and batch capacities are bounded: a client cannot make
+    // one query spawn a million workers or preallocate a 2^40-slot batch.
+    // (Only the parser runs here; no query executes with such a value.)
+    for line in [
+        "SET XQJG_THREADS 1000000",
+        "SET threads 257",
+        "SET XQJG_BATCH_CAPACITY 1099511627776",
+    ] {
+        assert!(c.roundtrip(line).starts_with("ERR config"), "{line}");
+    }
     // A removed knob is an unknown knob — it fails loudly instead of
     // being accepted and ignored — and the session stays usable.
-    assert!(c
-        .roundtrip("SET XQJG_VECTORIZE 0")
-        .starts_with("ERR config"));
-    assert!(c.roundtrip("SET vectorize 0").starts_with("ERR config"));
+    for line in [
+        "SET XQJG_VECTORIZE 0",
+        "SET vectorize 0",
+        "SET XQJG_TYPED_KERNELS off",
+        "SET XQJG_ADAPTIVE_BATCH 0",
+    ] {
+        assert!(c.roundtrip(line).starts_with("ERR config"), "{line}");
+    }
     let (_, items) = c.query(Q1);
     assert_eq!(items, reference_items(&engine, Q1, Mode::JoinGraph));
 

@@ -196,10 +196,10 @@ pub struct OpStats {
     pub retries: usize,
     /// Rows the operator pushed through the typed-column kernels (compare/
     /// hash/sort over `i64` or dictionary-code images) instead of scalar
-    /// [`crate::Value`] operations.  Zero when `XQJG_TYPED_KERNELS=0`, when
-    /// the relevant columns are not uniformly typed, or — on the SORT tail —
-    /// when the sorter went external (spilled runs merge through the scalar
-    /// record comparator).  Deterministic for a fixed configuration: the
+    /// [`crate::Value`] operations.  Zero when the relevant columns are not
+    /// uniformly typed, or — on the SORT tail — when the sorter went
+    /// external (spilled runs merge through the scalar record comparator).
+    /// Deterministic for a fixed configuration: the
     /// engagement decision is per operator, never per batch, so the counter
     /// is invariant across DOP and morsel/batch sizing like every other
     /// actual.

@@ -13,13 +13,6 @@
 //! evaluators (stacked algebra plans, the pureXML baseline);
 //! [`ColumnBatch::to_rows`] / [`ColumnBatch::from_rows`] convert between
 //! the layouts.
-//!
-//! [`BatchSizer`] implements the adaptive batch-size policy: scan leaves
-//! start at the configured batch capacity and grow their per-call scan
-//! chunk when pushed-down predicates turn out to be selective, so a 1%
-//! filter stops shipping 10-row batches through the whole pipeline.  The
-//! sizer records its decisions into a trace the benchmark harness dumps
-//! alongside the per-operator counters.
 
 use crate::batch::OpStats;
 use crate::mask::BitMask;
@@ -241,72 +234,6 @@ pub trait ColOperator {
     fn stats(&self) -> OpStats;
 }
 
-/// Upper bound on how far the adaptive policy will grow a leaf's scan chunk
-/// beyond the configured batch capacity.  16× keeps the gathered column
-/// slices cache-friendly while letting a 1%-selective filter still emit
-/// usefully full batches.
-pub const MAX_ADAPTIVE_GROWTH: usize = 16;
-
-/// Adaptive batch-size policy for scan leaves.
-///
-/// A leaf scans `chunk()` domain positions per `next_batch` call and emits
-/// the survivors of its pushed-down predicates.  The sizer starts at the
-/// configured batch capacity and, from the measured selectivity (an
-/// exponentially-weighted average of survivors/scanned), grows the chunk so
-/// the *output* stays near the target — low-selectivity filters stop
-/// shipping near-empty batches downstream.  The chunk never shrinks below
-/// the target and never grows past `target × `[`MAX_ADAPTIVE_GROWTH`], and
-/// every decision is recorded in [`BatchSizer::trace`].
-#[derive(Debug, Clone)]
-pub struct BatchSizer {
-    target: usize,
-    chunk: usize,
-    smoothed_sel: f64,
-    enabled: bool,
-    trace: Vec<usize>,
-}
-
-impl BatchSizer {
-    /// A sizer targeting `target` live rows per emitted batch.  When
-    /// `enabled` is false the chunk is pinned to the target (the
-    /// fixed-capacity behaviour).
-    pub fn new(target: usize, enabled: bool) -> Self {
-        let target = target.max(1);
-        BatchSizer {
-            target,
-            chunk: target,
-            smoothed_sel: 1.0,
-            enabled,
-            trace: Vec::new(),
-        }
-    }
-
-    /// Domain positions the leaf should scan on its next call.
-    pub fn chunk(&self) -> usize {
-        self.chunk
-    }
-
-    /// Record one scan's outcome and adapt the chunk.
-    pub fn observe(&mut self, scanned: usize, survived: usize) {
-        if !self.enabled || scanned == 0 {
-            return;
-        }
-        let sel = survived as f64 / scanned as f64;
-        self.smoothed_sel = 0.5 * self.smoothed_sel + 0.5 * sel;
-        let max = self.target * MAX_ADAPTIVE_GROWTH;
-        let want = (self.target as f64 / self.smoothed_sel.max(1.0 / MAX_ADAPTIVE_GROWTH as f64))
-            .ceil() as usize;
-        self.chunk = want.clamp(self.target, max);
-        self.trace.push(self.chunk);
-    }
-
-    /// The sequence of chunk sizes chosen so far (one entry per
-    /// [`BatchSizer::observe`] call).
-    pub fn trace(&self) -> &[usize] {
-        &self.trace
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,46 +305,5 @@ mod tests {
         // Compacting an unfiltered batch is a no-op.
         b.compact();
         assert_eq!(b.rows(), 2);
-    }
-
-    #[test]
-    fn batch_sizer_grows_on_low_selectivity_and_clamps() {
-        let mut s = BatchSizer::new(100, true);
-        assert_eq!(s.chunk(), 100);
-        // 10% selectivity: after a few observations the chunk approaches
-        // target / selectivity.
-        for _ in 0..8 {
-            let scanned = s.chunk();
-            s.observe(scanned, scanned / 10);
-        }
-        assert!(s.chunk() >= 800, "grew towards 1000, got {}", s.chunk());
-        assert!(s.chunk() <= 100 * MAX_ADAPTIVE_GROWTH);
-        // Selectivity recovering to 1.0 shrinks back towards the target
-        // (the EWMA converges asymptotically, so allow a small overshoot).
-        for _ in 0..12 {
-            let scanned = s.chunk();
-            s.observe(scanned, scanned);
-        }
-        assert!(s.chunk() <= 102, "shrank back, got {}", s.chunk());
-        assert!(!s.trace().is_empty());
-    }
-
-    #[test]
-    fn batch_sizer_disabled_stays_pinned() {
-        let mut s = BatchSizer::new(64, false);
-        s.observe(64, 1);
-        s.observe(64, 0);
-        assert_eq!(s.chunk(), 64);
-        assert!(s.trace().is_empty());
-    }
-
-    #[test]
-    fn selectivity_floor_caps_growth() {
-        let mut s = BatchSizer::new(10, true);
-        for _ in 0..20 {
-            let scanned = s.chunk();
-            s.observe(scanned, 0);
-        }
-        assert_eq!(s.chunk(), 10 * MAX_ADAPTIVE_GROWTH);
     }
 }

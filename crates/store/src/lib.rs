@@ -14,8 +14,7 @@
 //! [`columnar`] module is its columnar twin, the substrate of the
 //! join-graph executor: [`ColumnBatch`]es carry one rid column per bound
 //! alias plus a selection vector, so filters refine indices instead of
-//! materializing survivors, and the [`BatchSizer`] adapts scan chunks to
-//! measured selectivity.  The
+//! materializing survivors.  The
 //! [`morsel`] module layers morsel-driven parallelism on top: leaf scans
 //! split into rid-range [`Morsel`]s, scoped worker threads drain a shared
 //! [`MorselQueue`], and per-worker counters merge back into
@@ -27,7 +26,7 @@
 //! [`typed`] module adds lazily-built typed column images ([`TypedColumns`]:
 //! flat `i64` columns and sorted-dictionary string columns) and [`kernel`]
 //! the branch-free chunked compare/hash/sort kernels over them — the
-//! representation the `XQJG_TYPED_KERNELS` hot paths run on.
+//! representation the executor's hot paths run on.
 //!
 //! Nothing in this crate knows about XML or XQuery — it is a generic (if
 //! deliberately compact) relational kernel.
@@ -63,7 +62,7 @@ pub use cache::{
     PostingsCache, PostingsKey, ShardedLru, CACHE_ENTRY_OVERHEAD, POSTINGS_CACHE_BYTES,
 };
 pub use catalog::{BuiltIndex, Database, IndexDef};
-pub use columnar::{BatchSizer, ColOperator, ColumnBatch, MAX_ADAPTIVE_GROWTH};
+pub use columnar::{ColOperator, ColumnBatch};
 pub use error::{CancelToken, ExecError, Interrupt};
 pub use fault::{FaultGuard, FaultKind, FaultPlan, FaultSpec, Trigger};
 pub use kernel::{
@@ -76,7 +75,7 @@ pub use morsel::{
     default_threads, effective_morsel_size, execute_morsels, execute_morsels_streaming,
     parse_bytes, parse_duration, partition_morsels, try_execute_morsels,
     try_execute_morsels_streaming, ConfigError, ExecConfig, Morsel, MorselQueue,
-    DEFAULT_MORSEL_SIZE, EXEC_KNOBS, MIN_MORSEL_SIZE,
+    DEFAULT_MORSEL_SIZE, EXEC_KNOBS, MAX_BATCH_CAPACITY, MAX_THREADS, MIN_MORSEL_SIZE,
 };
 pub use schema::Schema;
 pub use spill::{

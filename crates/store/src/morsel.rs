@@ -398,17 +398,6 @@ pub struct ExecConfig {
     /// Row-id domain positions per leaf [`Morsel`] (upper bound; shrunk by
     /// [`effective_morsel_size`] when the domain is small).
     pub morsel_size: usize,
-    /// Let scan leaves adapt their scan chunk to the measured predicate
-    /// selectivity (see [`crate::BatchSizer`]); `false` pins every chunk to
-    /// `batch_capacity`.
-    pub adaptive: bool,
-    /// Run the typed-column kernels (branch-free compare/hash over flat
-    /// `i64`/dictionary images, columnar SORT tail) wherever the operand
-    /// columns have typed images.  `false` pins every comparison to the
-    /// scalar [`crate::Value`] path — the escape hatch the typed-parity
-    /// suite diffs against.  Results, order and counters (modulo the
-    /// `kernel_rows` engagement counter itself) are identical either way.
-    pub typed_kernels: bool,
     /// Memory budget in bytes for the pipeline breakers (SORT buffers,
     /// hash-join build sides, loaded probe partitions).  `None` never
     /// spills; any limit makes the breakers go external when their
@@ -443,8 +432,6 @@ pub const EXEC_KNOBS: &[&str] = &[
     "XQJG_THREADS",
     "XQJG_BATCH_CAPACITY",
     "XQJG_MORSEL_SIZE",
-    "XQJG_ADAPTIVE_BATCH",
-    "XQJG_TYPED_KERNELS",
     "XQJG_MEM_BUDGET",
     "XQJG_SPILL_DIR",
     "XQJG_SPILL_RETRIES",
@@ -501,6 +488,29 @@ pub(crate) fn strict_usize(var: &str, value: &str) -> Result<Option<usize>, Conf
         .filter(|&n| n > 0)
         .map(Some)
         .ok_or_else(|| ConfigError::new(var, value, "a positive integer"))
+}
+
+/// Upper bound on `XQJG_THREADS`: a query spawns up to this many scoped
+/// workers, so a session `SET` must not be able to ask for a million.
+pub const MAX_THREADS: usize = 256;
+
+/// Upper bound on `XQJG_BATCH_CAPACITY`: batches preallocate their
+/// capacity, so an unbounded value is an allocation that aborts the
+/// process instead of a query error.
+pub const MAX_BATCH_CAPACITY: usize = 1 << 20;
+
+/// [`strict_usize`] that also rejects values above `max`.
+fn strict_usize_at_most(
+    var: &str,
+    value: &str,
+    max: usize,
+    expected: &'static str,
+) -> Result<Option<usize>, ConfigError> {
+    match strict_usize(var, value) {
+        Ok(Some(n)) if n > max => Err(ConfigError::new(var, value, expected)),
+        Err(_) => Err(ConfigError::new(var, value, expected)),
+        r => r,
+    }
 }
 
 /// Strictly parse a boolean knob; empty means "unset".
@@ -573,16 +583,26 @@ impl ExecConfig {
     pub fn apply_knob(&mut self, var: &str, value: &str) -> Result<(), ConfigError> {
         match var {
             "XQJG_THREADS" => {
-                self.threads = strict_usize(var, value)?.unwrap_or_else(default_threads)
+                self.threads = strict_usize_at_most(
+                    var,
+                    value,
+                    MAX_THREADS,
+                    "a positive integer of at most 256",
+                )?
+                .unwrap_or_else(default_threads)
             }
             "XQJG_BATCH_CAPACITY" => {
-                self.batch_capacity = strict_usize(var, value)?.unwrap_or(crate::BATCH_CAPACITY)
+                self.batch_capacity = strict_usize_at_most(
+                    var,
+                    value,
+                    MAX_BATCH_CAPACITY,
+                    "a positive integer of at most 1048576",
+                )?
+                .unwrap_or(crate::BATCH_CAPACITY)
             }
             "XQJG_MORSEL_SIZE" => {
                 self.morsel_size = strict_usize(var, value)?.unwrap_or(DEFAULT_MORSEL_SIZE)
             }
-            "XQJG_ADAPTIVE_BATCH" => self.adaptive = strict_bool(var, value)?.unwrap_or(true),
-            "XQJG_TYPED_KERNELS" => self.typed_kernels = strict_bool(var, value)?.unwrap_or(true),
             "XQJG_MEM_BUDGET" => self.mem_budget = strict_bytes(var, value)?,
             "XQJG_SPILL_DIR" => {
                 let v = value.trim();
@@ -646,49 +666,37 @@ impl ExecConfig {
         cfg
     }
 
-    /// A sequential configuration with the default batch and morsel sizes
-    /// (the reference configuration parity is measured against).  The
-    /// `XQJG_TYPED_KERNELS`, `XQJG_MEM_BUDGET` and `XQJG_SPILL_DIR`
-    /// switches are still honored so the whole test suite can be pointed at
-    /// the untyped `Value` comparisons or a tight memory budget from the
-    /// environment (the CI matrix does exactly that).
+    /// A sequential configuration with the default batch and morsel sizes.
+    /// The other knobs (`XQJG_MEM_BUDGET`, `XQJG_SPILL_DIR`, the cache
+    /// switches, ...) are still read from the environment, so the whole
+    /// test suite can be pointed at a tight memory budget or at cold caches
+    /// (the CI matrix does exactly that).
     pub fn sequential() -> Self {
         ExecConfig {
             threads: 1,
             batch_capacity: crate::BATCH_CAPACITY,
             morsel_size: DEFAULT_MORSEL_SIZE,
-            adaptive: true,
             ..Self::from_env()
         }
     }
 
-    /// Builder: set the degree of parallelism.
+    /// Builder: set the degree of parallelism, clamped to
+    /// `1..=`[`MAX_THREADS`].
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+        self.threads = threads.clamp(1, MAX_THREADS);
         self
     }
 
-    /// Builder: set the batch capacity.
+    /// Builder: set the batch capacity, clamped to
+    /// `1..=`[`MAX_BATCH_CAPACITY`].
     pub fn with_batch_capacity(mut self, cap: usize) -> Self {
-        self.batch_capacity = cap.max(1);
+        self.batch_capacity = cap.clamp(1, MAX_BATCH_CAPACITY);
         self
     }
 
     /// Builder: set the morsel size.
     pub fn with_morsel_size(mut self, size: usize) -> Self {
         self.morsel_size = size.max(1);
-        self
-    }
-
-    /// Builder: enable or pin the adaptive batch-size policy.
-    pub fn with_adaptive(mut self, adaptive: bool) -> Self {
-        self.adaptive = adaptive;
-        self
-    }
-
-    /// Builder: enable or disable the typed-column kernels.
-    pub fn with_typed_kernels(mut self, typed: bool) -> Self {
-        self.typed_kernels = typed;
         self
     }
 
@@ -742,15 +750,14 @@ impl ExecConfig {
     /// deliberately excluded so DOP sweeps share the warm plan.
     pub fn cache_fingerprint(&self) -> String {
         format!(
-            "t{}m{}",
-            self.typed_kernels as u8,
+            "m{}",
             self.mem_budget.map(|b| b.to_string()).unwrap_or_default()
         )
     }
 }
 
 /// The documented defaults (all cores, [`crate::BATCH_CAPACITY`],
-/// [`DEFAULT_MORSEL_SIZE`], adaptive batches, typed kernels) — deliberately *without*
+/// [`DEFAULT_MORSEL_SIZE`], no budget, caches on) — deliberately *without*
 /// the environment reads; use [`ExecConfig::from_env`] to honor the
 /// `XQJG_*` knobs.
 impl Default for ExecConfig {
@@ -759,8 +766,6 @@ impl Default for ExecConfig {
             threads: default_threads(),
             batch_capacity: crate::BATCH_CAPACITY,
             morsel_size: DEFAULT_MORSEL_SIZE,
-            adaptive: true,
-            typed_kernels: true,
             mem_budget: None,
             spill_dir: None,
             spill_retries: crate::spill::DEFAULT_SPILL_RETRIES,
@@ -772,11 +777,13 @@ impl Default for ExecConfig {
     }
 }
 
-/// The machine's available parallelism (the `XQJG_THREADS` default).
+/// The machine's available parallelism, at most [`MAX_THREADS`] (the
+/// `XQJG_THREADS` default).
 pub fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
+        .min(MAX_THREADS)
 }
 
 /// Parse a byte count with an optional `k`/`m`/`g` (binary) suffix; zero,
@@ -955,12 +962,50 @@ mod tests {
         assert_eq!(cfg.threads, 1);
         assert_eq!(cfg.batch_capacity, 1);
         assert_eq!(cfg.morsel_size, 1);
+        // ...and thread counts and batch capacities to their upper bounds
+        // (nothing here spawns a thread or allocates a batch).
+        let cfg = ExecConfig::sequential()
+            .with_threads(usize::MAX)
+            .with_batch_capacity(usize::MAX);
+        assert_eq!(cfg.threads, MAX_THREADS);
+        assert_eq!(cfg.batch_capacity, MAX_BATCH_CAPACITY);
+        assert!((1..=MAX_THREADS).contains(&default_threads()));
+    }
+
+    #[test]
+    fn thread_and_capacity_knobs_reject_values_above_their_bounds() {
+        let mut cfg = ExecConfig::default();
+        for (var, max) in [
+            ("XQJG_THREADS", MAX_THREADS),
+            ("XQJG_BATCH_CAPACITY", MAX_BATCH_CAPACITY),
+        ] {
+            cfg.apply_knob(var, &max.to_string()).expect(var);
+            for bad in [max + 1, 1 << 40, usize::MAX] {
+                let err = cfg.apply_knob(var, &bad.to_string()).expect_err(var);
+                assert_eq!(
+                    (err.var.as_str(), err.value.clone()),
+                    (var, bad.to_string())
+                );
+                assert!(err.expected.contains(&max.to_string()), "{}", err.expected);
+            }
+            // Malformed values keep the plain syntax error path.
+            assert!(cfg.apply_knob(var, "0").is_err());
+            assert!(cfg.apply_knob(var, "lots").is_err());
+        }
+        assert_eq!(cfg.threads, MAX_THREADS, "a rejected value changes nothing");
+        assert_eq!(cfg.batch_capacity, MAX_BATCH_CAPACITY);
     }
 
     #[test]
     fn removed_and_unknown_knobs_are_config_errors() {
         let mut cfg = ExecConfig::default();
-        for var in ["XQJG_VECTORIZE", "XQJG_WARP_DRIVE", "threads"] {
+        for var in [
+            "XQJG_VECTORIZE",
+            "XQJG_TYPED_KERNELS",
+            "XQJG_ADAPTIVE_BATCH",
+            "XQJG_WARP_DRIVE",
+            "threads",
+        ] {
             let err = cfg.apply_knob(var, "0").expect_err(var);
             assert_eq!(err.var, var);
         }
@@ -973,7 +1018,7 @@ mod tests {
 
     #[test]
     fn exec_knobs_lists_exactly_the_names_apply_knob_accepts() {
-        assert_eq!(EXEC_KNOBS.len(), 12);
+        assert_eq!(EXEC_KNOBS.len(), 10);
         // Every listed name is a match arm (an empty value resets it)…
         for var in EXEC_KNOBS {
             let mut cfg = ExecConfig::default();

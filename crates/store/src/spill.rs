@@ -897,7 +897,6 @@ pub struct ExternalSorter {
     count: usize,
     last_seq: Option<u64>,
     monotonic: bool,
-    typed: bool,
     budget: Arc<MemBudget>,
     dir: PathBuf,
     runs: Vec<(SpillFile, usize)>,
@@ -921,7 +920,6 @@ impl ExternalSorter {
             count: 0,
             last_seq: None,
             monotonic: true,
-            typed: false,
             budget,
             dir,
             runs: Vec::new(),
@@ -944,17 +942,6 @@ impl ExternalSorter {
     /// from writing gigabytes more.
     pub fn set_interrupt(&mut self, interrupt: Interrupt) {
         self.interrupt = interrupt;
-    }
-
-    /// Opt in to the columnar finish: when the sort never spilled, the seqs
-    /// are monotonic and every key column is all-`Int`, [`finish`] extracts
-    /// the keys into flat columns, sorts a permutation and gathers the
-    /// payloads through it instead of comparing `Row`s.  Output order is
-    /// identical either way; [`SortedRows::typed_rows`] reports engagement.
-    ///
-    /// [`finish`]: ExternalSorter::finish
-    pub fn set_typed_kernels(&mut self, on: bool) {
-        self.typed = on;
     }
 
     /// Buffer one row; may flush a run when the budget trips.
@@ -1056,13 +1043,16 @@ impl ExternalSorter {
 
     /// Finish: sort what is buffered and merge it with any on-disk runs.
     /// The returned stream yields payload rows in `(key, seq)` order and
-    /// carries the final spill counters.  An error leaves no litter: the
+    /// carries the final spill counters.  A sort that never spilled, with
+    /// monotonic seqs and all-`Int`-or-NULL keys, orders a permutation over
+    /// flat key columns instead of comparing `Row`s (same order;
+    /// [`SortedRows::typed_rows`] reports it).  An error leaves no litter: the
     /// sorter's drop releases its reservations and every run file unlinks
     /// itself.
     pub fn finish(mut self) -> Result<SortedRows, ExecError> {
         self.interrupt.check()?;
         if self.runs.is_empty() {
-            if self.typed && self.monotonic {
+            if self.monotonic {
                 if let Some(rows) = self.finish_typed() {
                     return Ok(rows);
                 }
@@ -1223,9 +1213,7 @@ pub struct SortedRows {
     /// Bytes the sorter wrote.
     pub spill_bytes: usize,
     /// Rows ordered by the typed permutation-sort kernel (0 when the sort
-    /// went external, the keys were not all `Int`-or-NULL, or typed
-    /// kernels were never requested via
-    /// [`ExternalSorter::set_typed_kernels`]).
+    /// went external or the keys were not all `Int`-or-NULL).
     pub typed_rows: usize,
     /// Transient write failures the sorter retried while producing this
     /// output (the `retries=` EXPLAIN actual).
@@ -1816,7 +1804,6 @@ mod tests {
         let expect: Vec<Row> = expect.into_iter().map(|(_, p)| p).collect();
 
         let mut s = ExternalSorter::new(MemBudget::new(None), tmp());
-        s.set_typed_kernels(true);
         for (key, payload) in rows.clone() {
             s.push(key, payload).unwrap();
         }
@@ -1829,7 +1816,6 @@ mod tests {
 
         // A string key bails to the row comparator with identical output.
         let mut s = ExternalSorter::new(MemBudget::new(None), tmp());
-        s.set_typed_kernels(true);
         for (key, payload) in rows {
             let mut key = key;
             key.push(Value::str("tail"));
@@ -1864,7 +1850,6 @@ mod tests {
         let expect: Vec<Row> = expect.into_iter().map(|(_, p)| p).collect();
 
         let mut s = ExternalSorter::new(MemBudget::new(None), tmp());
-        s.set_typed_kernels(true);
         for (key, payload) in rows {
             s.push(key, payload).unwrap();
         }
@@ -1881,20 +1866,21 @@ mod tests {
         // Push in reverse seq order: a key-only stable sort would keep push
         // order within equal keys; (key, seq) order must reverse it.
         let n = 50u64;
-        for typed in [false, true] {
-            let mut s = ExternalSorter::new(MemBudget::new(None), tmp());
-            s.set_typed_kernels(typed);
-            for i in 0..n {
-                s.push_with_seq(n - i, vec![Value::Int(0)], vec![Value::Int(i as i64)])
-                    .unwrap();
-            }
-            let got: Vec<Row> = s.finish().unwrap().map(Result::unwrap).collect();
-            let expect: Vec<Row> = (0..n).rev().map(|i| vec![Value::Int(i as i64)]).collect();
-            assert_eq!(got, expect, "typed={typed}");
+        let mut s = ExternalSorter::new(MemBudget::new(None), tmp());
+        for i in 0..n {
+            s.push_with_seq(n - i, vec![Value::Int(0)], vec![Value::Int(i as i64)])
+                .unwrap();
         }
+        let sorted = s.finish().unwrap();
+        assert_eq!(
+            sorted.typed_rows, 0,
+            "non-monotonic seqs keep the row comparator"
+        );
+        let got: Vec<Row> = sorted.map(Result::unwrap).collect();
+        let expect: Vec<Row> = (0..n).rev().map(|i| vec![Value::Int(i as i64)]).collect();
+        assert_eq!(got, expect);
         // Monotonic explicit seqs (with gaps) keep the fast path valid.
         let mut s = ExternalSorter::new(MemBudget::new(None), tmp());
-        s.set_typed_kernels(true);
         for i in 0..n {
             s.push_with_seq(i * 10, vec![Value::Int(0)], vec![Value::Int(i as i64)])
                 .unwrap();

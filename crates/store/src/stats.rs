@@ -14,7 +14,6 @@
 
 use crate::btree::BPlusTree;
 use crate::kernel::agg_i64_masked;
-use crate::morsel::ExecConfig;
 use crate::table::Table;
 use crate::value::Value;
 use std::collections::HashMap;
@@ -130,15 +129,15 @@ impl TableStats {
     /// Columns whose typed image is a (possibly NULL-masked) `i64` vector
     /// take a kernelized path: NULL/min/max/mean come from one masked
     /// column reduction ([`agg_i64_masked`], exact `i128` sum) and the
-    /// frequency map runs over raw `i64` keys.  Both paths produce the
-    /// same `ColumnStats`; `XQJG_TYPED_KERNELS=0` forces the row path.
+    /// frequency map runs over raw `i64` keys.  Every other column takes
+    /// the row path; both produce the same `ColumnStats` for an integer
+    /// column, and neither reads the process environment.
     pub fn collect(table: &Table) -> Self {
         let rows = table.len();
-        let typed_kernels = ExecConfig::from_env().typed_kernels;
         let mut columns = HashMap::new();
         for (ci, name) in table.schema().columns().iter().enumerate() {
             let stats = match table.typed().int_col_nullable(ci) {
-                Some((vals, validity)) if typed_kernels => collect_int_column(rows, vals, validity),
+                Some((vals, validity)) => collect_int_column(rows, vals, validity),
                 _ => collect_column_rows(table, ci, rows),
             };
             columns.insert(name.clone(), stats);

@@ -25,7 +25,7 @@ use xqjg::engine::{
     execute_materialized_with_stats, optimize, Access, ExecStats, JoinMethod, JoinNode, PhysPlan,
     QueryRequest, SelectItem, SqlCmp, SqlExpr, SqlPredicate,
 };
-use xqjg::store::{BPlusTree, Database, ExecConfig, Schema, Table, Value};
+use xqjg::store::{BPlusTree, Database, ExecConfig, OpStats, Schema, Table, Value};
 use xqjg::xml::{encode_document, parse_document, DocTable, NodeKind, Pre};
 use xqjg::{Mode, Processor};
 
@@ -38,6 +38,17 @@ fn run_rows(plan: &PhysPlan, db: &Database) -> Table {
 fn run_plan(plan: &PhysPlan, db: &Database, cfg: &ExecConfig) -> (Table, ExecStats) {
     let out = QueryRequest::new(plan, db).config(cfg).expect_run();
     (out.rows, out.stats)
+}
+
+/// The per-join-level actuals the materializing oracle reports — label,
+/// `rows_out`, `fetched`, `probes` — of every operator of `s` but the
+/// pipeline's plan tail (the oracle has none).
+fn join_levels(s: &ExecStats, pipeline: bool) -> Vec<(String, usize, usize, usize)> {
+    let n = s.operators.len() - usize::from(pipeline);
+    s.operators[..n]
+        .iter()
+        .map(|o| (o.name.clone(), o.rows_out, o.fetched, o.probes))
+        .collect()
 }
 
 /// The batch capacities the pipeline ≡ materializing-oracle properties
@@ -645,9 +656,10 @@ proptest! {
     ) {
         // A random document, a random path query with a random value /
         // attribute predicate — optimized once, then executed at every
-        // pinned batch capacity.  Rows, row order and aggregate counters
-        // must match the materializing executor; per-operator actuals must
-        // match the sequential kernels-off run.
+        // pinned batch capacity.  Rows, row order, aggregate counters and
+        // per-join-level actuals must match the materializing executor;
+        // every other per-operator actual but `batches` must match the
+        // default-capacity run.
         let xml = format!("<root>{body}</root>");
         let axis = ["descendant", "child", "descendant-or-self"][axis_choice];
         let name = ["entry", "group", "v"][name_choice];
@@ -664,31 +676,22 @@ proptest! {
             for b in &prepared.branches {
                 let plan = optimize(&b.isolated.query, db).unwrap();
                 let (t_ref, s_ref) = execute_materialized_with_stats(&plan, db);
+                let sans_batches = |s: &ExecStats| -> Vec<OpStats> {
+                    s.operators.iter().map(|o| OpStats { batches: 0, ..o.clone() }).collect()
+                };
+                let ops_ref = sans_batches(&run_plan(&plan, db, &ExecConfig::sequential()).1);
                 for cap in PROBE_CAPACITIES {
-                    let typed = ExecConfig::sequential().with_batch_capacity(cap);
-                    let untyped = typed.clone().with_typed_kernels(false);
-                    let (t_col, s_col) = run_plan(&plan, db, &typed);
-                    let (t_off, s_off) = run_plan(&plan, db, &untyped);
+                    let cfg = ExecConfig::sequential().with_batch_capacity(cap);
+                    let (t_col, s_col) = run_plan(&plan, db, &cfg);
                     prop_assert_eq!(&t_col, &t_ref, "{} cap {}", query, cap);
-                    prop_assert_eq!(&t_off, &t_ref, "{} cap {}", query, cap);
                     prop_assert_eq!(
                         (s_col.index_rows, s_col.scan_rows, s_col.probes, s_col.bindings),
                         (s_ref.index_rows, s_ref.scan_rows, s_ref.probes, s_ref.bindings),
                         "{} cap {}: aggregate counters must match the oracle", query, cap);
-                    // The kernel-engagement counter reports which
-                    // representation ran and is the one actual allowed to
-                    // differ from the kernels-off run.
-                    let mut s_col_k = s_col.clone();
-                    for op in s_col_k.operators.iter_mut() {
-                        op.kernel_rows = 0;
-                    }
-                    prop_assert_eq!(&s_col_k, &s_off,
-                        "{} cap {}: aggregate counters and actuals must match", query, cap);
-                    // Adaptive chunk sizing must not change anything either.
-                    let (t_fix, s_fix) = run_plan(
-                        &plan, db, &typed.clone().with_adaptive(false));
-                    prop_assert_eq!(&t_fix, &t_col, "{} cap {}", query, cap);
-                    prop_assert_eq!(&s_fix, &s_col, "{} cap {}", query, cap);
+                    prop_assert_eq!(join_levels(&s_col, true), join_levels(&s_ref, false),
+                        "{} cap {}: per-join-level actuals must match the oracle", query, cap);
+                    prop_assert_eq!(sans_batches(&s_col), ops_ref.clone(),
+                        "{} cap {}: actuals must not depend on the capacity", query, cap);
                 }
             }
         }
@@ -717,6 +720,8 @@ proptest! {
                 prop_assert_eq!(s.bindings, s_ref.bindings, "{:?} cap {}", method, cap);
                 prop_assert_eq!(s.scan_rows, s_ref.scan_rows, "{:?} cap {}", method, cap);
                 prop_assert_eq!(s.index_rows, s_ref.index_rows, "{:?} cap {}", method, cap);
+                prop_assert_eq!(join_levels(&s, true), join_levels(&s_ref, false),
+                    "{:?} cap {}", method, cap);
             }
         }
     }
