@@ -44,11 +44,11 @@ use std::sync::Arc;
 use xqjg_store::{
     effective_morsel_size, gather_i64, gather_u32, hash_keys_typed, hash_values, mask_terms,
     merge_worker_stats, new_stats_sink, partition_morsels, sort_permutation_i64,
-    sort_permutation_typed, try_execute_morsels_streaming, BitMask, CancelToken, ColOperator,
-    ColumnBatch, Database, ExecConfig, ExecError, ExternalSorter, GraceBuilder, HashKey, Interrupt,
-    KernelCmp, MaskTerm, MemBudget, Morsel, OpStats, PostingsCache, PostingsKey, PrefixRun, Row,
-    Schema, SortKey, SortVals, SortedRows, SpilledPartitions, StatsSink, Table, TypedColumn, Value,
-    BUILD_ENTRY_FOOTPRINT,
+    sort_permutation_typed, try_execute_morsels_streaming, BitMask, CancelToken, CodeRun,
+    ColOperator, ColumnBatch, Database, ExecConfig, ExecError, ExternalSorter, GraceBuilder,
+    HashKey, Interrupt, KernelCmp, MaskTerm, MemBudget, Morsel, OpStats, PostingsCache,
+    PostingsKey, PrefixRun, Row, Schema, SortKey, SortVals, SortedRows, SpilledPartitions,
+    StatsSink, Table, TypedColumn, Value, BUILD_ENTRY_FOOTPRINT,
 };
 
 /// Per-morsel error slot.  The pull-based [`ColOperator`] protocol is
@@ -230,6 +230,13 @@ impl ResolvedBounds {
         }
     }
 
+    /// Does a bound compare against NULL?  Such a probe matches no entry
+    /// (SQL three-valued logic), although the B-tree orders NULL keys like
+    /// any other.
+    fn binds_null(&self) -> bool {
+        self.lower.iter().chain(&self.upper).any(Value::is_null)
+    }
+
     fn into_key(self, index: &str) -> PostingsKey {
         PostingsKey {
             index: index.to_string(),
@@ -245,13 +252,17 @@ impl ResolvedBounds {
 /// postings context the scan is memoized under (index name, bounds) and
 /// the catalog version; without one it walks the tree directly.  Hit or
 /// miss, callers count `rids.len()` into their fetch accounting — the
-/// EXPLAIN actuals never depend on cache state.
+/// EXPLAIN actuals never depend on cache state.  Bounds that compare
+/// against NULL match nothing and consult neither.
 fn cached_tree_range(
     tree: &xqjg_store::BPlusTree,
     rb: ResolvedBounds,
     index: &str,
     ctx: PostingsCtx<'_>,
 ) -> Postings {
+    if rb.binds_null() {
+        return Postings::Owned(Vec::new());
+    }
     match ctx {
         Some((cache, version)) => {
             let (rids, _hit) = cache.get_or_compute(version, rb.into_key(index), |k| {
@@ -1272,17 +1283,94 @@ struct CStage<'a> {
     run: Option<RunSpec<'a>>,
 }
 
-/// An NLJOIN `IndexScan` stage whose equality prefix is all literals and
-/// which has at least one range bound: every probe reads the same run of
-/// index entries, so it can binary-search that run's integer image
-/// instead of walking the B-tree.  The range bounds are lowered to
-/// [`IntExpr`]s once, at compile time.
+/// An NLJOIN `IndexScan` stage whose probes all read one memoized run of
+/// index entries instead of walking the B-tree.
 struct RunSpec<'a> {
     db: &'a Database,
     index: &'a str,
-    prefix: Vec<Value>,
-    lower: Option<(IntExpr<'a>, bool)>,
-    upper: Option<(IntExpr<'a>, bool)>,
+    shape: RunShape<'a>,
+}
+
+enum RunShape<'a> {
+    /// The equality prefix is all literals and there is at least one range
+    /// bound: every probe reads the prefix's [`PrefixRun`] and
+    /// binary-searches its integer image.  The range bounds are lowered to
+    /// [`IntExpr`]s once, at compile time.
+    Prefix {
+        prefix: Vec<Value>,
+        lower: Option<(IntExpr<'a>, bool)>,
+        upper: Option<(IntExpr<'a>, bool)>,
+    },
+    /// The bounds are equality-only, one term is a column of an outer
+    /// alias over the stage's own table and the rest are literals, and the
+    /// index column it binds has a dictionary image: the outer row's code
+    /// in that image is a key of the terms' [`CodeRun`] as it stands.
+    Coded {
+        /// The equality terms, `None` at the outer column's position.
+        terms: Vec<Option<Value>>,
+        /// Outer alias slot and its column's code image (the inner's own).
+        slot: usize,
+        codes: &'a [u32],
+        validity: Option<&'a BitMask>,
+    },
+}
+
+impl<'a> RunSpec<'a> {
+    /// The run shape of an NLJOIN stage over `index`, if any.
+    fn compile(
+        db: &'a Database,
+        index: &'a str,
+        cb: &CBounds,
+        stage: &Stage<'a>,
+    ) -> Option<RunSpec<'a>> {
+        let literal = |e: &CExpr| match e {
+            CExpr::Lit(v) if !v.is_null() => Some(v.clone()),
+            _ => None,
+        };
+        let shape = if cb.lower.is_some() || cb.upper.is_some() {
+            // Probe bounds never read the candidate row, so they lower.
+            let int_bound = |b: &Option<(CExpr, bool)>| {
+                b.as_ref().map(|(e, inc)| {
+                    let e = IntExpr::lower(e, stage.base, &stage.outer_tables);
+                    (e.expect("probe bounds are outer-only"), *inc)
+                })
+            };
+            RunShape::Prefix {
+                prefix: cb.eq.iter().map(literal).collect::<Option<_>>()?,
+                lower: int_bound(&cb.lower),
+                upper: int_bound(&cb.upper),
+            }
+        } else {
+            let mut open = None;
+            let mut terms = Vec::with_capacity(cb.eq.len());
+            for (i, e) in cb.eq.iter().enumerate() {
+                match e {
+                    CExpr::Outer { slot, col } if open.is_none() => {
+                        open = Some((i, *slot, *col));
+                        terms.push(None);
+                    }
+                    e => terms.push(Some(literal(e)?)),
+                }
+            }
+            let (pos, slot, col) = open?;
+            // The outer code is a key of the run only when it is a code of
+            // the same image: the same column of the same table.
+            let key_col = &db.index(index)?.def.key_columns[pos];
+            if !std::ptr::eq(stage.outer_tables[slot], stage.base)
+                || stage.base.schema().index_of(key_col) != Some(col)
+            {
+                return None;
+            }
+            let (codes, _, validity) = stage.base.typed().col(col)?.as_dict_nullable()?;
+            RunShape::Coded {
+                terms,
+                slot,
+                codes,
+                validity,
+            }
+        };
+        Some(RunSpec { db, index, shape })
+    }
 }
 
 fn compile_stage<'a>(index: usize, stage: &Stage<'a>, db: &'a Database) -> CStage<'a> {
@@ -1411,30 +1499,8 @@ fn compile_stage<'a>(index: usize, stage: &Stage<'a>, db: &'a Database) -> CStag
     let residual: Vec<CPred> = stage.residual.iter().map(cp).collect();
     let nested_loop = index > 0 && hash_keys.is_empty();
     let run = match (stage.access, &cbounds) {
-        (Access::IndexScan { index, .. }, Some(cb))
-            if nested_loop && (cb.lower.is_some() || cb.upper.is_some()) =>
-        {
-            // Probe bounds never read the candidate row, so they lower.
-            let int_bound = |b: &Option<(CExpr, bool)>| {
-                b.as_ref().map(|(e, inc)| {
-                    let e = IntExpr::lower(e, stage.base, &stage.outer_tables);
-                    (e.expect("probe bounds are outer-only"), *inc)
-                })
-            };
-            cb.eq
-                .iter()
-                .map(|e| match e {
-                    CExpr::Lit(v) => Some(v.clone()),
-                    _ => None,
-                })
-                .collect::<Option<Vec<Value>>>()
-                .map(|prefix| RunSpec {
-                    db,
-                    index,
-                    prefix,
-                    lower: int_bound(&cb.lower),
-                    upper: int_bound(&cb.upper),
-                })
+        (Access::IndexScan { index, .. }, Some(cb)) if nested_loop => {
+            RunSpec::compile(db, index, cb, stage)
         }
         _ => None,
     };
@@ -1511,17 +1577,30 @@ fn cindex_range(
 ) {
     let rb = resolve_cbounds(bounds, env);
     out.clear();
+    if rb.binds_null() {
+        return;
+    }
     match ctx {
         Some(_) => out.extend_from_slice(&cached_tree_range(tree, rb, index, ctx)),
         None => tree.range_rids_into(rb.lower_bound(), rb.upper_bound(), out),
     }
 }
 
-/// One operator instance's [`PrefixRun`] probe: the run of the stage's
-/// [`RunSpec`], searched with the spec's lowered range bounds.
-struct RunProbe<'a> {
-    run: Arc<PrefixRun>,
-    spec: &'a RunSpec<'a>,
+/// One operator instance's run probe: the memoized run of the stage's
+/// [`RunSpec`], searched with the spec's lowered range bounds or the outer
+/// row's dictionary code.
+enum RunProbe<'a> {
+    Prefix {
+        run: Arc<PrefixRun>,
+        lower: &'a Option<(IntExpr<'a>, bool)>,
+        upper: &'a Option<(IntExpr<'a>, bool)>,
+    },
+    Coded {
+        run: Arc<CodeRun>,
+        slot: usize,
+        codes: &'a [u32],
+        validity: Option<&'a BitMask>,
+    },
 }
 
 impl<'a> RunProbe<'a> {
@@ -1529,24 +1608,58 @@ impl<'a> RunProbe<'a> {
     /// (a non-integer range column under the prefix).
     fn resolve(stage: &'a CStage<'a>) -> Option<RunProbe<'a>> {
         let spec = stage.run.as_ref()?;
-        let run = spec.db.prefix_run(spec.index, &spec.prefix)?;
-        Some(RunProbe { run, spec })
+        Some(match &spec.shape {
+            RunShape::Prefix {
+                prefix,
+                lower,
+                upper,
+            } => RunProbe::Prefix {
+                run: spec.db.prefix_run(spec.index, prefix)?,
+                lower,
+                upper,
+            },
+            RunShape::Coded {
+                terms,
+                slot,
+                codes,
+                validity,
+            } => RunProbe::Coded {
+                run: spec.db.code_run(spec.index, terms)?,
+                slot: *slot,
+                codes,
+                validity: *validity,
+            },
+        })
     }
 
     /// The probe's rids — exactly the B-tree range scan's, in its order —
-    /// or `None` when a bound is not an integer for this outer row.
+    /// or `None` when a range bound is not an integer for this outer row.
+    /// A NULL outer code matches nothing (SQL equality).
     fn rids(&self, env: &ColEnv<'_>) -> Option<&[usize]> {
-        let bound = |b: &Option<(IntExpr<'_>, bool)>| {
-            Some(match b {
-                None => Bound::Unbounded,
-                Some((e, true)) => Bound::Included(e.eval(env, None)?),
-                Some((e, false)) => Bound::Excluded(e.eval(env, None)?),
-            })
-        };
-        Some(
-            self.run
-                .range(bound(&self.spec.lower)?, bound(&self.spec.upper)?),
-        )
+        match self {
+            RunProbe::Prefix { run, lower, upper } => {
+                let bound = |b: &Option<(IntExpr<'_>, bool)>| {
+                    Some(match b {
+                        None => Bound::Unbounded,
+                        Some((e, true)) => Bound::Included(e.eval(env, None)?),
+                        Some((e, false)) => Bound::Excluded(e.eval(env, None)?),
+                    })
+                };
+                Some(run.range(bound(lower)?, bound(upper)?))
+            }
+            RunProbe::Coded {
+                run,
+                slot,
+                codes,
+                validity,
+            } => {
+                let rid = env.cols[*slot][env.idx];
+                Some(match validity {
+                    Some(m) if !m.get(rid) => &[],
+                    _ => run.rids_of(codes[rid]),
+                })
+            }
+        }
     }
 }
 
@@ -2695,7 +2808,9 @@ fn retain_rids(rids: &mut Vec<usize>, keep: &BitMask) {
 /// computed integer checks (`outer.pre <= cur.pre + cur.size`) run per
 /// candidate rid over the images.  An
 /// `IXSCAN` inner under a literal equality prefix fetches by two binary
-/// searches over the prefix's [`PrefixRun`] (see [`ColNLJoin::fetch_index`]).
+/// searches over the prefix's [`PrefixRun`], and a value self-join's by
+/// two over the outer row's code in a [`CodeRun`] (see
+/// [`ColNLJoin::fetch_index`]).
 struct ColNLJoin<'a> {
     input: Box<dyn ColOperator + 'a>,
     stage: &'a CStage<'a>,
@@ -2751,9 +2866,11 @@ impl<'a> ColNLJoin<'a> {
 
     /// Fill `rid_buf` with one `IXSCAN` probe's index entries (index
     /// order) and count them as fetched.  From its second probe on, an
-    /// operator over a [`RunSpec`] stage searches the prefix's run; the
-    /// first probe, a probe whose bounds are not integers, and every
-    /// other stage walk the B-tree through the postings context.  Waiting
+    /// operator over a [`RunSpec`] stage searches the stage's run — by
+    /// its integer range bounds ([`PrefixRun`]) or by the outer row's
+    /// dictionary code ([`CodeRun`]); the first probe, a probe whose
+    /// range bounds are not integers, and every other stage walk the
+    /// B-tree through the postings context.  Waiting
     /// for the second probe keeps single-probe stages from building runs
     /// they would read once.
     fn fetch_index(&mut self, env: &ColEnv<'_>) {
@@ -4488,6 +4605,43 @@ mod tests {
             computed > 0,
             "Q2's upward containment checks run on the images"
         );
+    }
+
+    #[test]
+    fn shipped_value_joins_probe_one_shared_code_run() {
+        // Q2's two `vnkp (value = dX.value, name = 'id', kind = 'ATTR')`
+        // probes are self-joins of `doc` on its dictionary-coded `value`
+        // column: both compile to the coded run path, over the same terms.
+        let golden = include_str!("../../bench/tests/golden_isolated.txt");
+        let block = golden
+            .split("== ")
+            .find(|b| b.starts_with("Q2 branch 0"))
+            .expect("Q2 in the golden file");
+        let sql = block.split_once('\n').expect("header line").1;
+        let db = shipped_db();
+        let plan = optimize(&parse_sql(sql).unwrap(), &db).unwrap();
+        let stages = flatten_stages(&plan.root, &db);
+        let mut coded = Vec::new();
+        for (i, stage) in stages.iter().enumerate() {
+            let cs = compile_stage(i, stage, &db);
+            let vnkp = matches!(stage.access, Access::IndexScan { index, .. } if index == "vnkp");
+            match cs.run.as_ref().map(|r| &r.shape) {
+                Some(RunShape::Coded { terms, .. }) => {
+                    assert!(vnkp, "{} is coded", cs.label);
+                    coded.push(terms.clone());
+                }
+                _ => assert!(!vnkp, "{} probes vnkp off the coded path", cs.label),
+            }
+        }
+        let terms = vec![None, Some(Value::str("id")), Some(Value::str("ATTR"))];
+        assert_eq!(coded, [terms.clone(), terms], "both vnkp stages");
+        let out = QueryRequest::new(&plan, &db)
+            .config(&ExecConfig::sequential())
+            .expect_run();
+        assert!(!out.rows.is_empty());
+        assert_eq!(db.code_runs_built(), 1, "one run serves both stages");
+        let (oracle, _) = execute_materialized_with_stats(&plan, &db);
+        assert_eq!(out.rows, oracle);
     }
 
     /// Rows with NULLs sprinkled through an `i64` column (`grp`) and a

@@ -13,6 +13,8 @@
 //! strict parser; admission from `XQJG_GLOBAL_BUDGET`, `XQJG_MAX_SESSIONS`
 //! and `XQJG_QUEUE_TIMEOUT`.  A malformed variable is a startup error.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::process::ExitCode;
 
 use xqjg_core::Processor;

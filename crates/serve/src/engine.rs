@@ -6,7 +6,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::response::{QueryResult, Response, ServeError};
 use crate::session::Session;
@@ -37,6 +37,9 @@ pub struct Engine {
     processor: Arc<Processor>,
     admission: Arc<AdmissionController>,
     defaults: ExecConfig,
+    /// Session id → cancellation token.  Every update is one `insert` or
+    /// `remove`, so a lock poisoned by a panicking request handler still
+    /// guards a valid map, and the other workers keep using it.
     sessions: Mutex<HashMap<u64, CancelToken>>,
     next_session: AtomicU64,
     queries_ok: AtomicU64,
@@ -101,7 +104,7 @@ impl Engine {
         let cancel = CancelToken::new();
         self.sessions
             .lock()
-            .expect("session registry poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .insert(id, cancel.clone());
         Session::new(id, self.defaults.clone(), cancel)
     }
@@ -110,14 +113,14 @@ impl Engine {
     pub fn close_session(&self, id: u64) {
         self.sessions
             .lock()
-            .expect("session registry poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .remove(&id);
     }
 
     /// Cancel session `id`'s in-flight (or queued) query.  Returns whether
     /// the session exists.
     pub fn cancel(&self, id: u64) -> bool {
-        let registry = self.sessions.lock().expect("session registry poisoned");
+        let registry = self.sessions.lock().unwrap_or_else(PoisonError::into_inner);
         match registry.get(&id) {
             Some(token) => {
                 token.cancel();
@@ -194,7 +197,7 @@ impl Engine {
             sessions: self
                 .sessions
                 .lock()
-                .expect("session registry poisoned")
+                .unwrap_or_else(PoisonError::into_inner)
                 .len(),
             queries_ok: self.queries_ok.load(Ordering::Relaxed),
             queries_err: self.queries_err.load(Ordering::Relaxed),

@@ -24,6 +24,8 @@
 //! * [`server`] — the thread-pooled TCP [`Server`] with clean shutdown
 //!   (drains the admission controller).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod engine;
 pub mod protocol;
 pub mod response;

@@ -32,7 +32,7 @@ pub struct ServeError {
     /// Stable error class: a pipeline stage name (`parse`, `optimize`,
     /// `catalog`, …) or a runtime class (`io`, `corrupt`, `budget`,
     /// `cancelled`, `timeout`, `overloaded`, `config`, `protocol`,
-    /// `session`).
+    /// `session`, `internal`).
     pub kind: &'static str,
     /// Description (single logical message; newlines are collapsed on the
     /// line protocol).
@@ -44,6 +44,15 @@ impl ServeError {
     pub fn protocol(message: impl Into<String>) -> ServeError {
         ServeError {
             kind: "protocol",
+            message: message.into(),
+        }
+    }
+
+    /// A request handler panicked (the request is answered with this, its
+    /// session closed, and the worker keeps serving).
+    pub fn internal(message: impl Into<String>) -> ServeError {
+        ServeError {
+            kind: "internal",
             message: message.into(),
         }
     }
@@ -257,7 +266,7 @@ impl Response {
             Response::Error(e) => match e.kind {
                 "overloaded" => (503, "Service Unavailable"),
                 "timeout" => (504, "Gateway Timeout"),
-                "io" | "corrupt" | "budget" => (500, "Internal Server Error"),
+                "io" | "corrupt" | "budget" | "internal" => (500, "Internal Server Error"),
                 // Compilation stages, config, protocol, session, cancelled:
                 // the request itself was unservable as posed.
                 _ => (400, "Bad Request"),

@@ -12,18 +12,20 @@ use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::engine::Engine;
-use crate::protocol::handle_connection;
+use crate::protocol::{catch_panic, handle_connection};
 
 /// Default size of the connection-worker pool.
 pub const DEFAULT_WORKERS: usize = 8;
 
 /// Hand-off queue between the accept thread and the workers.
 struct Handoff {
+    /// Accepted connections.  Every update is one push or pop, so a
+    /// poisoned lock still guards a valid queue.
     queue: Mutex<VecDeque<TcpStream>>,
     available: Condvar,
 }
@@ -125,7 +127,7 @@ fn accept_loop(listener: TcpListener, handoff: Arc<Handoff>, shutdown: Arc<Atomi
                 if shutdown.load(Ordering::Acquire) {
                     return;
                 }
-                let mut queue = handoff.queue.lock().expect("handoff poisoned");
+                let mut queue = handoff.queue.lock().unwrap_or_else(PoisonError::into_inner);
                 queue.push_back(stream);
                 drop(queue);
                 handoff.available.notify_one();
@@ -142,7 +144,7 @@ fn accept_loop(listener: TcpListener, handoff: Arc<Handoff>, shutdown: Arc<Atomi
 fn worker_loop(engine: Arc<Engine>, handoff: Arc<Handoff>, shutdown: Arc<AtomicBool>) {
     loop {
         let stream = {
-            let mut queue = handoff.queue.lock().expect("handoff poisoned");
+            let mut queue = handoff.queue.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
                 if let Some(stream) = queue.pop_front() {
                     break Some(stream);
@@ -153,12 +155,16 @@ fn worker_loop(engine: Arc<Engine>, handoff: Arc<Handoff>, shutdown: Arc<AtomicB
                 let (q, _) = handoff
                     .available
                     .wait_timeout(queue, Duration::from_millis(100))
-                    .expect("handoff poisoned");
+                    .unwrap_or_else(PoisonError::into_inner);
                 queue = q;
             }
         };
         match stream {
-            Some(stream) => handle_connection(&engine, stream, &shutdown),
+            // The handlers answer a panicking request themselves; this
+            // boundary only keeps the worker alive for the next connection.
+            Some(stream) => {
+                let _ = catch_panic(|| handle_connection(&engine, stream, &shutdown));
+            }
             None => return,
         }
     }

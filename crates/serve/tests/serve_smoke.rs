@@ -265,6 +265,50 @@ fn http_endpoints() {
 }
 
 #[test]
+fn oversized_requests_are_refused_and_every_worker_survives() {
+    use xqjg_serve::protocol::{MAX_BODY, MAX_LINE};
+    let engine = engine(AdmissionConfig::default());
+    let workers = 2;
+    let server = Server::start(Arc::clone(&engine), "127.0.0.1:0", workers).expect("start");
+    // Each request sends only the header announcing the body.  Several
+    // rounds per worker: a worker lost to any of them would leave none to
+    // answer the checks below.
+    let lengths = [
+        "18446744073709551615".to_string(),
+        "1000000000000".to_string(),
+        "99999999999999999999999".to_string(),
+        (MAX_BODY + 1).to_string(),
+    ];
+    for len in lengths.iter().cycle().take(4 * workers) {
+        let request = format!("POST /query HTTP/1.1\r\nContent-Length: {len}\r\n\r\n");
+        let (head, body) = http_roundtrip(&server, &request);
+        assert!(head.starts_with("HTTP/1.1 413"), "{len}: {head}");
+        assert!(body.contains("\"protocol\""), "{len}: {body}");
+    }
+    // A header line past the cap (sent whole, so the server reads it all
+    // before answering).
+    let header = format!("GET /health HTTP/1.1\r\nX: {}", "a".repeat(MAX_LINE - 2));
+    let (head, _) = http_roundtrip(&server, &header);
+    assert!(head.starts_with("HTTP/1.1 413"), "{head}");
+    // A line-protocol command past the cap: `ERR protocol`, then EOF.
+    let (mut c, _) = Client::connect(&server);
+    c.writer
+        .write_all(&vec![b'x'; MAX_LINE + 1])
+        .expect("write");
+    assert!(c.line().starts_with("ERR protocol"), "over-long command");
+    assert_eq!(c.line(), "", "connection closed");
+
+    let (head, body) = http_roundtrip(&server, "GET /health HTTP/1.1\r\n\r\n");
+    assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+    assert_eq!(body, "ok\n");
+    let (mut c, _) = Client::connect(&server);
+    let (header, items) = c.query(Q4);
+    assert!(header.starts_with("RESULT"), "{header}");
+    assert_eq!(items, reference_items(&engine, Q4, Mode::JoinGraph));
+    server.shutdown();
+}
+
+#[test]
 fn concurrent_sessions_queue_and_stay_byte_identical() {
     // One admission slot, eight clients: while the test holds the slot,
     // every arrival must wait in the FIFO queue, and once released every

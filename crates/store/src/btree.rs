@@ -13,6 +13,7 @@
 //! delete operation: the XML encoding is read-only after document shredding
 //! (documents are replaced wholesale, as in the paper's setup).
 
+use crate::mask::BitMask;
 use crate::value::Value;
 use std::cmp::Ordering;
 use std::ops::Bound;
@@ -323,6 +324,48 @@ impl BPlusTree {
         Some(run)
     }
 
+    /// The entries whose leading key columns match `terms` as a
+    /// [`CodeRun`] keyed by the dictionary codes of the one column `terms`
+    /// leaves open (its single `None`): `codes` is that column's image in
+    /// the base table, indexed by rid, and `validity` its NULL mask.
+    /// Entries with a NULL there are left out — SQL equality never matches
+    /// them.  `None` when `terms` has no or several open columns, or when
+    /// the codes do not ascend in index order (an image that does not
+    /// belong to this index's column).  One walk over the literal prefix
+    /// before the open column; no key is cloned.
+    pub fn code_run(
+        &self,
+        terms: &[Option<Value>],
+        codes: &[u32],
+        validity: Option<&BitMask>,
+    ) -> Option<CodeRun> {
+        let open = terms.iter().position(Option::is_none)?;
+        if terms[open + 1..].iter().any(Option::is_none) {
+            return None;
+        }
+        let lead: Vec<Value> = terms[..open].iter().flatten().cloned().collect();
+        let bound = Bound::Included(lead.as_slice());
+        let mut run = CodeRun::default();
+        for (k, r) in self.entries(bound, bound) {
+            let tail_matches = terms[open + 1..]
+                .iter()
+                .zip(k.get(open + 1..)?)
+                .all(|(t, v)| t.as_ref() == Some(v));
+            if !tail_matches || k[open].is_null() || validity.is_some_and(|m| !m.get(r)) {
+                continue;
+            }
+            let code = *codes.get(r)?;
+            if run.codes.last().is_some_and(|&last| last > code) {
+                return None;
+            }
+            run.codes.push(code);
+            run.rids.push(r);
+        }
+        run.codes.shrink_to_fit();
+        run.rids.shrink_to_fit();
+        Some(run)
+    }
+
     /// Entries within the bounds, in key order.  The descent picks the
     /// first leaf that may qualify and a binary search finds the first
     /// entry in it that passes `lower` (a leaf whose entries all fail it
@@ -443,6 +486,33 @@ impl PrefixRun {
             Bound::Excluded(hi) => self.keys.partition_point(|&k| k < hi),
         };
         &self.rids[a..b.max(a)]
+    }
+}
+
+/// The entries of one index under an equality prefix of literal terms
+/// around one open column, in index order, reduced to what an equality
+/// probe on that column reads: `codes[i]` is entry `i`'s open column as a
+/// code of the base table's sorted dictionary image, `rids[i]` its row
+/// id.  A sorted dictionary orders codes like the strings, so index order
+/// is `(code, rest of the key)`, and the entries equal to one string are
+/// the slice two binary searches find — the same rids, in the same order,
+/// as the B-tree range scan under the full equality prefix.  A probe
+/// whose value comes from the same column of the same table already holds
+/// the code: it compares no string and reads no [`Value`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct CodeRun {
+    /// The open column's dictionary code of every entry, ascending.
+    pub codes: Vec<u32>,
+    /// Row ids, aligned with `codes`.
+    pub rids: Vec<usize>,
+}
+
+impl CodeRun {
+    /// Rids whose open column holds dictionary code `code`.
+    pub fn rids_of(&self, code: u32) -> &[usize] {
+        let a = self.codes.partition_point(|&c| c < code);
+        let b = a + self.codes[a..].partition_point(|&c| c == code);
+        &self.rids[a..b]
     }
 }
 

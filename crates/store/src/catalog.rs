@@ -6,7 +6,7 @@
 //! real catalog so the optimizer's index selection and statistics lookups
 //! read naturally.
 
-use crate::btree::{BPlusTree, Key, PrefixRun};
+use crate::btree::{BPlusTree, CodeRun, Key, PrefixRun};
 use crate::stats::{GroupMax, ParentGap, TableStats};
 use crate::table::Table;
 use crate::value::Value;
@@ -60,6 +60,11 @@ type GroupMaxEntry = (String, usize, String, Arc<GroupMax>);
 /// `None` when a range-column value under the prefix is not an integer.
 type PrefixRunEntry = (String, Vec<Value>, Option<Arc<PrefixRun>>);
 
+/// One memoized [`CodeRun`]: `(index, equality terms, run)`, the terms
+/// literal but for the one open column, the run `None` when that column
+/// has no dictionary image or the terms have another shape.
+type CodeRunEntry = (String, Vec<Option<Value>>, Option<Arc<CodeRun>>);
+
 /// One memoized [`ParentGap`]: `(table, statistic)`.
 type ParentGapEntry = (String, Option<Arc<ParentGap>>);
 
@@ -81,6 +86,11 @@ pub struct Database {
     /// prefix is constant.  Built on first request from the index's
     /// leaves and kept until the next DDL, like `group_max`.
     prefix_runs: Mutex<Vec<PrefixRunEntry>>,
+    /// Dictionary-code runs, `(index, equality terms)` → [`CodeRun`]: the
+    /// compact image an index nested-loop join probes when one equality
+    /// term is a column of the probing row.  Built on first request and
+    /// kept until the next DDL, like `group_max`.
+    code_runs: Mutex<Vec<CodeRunEntry>>,
     /// Parent gaps, table → [`ParentGap`] (`None` when the table is not a
     /// valid pre/size/level forest).  Collected on first request and kept
     /// until the next DDL, like `group_max`.
@@ -115,6 +125,10 @@ impl Database {
             .unwrap_or_else(|e| e.into_inner())
             .clear();
         self.prefix_runs
+            .get_mut()
+            .unwrap_or_else(|e| e.into_inner())
+            .clear();
+        self.code_runs
             .get_mut()
             .unwrap_or_else(|e| e.into_inner())
             .clear();
@@ -193,6 +207,39 @@ impl Database {
         run
     }
 
+    /// The entries of `index` whose leading key columns equal `terms` —
+    /// literals, but for one open column (`None`) — as a run keyed by the
+    /// open column's codes in the base table's dictionary image (see
+    /// [`CodeRun`]); `None` when the index does not exist, `terms` is not
+    /// that shape, or the open column has no dictionary image.  Built once
+    /// per catalog version, on first request — a `None` answer is memoized
+    /// too.
+    pub fn code_run(&self, index: &str, terms: &[Option<Value>]) -> Option<Arc<CodeRun>> {
+        // Same locking discipline as `group_max`.
+        let mut memo = self.code_runs.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some((.., run)) = memo
+            .iter()
+            .find(|(i, t, _)| i == index && t.as_slice() == terms)
+        {
+            return run.clone();
+        }
+        let ix = self.index(index)?;
+        let run = self.build_code_run(ix, terms).map(Arc::new);
+        memo.push((index.to_string(), terms.to_vec(), run.clone()));
+        run
+    }
+
+    fn build_code_run(&self, ix: &BuiltIndex, terms: &[Option<Value>]) -> Option<CodeRun> {
+        if terms.len() > ix.def.key_columns.len() {
+            return None;
+        }
+        let open = &ix.def.key_columns[terms.iter().position(Option::is_none)?];
+        let table = self.tables.get(&ix.def.table)?;
+        let col = table.schema().index_of(open)?;
+        let (codes, _, validity) = table.typed().col(col)?.as_dict_nullable()?;
+        ix.tree.code_run(terms, codes, validity)
+    }
+
     /// How far any member of a `(name, kind)` group of `table` sits from
     /// its parent (see [`ParentGap`]); `None` when the table does not exist
     /// or is not a valid pre/size/level forest.  Collected once per catalog
@@ -212,6 +259,15 @@ impl Database {
     /// catalog version — how tests observe that a query built none.
     pub fn prefix_runs_built(&self) -> usize {
         self.prefix_runs
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .len()
+    }
+
+    /// Number of code runs (including memoized `None`s) built at this
+    /// catalog version.
+    pub fn code_runs_built(&self) -> usize {
+        self.code_runs
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .len()
@@ -285,6 +341,7 @@ impl Database {
 mod tests {
     use super::*;
     use crate::schema::Schema;
+    use crate::typed::TypedColumn;
     use std::ops::Bound;
 
     fn db() -> Database {
@@ -530,6 +587,108 @@ mod tests {
         });
         assert_eq!(db.prefix_runs_built(), 0);
         let fresh = db.prefix_run("nkp", &a).unwrap();
+        assert!(!Arc::ptr_eq(&run, &fresh));
+        assert_eq!(*run, *fresh);
+    }
+
+    #[test]
+    fn code_runs_answer_equality_probes_like_the_btree() {
+        // (value, name, kind, pre): `value` is a NULL-bearing string
+        // column with duplicates; "z*" strings occur only outside the
+        // (id, ATTR) group, so they have codes but no entries there.
+        let mut t = Table::new(Schema::new(["value", "name", "kind", "pre", "num"]));
+        let mut seed = 5u64;
+        let mut below = |n: u64| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) % n
+        };
+        for pre in 0..800i64 {
+            let name = ["id", "ref", "x"][below(3) as usize];
+            let kind = ["ATTR", "ELEM"][below(2) as usize];
+            let value = match below(8) {
+                0 => Value::Null,
+                v if name != "id" && v == 1 => Value::str(format!("z{}", below(4))),
+                _ => Value::str(format!("v{}", below(30))),
+            };
+            t.push(vec![
+                value,
+                Value::str(name),
+                Value::str(kind),
+                Value::Int(pre),
+                Value::Int(pre % 7),
+            ]);
+        }
+        let mut db = Database::new();
+        db.create_table("doc", t);
+        for (name, cols) in [
+            ("vnkp", &["value", "name", "kind", "pre"][..]),
+            ("nvkp", &["name", "value", "kind", "pre"][..]),
+            ("nump", &["num", "pre"][..]),
+        ] {
+            db.create_index(IndexDef {
+                name: name.to_string(),
+                table: "doc".to_string(),
+                key_columns: cols.iter().map(|c| c.to_string()).collect(),
+                include_columns: vec![],
+                clustered: false,
+            });
+        }
+        let typed = db.table("doc").unwrap().typed();
+        let TypedColumn::Dict { dict, .. } = typed.col(0).unwrap() else {
+            panic!("value has a dictionary image");
+        };
+        let lit = |s: &str| Some(Value::str(s));
+        for (index, terms) in [
+            ("vnkp", vec![None, lit("id"), lit("ATTR")]),
+            ("vnkp", vec![None, lit("ref")]),
+            ("vnkp", vec![None]),
+            ("nvkp", vec![lit("id"), None, lit("ATTR")]),
+            ("nvkp", vec![lit("absent"), None]),
+        ] {
+            let run = db.code_run(index, &terms).expect("a dictionary column");
+            assert!(run.codes.windows(2).all(|w| w[0] <= w[1]));
+            for (code, s) in dict.iter().enumerate() {
+                // The B-tree probe: the probed string in the open slot.
+                let key: Vec<Value> = terms
+                    .iter()
+                    .map(|t| t.clone().unwrap_or(Value::str(s.as_str())))
+                    .collect();
+                let bound = Bound::Included(key.as_slice());
+                let expected = db.index(index).unwrap().tree.range_rids(bound, bound);
+                assert_eq!(run.rids_of(code as u32), expected, "{index} {terms:?} {s}");
+            }
+            assert!(run.rids_of(dict.len() as u32).is_empty());
+        }
+        let group = [None, lit("id"), lit("ATTR")];
+        let run = db.code_run("vnkp", &group).unwrap();
+        assert!(dict
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.starts_with('z'))
+            .all(|(c, _)| run.rids_of(c as u32).is_empty()));
+        // Not a dictionary column, no open column, two open columns, more
+        // terms than key columns, no such index: no run.
+        assert!(db.code_run("nump", &[None]).is_none());
+        assert!(db.code_run("vnkp", &[lit("v1"), lit("id")]).is_none());
+        assert!(db.code_run("vnkp", &[None, None]).is_none());
+        assert!(db.code_run("nump", &[lit("a"), lit("b"), None]).is_none());
+        assert!(db.code_run("nope", &group).is_none());
+        // Memoized, `None`s included; DDL clears the memo.
+        assert!(Arc::ptr_eq(&run, &db.code_run("vnkp", &group).unwrap()));
+        let built = db.code_runs_built();
+        assert!(db.code_run("nump", &[None]).is_none());
+        assert_eq!(db.code_runs_built(), built, "None is memoized");
+        db.create_index(IndexDef {
+            name: "p".to_string(),
+            table: "doc".to_string(),
+            key_columns: vec!["pre".to_string()],
+            include_columns: vec![],
+            clustered: true,
+        });
+        assert_eq!(db.code_runs_built(), 0);
+        let fresh = db.code_run("vnkp", &group).unwrap();
         assert!(!Arc::ptr_eq(&run, &fresh));
         assert_eq!(*run, *fresh);
     }

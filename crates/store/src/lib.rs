@@ -57,7 +57,7 @@ pub use batch::{
     drain, fill_from_pending, merge_worker_stats, new_stats_sink, Batch, BoxedOperator, OpStats,
     Operator, StatsSink, VecSource, BATCH_CAPACITY,
 };
-pub use btree::{BPlusTree, Key, PrefixRun};
+pub use btree::{BPlusTree, CodeRun, Key, PrefixRun};
 pub use cache::{
     PostingsCache, PostingsKey, ShardedLru, CACHE_ENTRY_OVERHEAD, POSTINGS_CACHE_BYTES,
 };

@@ -17,15 +17,19 @@
 //!   elements and attributes, across two documents, and after a load that
 //!   widens a name's extent — and nameless parent steps (`*`, `..`), whose
 //!   probe the optimizer closes from the child's side with the parent-gap
-//!   statistic, at that window's edge and after a load that widens a gap.
+//!   statistic, at that window's edge and after a load that widens a gap,
+//! * value self-joins probed through dictionary-code runs return the
+//!   B-tree's rids in the B-tree's order — with duplicate, NULL and absent
+//!   values, across two documents, after a reload, and falling back when
+//!   the probing alias reads another table.
 
 use proptest::prelude::*;
 use xqjg::data::{generate_dblp_encoded, generate_xmark_encoded, DblpConfig, XmarkConfig};
 use xqjg::engine::{
-    execute_materialized_with_stats, optimize, Access, ExecStats, JoinMethod, JoinNode, PhysPlan,
-    QueryRequest, SelectItem, SqlCmp, SqlExpr, SqlPredicate,
+    execute_materialized_with_stats, optimize, Access, Bounds, ExecStats, JoinMethod, JoinNode,
+    PhysPlan, QueryRequest, SelectItem, SqlCmp, SqlExpr, SqlPredicate,
 };
-use xqjg::store::{BPlusTree, Database, ExecConfig, OpStats, Schema, Table, Value};
+use xqjg::store::{BPlusTree, Database, ExecConfig, IndexDef, OpStats, Schema, Table, Value};
 use xqjg::xml::{encode_document, parse_document, DocTable, NodeKind, Pre};
 use xqjg::{Mode, Processor};
 
@@ -405,6 +409,232 @@ proptest! {
                 let joined = p.execute(&query, Mode::JoinGraph).unwrap().items;
                 prop_assert_eq!(&joined, &oracle, "{} over {} + {}", query, first, second);
             }
+        }
+    }
+}
+
+/// One `(name, value)` row of the code-run properties: `id` rows draw
+/// values from `v0`–`v4`, the others from `v0`–`v7`, so some probed
+/// strings are absent from the `(id, ATTR)` group; values repeat and are
+/// sometimes NULL.  Every fourth `id` row is an `ELEM`, outside the group.
+fn arb_value_row() -> BoxedStrategy<(&'static str, &'static str, Option<u32>)> {
+    let value = |n: u32| {
+        let some = move || (0..n).prop_map(Some);
+        prop_oneof![Just(None), some(), some(), some()]
+    };
+    prop_oneof![
+        (0u32..4, value(5)).prop_map(|(k, v)| ("id", if k == 0 { "ELEM" } else { "ATTR" }, v)),
+        value(8).prop_map(|v| ("ref", "ATTR", v)),
+        value(8).prop_map(|v| ("x", "ATTR", v)),
+    ]
+    .boxed()
+}
+
+/// Register `rows` as table `name` (`pre` = row number, `value` = `v<k>`
+/// with `pad` distinct strings sorting before every `v<k>` in leading
+/// `pad` rows, so two tables of equal rows code their strings apart)
+/// under `vnkp (value, name, kind, pre)`.
+fn create_value_table(
+    db: &mut Database,
+    name: &str,
+    rows: &[(&str, &str, Option<u32>)],
+    pad: usize,
+) {
+    let mut t = Table::new(Schema::new(["pre", "kind", "name", "value"]));
+    let padding = (0..pad).map(|k| ("pad", "ELEM", Value::str(format!("a{k}"))));
+    let body = rows.iter().map(|(n, kind, v)| {
+        (
+            *n,
+            *kind,
+            v.map_or(Value::Null, |v| Value::str(format!("v{v}"))),
+        )
+    });
+    for (pre, (n, kind, value)) in padding.chain(body).enumerate() {
+        t.push(vec![
+            Value::Int(pre as i64),
+            Value::str(kind),
+            Value::str(n),
+            value,
+        ]);
+    }
+    db.create_table(name, t);
+    db.create_index(IndexDef {
+        name: if name == "doc" {
+            "vnkp".into()
+        } else {
+            format!("vnkp_{name}")
+        },
+        table: name.into(),
+        key_columns: ["value", "name", "kind", "pre"].map(String::from).to_vec(),
+        include_columns: vec![],
+        clustered: false,
+    });
+}
+
+/// `o` (over `outer`) under `o.name = 'ref'`, joined by `NLJOIN`–`IXSCAN
+/// vnkp (value = o.value, name = 'id', kind = 'ATTR')` to `i` over `doc`;
+/// no ORDER BY, so rows come in probe order.
+fn value_join_plan(outer: &str) -> PhysPlan {
+    let name_is =
+        |a: &str, n: &str| SqlPredicate::new(SqlExpr::col(a, "name"), SqlCmp::Eq, SqlExpr::lit(n));
+    let item = |a: &str| SelectItem::Expr {
+        expr: SqlExpr::col(a, "pre"),
+        alias: a.to_string(),
+    };
+    PhysPlan {
+        root: JoinNode::Join {
+            outer: Box::new(JoinNode::Leaf {
+                alias: "o".into(),
+                table: outer.into(),
+                access: Access::TableScan {
+                    preds: vec![name_is("o", "ref")],
+                },
+                est_rows: 1.0,
+            }),
+            alias: "i".into(),
+            table: "doc".into(),
+            access: Access::IndexScan {
+                index: "vnkp".into(),
+                bounds: Bounds {
+                    eq: vec![
+                        ("value".into(), SqlExpr::col("o", "value")),
+                        ("name".into(), SqlExpr::lit("id")),
+                        ("kind".into(), SqlExpr::lit("ATTR")),
+                    ],
+                    range_col: None,
+                    lower: None,
+                    upper: None,
+                },
+                residual: vec![],
+            },
+            method: JoinMethod::NestedLoop,
+            hash_keys: vec![],
+            residual: vec![],
+            est_rows: 1.0,
+        },
+        select: vec![item("o"), item("i")],
+        distinct: false,
+        order_by: vec![],
+        est_cost: 0.0,
+        est_rows: 0.0,
+    }
+}
+
+/// [`value_join_plan`]'s rows by definition: per `ref` row of `outer` in
+/// row order, the `(id, ATTR)` rows of `doc` with its non-NULL value, in
+/// `pre` order.
+fn value_join_reference(outer: &Table, doc: &Table) -> Vec<Vec<Value>> {
+    let is = |t: &Table, r: usize, c: &str, v: &str| t.value(r, c) == &Value::str(v);
+    let mut out = Vec::new();
+    for o in (0..outer.len()).filter(|&o| is(outer, o, "name", "ref")) {
+        let v = outer.value(o, "value");
+        for i in 0..doc.len() {
+            if !v.is_null()
+                && doc.value(i, "value") == v
+                && is(doc, i, "name", "id")
+                && is(doc, i, "kind", "ATTR")
+            {
+                out.push(vec![
+                    outer.value(o, "pre").clone(),
+                    doc.value(i, "pre").clone(),
+                ]);
+            }
+        }
+    }
+    out
+}
+
+/// Run [`value_join_plan`] over `outer` at several DOPs, capacities and
+/// morsel sizes and check rows, order and per-join-level actuals against
+/// the reference and the materializing oracle (a B-tree walk per probe);
+/// returns the number of probes.  One-row morsels probe each operator
+/// instance once, so every probe walks the B-tree there: NULL must match
+/// nothing on that path too.
+fn check_value_join(db: &Database, outer: &str) -> usize {
+    let plan = value_join_plan(outer);
+    let expected = value_join_reference(db.table(outer).unwrap(), db.table("doc").unwrap());
+    let (t_ref, s_ref) = execute_materialized_with_stats(&plan, db);
+    prop_assert_eq!(t_ref.rows(), expected.as_slice(), "oracle over {}", outer);
+    for (threads, cap, morsel) in [
+        (1, 1, 1 << 16),
+        (1, 1024, 1 << 16),
+        (2, 1024, 1 << 16),
+        (1, 1024, 1),
+    ] {
+        let cfg = ExecConfig::sequential()
+            .with_threads(threads)
+            .with_batch_capacity(cap)
+            .with_morsel_size(morsel);
+        let (t, s) = run_plan(&plan, db, &cfg);
+        prop_assert_eq!(
+            t.rows(),
+            expected.as_slice(),
+            "{} DOP {} cap {}",
+            outer,
+            threads,
+            cap
+        );
+        prop_assert_eq!(
+            join_levels(&s, true),
+            join_levels(&s_ref, false),
+            "{} DOP {} cap {}",
+            outer,
+            threads,
+            cap
+        );
+    }
+    s_ref.probes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn code_keyed_probes_match_the_btree_probes_exactly(
+        rows in prop::collection::vec(arb_value_row(), 1..60),
+        more in prop::collection::vec(arb_value_row(), 1..20),
+        pad in 1usize..4,
+    ) {
+        let mut db = Database::new();
+        create_value_table(&mut db, "doc", &rows, 0);
+        // The same rows behind `pad` smaller strings: equal values, other
+        // codes.  Probes from it must not read their codes as `doc`'s.
+        create_value_table(&mut db, "other", &rows, pad);
+        let probes = check_value_join(&db, "other");
+        prop_assert_eq!(db.code_runs_built(), 0, "another table's codes are not keys");
+        let probes_doc = check_value_join(&db, "doc");
+        prop_assert_eq!(probes, probes_doc);
+        prop_assert_eq!(db.code_runs_built(), usize::from(probes >= 2),
+            "repeat probes share one run");
+        // A reload replaces the table and its index: the next execution
+        // must not read the old run's codes or rids.
+        let grown: Vec<_> = more.iter().chain(&rows).copied().collect();
+        create_value_table(&mut db, "doc", &grown, 0);
+        prop_assert_eq!(db.code_runs_built(), 0, "DDL drops the run");
+        check_value_join(&db, "doc");
+    }
+
+    #[test]
+    fn value_joins_agree_with_the_interpreter_across_a_reload(
+        first in arb_auction_xml(),
+        second in arb_auction_xml(),
+        third in arb_auction_xml(),
+    ) {
+        // Value joins of one document probe `vnkp` groups spanning every
+        // loaded document; a load rebuilds the catalog under them.
+        let mut p = Processor::new();
+        p.load_document("t.xml", &first).unwrap();
+        p.load_document("u.xml", &second).unwrap();
+        for round in 0..2 {
+            p.create_default_indexes();
+            for uri in ["t.xml", "u.xml"] {
+                for query in upward_queries(uri, 0).into_iter().skip(STEP_SHAPES) {
+                    let oracle = p.execute(&query, Mode::Interpreter).unwrap().items;
+                    let joined = p.execute(&query, Mode::JoinGraph).unwrap().items;
+                    prop_assert_eq!(&joined, &oracle, "round {}: {}", round, query);
+                }
+            }
+            p.load_document("v.xml", &third).unwrap();
         }
     }
 }
