@@ -43,16 +43,12 @@ fn encoding(w: &Workload, ds: DataSet) -> (&'static str, &DocTable) {
 #[test]
 fn cold_and_warm_runs_match_caches_off_across_configs() {
     let workload = Workload::new(0.02);
-    // DOP × memory budget sweep.  The budget leg forces the
-    // spill-decision path: cached builds re-book their reservations, so
-    // hit and miss runs must make identical spill decisions.
-    let configs: Vec<ExecConfig> = [1usize, 4]
+    // Memory budget sweep.  The budget leg forces the spill-decision
+    // path: cached builds re-book their reservations, so hit and miss runs
+    // must make identical spill decisions.
+    let configs: Vec<ExecConfig> = [None, Some(32usize << 20)]
         .iter()
-        .flat_map(|&threads| {
-            [None, Some(32usize << 20)]
-                .iter()
-                .map(move |&budget| caches_on().with_threads(threads).with_mem_budget(budget))
-        })
+        .map(|&budget| caches_on().with_mem_budget(budget))
         .collect();
     for q in queries() {
         let (uri, doc) = encoding(&workload, q.dataset);

@@ -131,63 +131,59 @@ fn with_env<R>(vars: &[(&str, Option<&str>)], f: impl FnOnce() -> R) -> R {
 }
 
 /// The core chaos sweep: every fault site × trigger {first, third, always}
-/// × DOP {1, 4} × budget {tight, unlimited}, with an injected transient
+/// × budget {tight, unlimited}, with an injected transient
 /// I/O error.  Each combination must either fail with a typed error or
 /// succeed (fault never reached, or absorbed by the bounded retry) with
 /// results byte-identical to the unfaulted reference — and must always
 /// leave the spill directory clean and recover fully once disarmed.
 #[test]
-fn chaos_sweep_every_site_trigger_dop_budget() {
+fn chaos_sweep_every_site_trigger_budget() {
     let _guard = io_lock();
     let (db, plan) = equijoin_fixture(1500);
     let mut saw_error = false;
     let mut saw_ok_under_fault = false;
     for site in fault::ALL_SITES {
         for trigger in [Trigger::Nth(1), Trigger::Nth(3), Trigger::Always] {
-            for threads in [1usize, 4] {
-                for budget in [TIGHT, UNLIMITED] {
-                    let dir = fresh_dir("sweep");
-                    let cfg = ExecConfig::sequential()
-                        .with_mem_budget(budget)
-                        .with_threads(threads)
-                        .with_morsel_size(64)
-                        .with_spill_dir(&dir);
-                    let what = format!("site {site} {trigger:?} DOP {threads} budget {budget:?}");
-                    let reference = try_run(&plan, &db, &cfg)
-                        .unwrap_or_else(|e| panic!("{what}: unfaulted reference fails: {e}"));
-                    let guard = FaultPlan::single(site, trigger, FaultKind::IoError).install();
-                    match try_run(&plan, &db, &cfg) {
-                        Ok((table, _)) => {
-                            saw_ok_under_fault = true;
-                            assert_eq!(
-                                table, reference.0,
-                                "{what}: survived the fault but rows differ"
-                            );
-                        }
-                        Err(e) => {
-                            saw_error = true;
-                            assert!(
-                                matches!(e, ExecError::Io { .. } | ExecError::Corrupt { .. }),
-                                "{what}: unexpected error class: {e}"
-                            );
-                        }
+            for budget in [TIGHT, UNLIMITED] {
+                let dir = fresh_dir("sweep");
+                let cfg = ExecConfig::sequential()
+                    .with_mem_budget(budget)
+                    .with_spill_dir(&dir);
+                let what = format!("site {site} {trigger:?} budget {budget:?}");
+                let reference = try_run(&plan, &db, &cfg)
+                    .unwrap_or_else(|e| panic!("{what}: unfaulted reference fails: {e}"));
+                let guard = FaultPlan::single(site, trigger, FaultKind::IoError).install();
+                match try_run(&plan, &db, &cfg) {
+                    Ok((table, _)) => {
+                        saw_ok_under_fault = true;
+                        assert_eq!(
+                            table, reference.0,
+                            "{what}: survived the fault but rows differ"
+                        );
                     }
-                    assert_eq!(
-                        leaked_files(&dir),
-                        Vec::<String>::new(),
-                        "{what}: run files leaked under fault"
-                    );
-                    drop(guard);
-                    let (table, _) = try_run(&plan, &db, &cfg)
-                        .unwrap_or_else(|e| panic!("{what}: retry after disarm fails: {e}"));
-                    assert_eq!(table, reference.0, "{what}: retry rows differ");
-                    assert_eq!(
-                        leaked_files(&dir),
-                        Vec::<String>::new(),
-                        "{what}: run files leaked after retry"
-                    );
-                    let _ = std::fs::remove_dir(&dir);
+                    Err(e) => {
+                        saw_error = true;
+                        assert!(
+                            matches!(e, ExecError::Io { .. } | ExecError::Corrupt { .. }),
+                            "{what}: unexpected error class: {e}"
+                        );
+                    }
                 }
+                assert_eq!(
+                    leaked_files(&dir),
+                    Vec::<String>::new(),
+                    "{what}: run files leaked under fault"
+                );
+                drop(guard);
+                let (table, _) = try_run(&plan, &db, &cfg)
+                    .unwrap_or_else(|e| panic!("{what}: retry after disarm fails: {e}"));
+                assert_eq!(table, reference.0, "{what}: retry rows differ");
+                assert_eq!(
+                    leaked_files(&dir),
+                    Vec::<String>::new(),
+                    "{what}: run files leaked after retry"
+                );
+                let _ = std::fs::remove_dir(&dir);
             }
         }
     }

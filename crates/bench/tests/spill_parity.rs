@@ -2,7 +2,7 @@
 //! *observationally identical* to in-memory execution — identical result
 //! rows, identical row order, and identical EXPLAIN actuals *modulo* the
 //! spill counters (`spill_runs` / `spill_bytes` / `partitions`), across
-//! budgets {tiny, medium, unlimited} and DOP {1, 4}; the unlimited
+//! budgets {tiny, medium, unlimited}; the unlimited
 //! reference's rows, aggregate counters and per-join-level actuals are
 //! themselves checked against the materializing executor.  A
 //! deterministic-random property test additionally sweeps arbitrary
@@ -57,7 +57,7 @@ fn plans_for(workload: &mut Workload, q: &xqjg_bench::BenchQuery) -> Vec<PhysPla
 }
 
 #[test]
-fn table9_queries_identical_across_budgets_and_dop() {
+fn table9_queries_identical_across_budgets() {
     let mut workload = Workload::new(0.02);
     let mut spilled_somewhere = false;
     for q in queries() {
@@ -101,17 +101,12 @@ fn table9_queries_identical_across_budgets_and_dop() {
                 q.id
             );
             for budget in [TINY, MEDIUM, UNLIMITED] {
-                for threads in [1, 4] {
-                    let cfg = ExecConfig::sequential()
-                        .with_mem_budget(budget)
-                        .with_threads(threads)
-                        .with_morsel_size(16);
-                    let (t, s) = run_plan(plan, db, &cfg);
-                    let what = format!("{} budget {budget:?} DOP {threads}", q.id);
-                    assert_eq!(t, reference.0, "{what}: rows/order differ");
-                    assert_stats_match_modulo_spill(&s, &reference.1, &what);
-                    spilled_somewhere |= s.operators.iter().any(|o| o.spill_runs > 0);
-                }
+                let cfg = ExecConfig::sequential().with_mem_budget(budget);
+                let (t, s) = run_plan(plan, db, &cfg);
+                let what = format!("{} budget {budget:?}", q.id);
+                assert_eq!(t, reference.0, "{what}: rows/order differ");
+                assert_stats_match_modulo_spill(&s, &reference.1, &what);
+                spilled_somewhere |= s.operators.iter().any(|o| o.spill_runs > 0);
             }
         }
     }
@@ -122,30 +117,37 @@ fn table9_queries_identical_across_budgets_and_dop() {
 }
 
 #[test]
-fn spill_counters_are_dop_invariant_at_fixed_budget() {
-    // At a fixed budget the *full* actuals — spill counters included —
-    // must not move with DOP or morsel size: spill decisions happen on
-    // the coordinator against the morsel-ordered row stream.
+fn spill_counters_are_batch_capacity_invariant_at_fixed_budget() {
+    // At a fixed budget the actuals — spill counters included — must not
+    // move with the batch capacity, batch counts aside: spill decisions
+    // see only the row stream, not how it is cut into batches.
+    let sans_batches = |s: &ExecStats| -> Vec<OpStats> {
+        s.operators
+            .iter()
+            .map(|o| OpStats {
+                batches: 0,
+                ..o.clone()
+            })
+            .collect()
+    };
     let mut workload = Workload::new(0.02);
     for q in queries() {
         let plans = plans_for(&mut workload, &q);
         let db: &Database = workload.processor(&q).database();
         for plan in &plans {
             let reference = run_plan(plan, db, &ExecConfig::sequential().with_mem_budget(TINY));
-            for threads in [2, 4] {
-                for morsel in [8, 64] {
-                    let cfg = ExecConfig::sequential()
-                        .with_mem_budget(TINY)
-                        .with_threads(threads)
-                        .with_morsel_size(morsel);
-                    let got = run_plan(plan, db, &cfg);
-                    assert_eq!(got.0, reference.0, "{}: rows", q.id);
-                    assert_eq!(
-                        got.1, reference.1,
-                        "{}: full actuals at DOP {threads} morsel {morsel}",
-                        q.id
-                    );
-                }
+            for cap in [8, 64] {
+                let cfg = ExecConfig::sequential()
+                    .with_mem_budget(TINY)
+                    .with_batch_capacity(cap);
+                let got = run_plan(plan, db, &cfg);
+                assert_eq!(got.0, reference.0, "{}: rows", q.id);
+                assert_eq!(
+                    sans_batches(&got.1),
+                    sans_batches(&reference.1),
+                    "{}: actuals at batch capacity {cap}",
+                    q.id
+                );
             }
         }
     }
@@ -205,12 +207,11 @@ fn tight_budget_spills_both_pipeline_breakers_on_the_hash_workload() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random budgets (from absurdly tight to comfortably large) and DOP
-    /// never change the result rows or their order.
+    /// Random budgets (from absurdly tight to comfortably large) never
+    /// change the result rows or their order.
     #[test]
     fn random_budgets_never_change_results(
         budget in 256usize..128 * 1024,
-        threads in 1usize..5,
     ) {
         let (db, plan) = equijoin_fixture(600);
         let reference = run_plan(
@@ -218,10 +219,7 @@ proptest! {
             &db,
             &ExecConfig::sequential().with_mem_budget(UNLIMITED),
         );
-        let cfg = ExecConfig::sequential()
-            .with_mem_budget(Some(budget))
-            .with_threads(threads)
-            .with_morsel_size(64);
+        let cfg = ExecConfig::sequential().with_mem_budget(Some(budget));
         let (t, s) = run_plan(&plan, &db, &cfg);
         prop_assert_eq!(&t, &reference.0, "budget {} changed rows", budget);
         let sans: Vec<OpStats> = s.operators.iter().map(OpStats::sans_spill).collect();

@@ -5,8 +5,8 @@
 //! The shapes cover duplicates, `ORDER BY` a permutation or a strict subset
 //! of the select list or a column that is not selected, no `ORDER BY`, no
 //! `DISTINCT`, `alias.*`, string / decimal / mixed / NULL-bearing columns
-//! and computed `a + b` items.  Each shape runs at DOP {1, 4} × batch
-//! capacity {1, 1024}, plus a 4 KiB-budget leg (the spilling sorter, and
+//! and computed `a + b` items.  Each shape runs at batch capacity
+//! {1, 1024}, plus a 4 KiB-budget leg (the spilling sorter, and
 //! the two-pass sort DISTINCT) whose rows must equal the unbudgeted run's.
 //!
 //! The SORT actuals come from a second oracle run of the same join tree
@@ -227,37 +227,30 @@ proptest! {
         prop_assert_eq!(&format!("{want_rows:?}"), &want_bytes, "reference vs oracle: {}", sql);
 
         let mut unbudgeted: Option<(Table, OpStats)> = None;
-        for threads in [1, 4] {
-            for cap in [1, 1024] {
-                let cfg = ExecConfig::sequential()
-                    .with_threads(threads)
-                    .with_morsel_size(16)
-                    .with_batch_capacity(cap)
-                    .with_mem_budget(None);
-                let out = QueryRequest::new(&plan, &db).config(&cfg).expect_run();
-                let what = format!("{sql} [DOP {threads} cap {cap}]");
-                prop_assert_eq!(out.rows.schema(), oracle.schema(), "{}", what);
-                prop_assert_eq!(&format!("{:?}", out.rows.rows()), &want_bytes, "{}", what);
-                let tail = tail_of(&out.stats);
-                let got = (tail.name.as_str(), tail.rows_in, tail.rows_out, tail.kernel_rows);
-                let expect = (want.name, want.rows_in, want.rows_out, want.kernel_rows);
-                prop_assert_eq!(got, expect, "{}", what);
-                prop_assert_eq!(tail.build_rows, tail.rows_in, "{}", what);
-                prop_assert_eq!(tail.batches, tail.rows_out.div_ceil(cap), "{}", what);
-                prop_assert_eq!((tail.spill_runs, tail.spill_bytes), (0, 0), "{}", what);
-                if threads == 4 && cap == 1024 {
-                    unbudgeted = Some((out.rows, tail.clone()));
-                }
+        for cap in [1, 1024] {
+            let cfg = ExecConfig::sequential()
+                .with_batch_capacity(cap)
+                .with_mem_budget(None);
+            let out = QueryRequest::new(&plan, &db).config(&cfg).expect_run();
+            let what = format!("{sql} [cap {cap}]");
+            prop_assert_eq!(out.rows.schema(), oracle.schema(), "{}", what);
+            prop_assert_eq!(&format!("{:?}", out.rows.rows()), &want_bytes, "{}", what);
+            let tail = tail_of(&out.stats);
+            let got = (tail.name.as_str(), tail.rows_in, tail.rows_out, tail.kernel_rows);
+            let expect = (want.name, want.rows_in, want.rows_out, want.kernel_rows);
+            prop_assert_eq!(got, expect, "{}", what);
+            prop_assert_eq!(tail.build_rows, tail.rows_in, "{}", what);
+            prop_assert_eq!(tail.batches, tail.rows_out.div_ceil(cap), "{}", what);
+            prop_assert_eq!((tail.spill_runs, tail.spill_bytes), (0, 0), "{}", what);
+            if cap == 1024 {
+                unbudgeted = Some((out.rows, tail.clone()));
             }
         }
 
         // The budgeted path (external sorter, two-pass sort DISTINCT)
         // returns the same rows.
         let (rows_ref, tail_ref) = unbudgeted.expect("the unbudgeted legs ran");
-        let cfg = ExecConfig::sequential()
-            .with_threads(4)
-            .with_morsel_size(16)
-            .with_mem_budget(Some(4 * 1024));
+        let cfg = ExecConfig::sequential().with_mem_budget(Some(4 * 1024));
         let out = QueryRequest::new(&plan, &db).config(&cfg).expect_run();
         let what = format!("{sql} [4 KiB]");
         prop_assert_eq!(

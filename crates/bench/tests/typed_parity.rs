@@ -4,8 +4,8 @@
 //! identical aggregate counters and identical per-join-level actuals
 //! (`rows_out`, `fetched`, `probes`) at batch capacities {1, 64, 1024} —
 //! across the Table IX workload and a synthetic hash-join workload.  Every
-//! other EXPLAIN actual must not move across DOP {1, 4} × budget
-//! {unlimited, 256 KiB}, modulo the governor-dependent counters
+//! other EXPLAIN actual must not move across budgets {unlimited, 256 KiB},
+//! modulo the governor-dependent counters
 //! (`spill_runs` / `spill_bytes` / `partitions` / `kernel_rows`).  A
 //! deterministic-random property test sweeps random predicates, NULL
 //! densities and budgets, and the NLJOIN predicate shapes that run on the
@@ -78,7 +78,7 @@ const UNLIMITED: Option<usize> = None;
 const BOUNDED: Option<usize> = Some(256 * 1024);
 
 /// Actuals must agree except for the governor-dependent counters; the
-/// aggregate work counters must agree exactly (DOP and budget change where
+/// aggregate work counters must agree exactly (the budget changes where
 /// rows wait, never how many were scanned, probed or bound).
 fn assert_stats_match_modulo_spill(got: &ExecStats, reference: &ExecStats, what: &str) {
     assert_eq!(got.index_rows, reference.index_rows, "{what}: index_rows");
@@ -113,29 +113,29 @@ fn plans_for(workload: &mut Workload, q: &xqjg_bench::BenchQuery) -> Vec<PhysPla
 }
 
 #[test]
-fn table9_queries_identical_across_typed_toggle_dop_and_budget() {
+fn table9_queries_identical_across_budgets() {
     let mut workload = Workload::new(0.02);
     for q in queries() {
         let plans = plans_for(&mut workload, &q);
         let db: &Database = workload.processor(&q).database();
+        let mut merged = ExecStats::default();
         for plan in &plans {
             let ref_cfg = ExecConfig::sequential().with_mem_budget(UNLIMITED);
             let reference = run_plan(plan, db, &ref_cfg);
             check_against_materializing_oracle(plan, db, &ref_cfg, q.id)
                 .unwrap_or_else(|e| panic!("{e}"));
+            let fetched: usize = reference.1.operators.iter().map(|o| o.fetched).sum();
+            assert!(fetched > 0, "{}: no operator reports fetch work", q.id);
             for budget in [UNLIMITED, BOUNDED] {
-                for threads in [1, 4] {
-                    let cfg = ExecConfig::sequential()
-                        .with_mem_budget(budget)
-                        .with_threads(threads)
-                        .with_morsel_size(16);
-                    let (t, s) = run_plan(plan, db, &cfg);
-                    let what = format!("{} budget {budget:?} DOP {threads}", q.id);
-                    assert_eq!(t, reference.0, "{what}: rows/order differ");
-                    assert_stats_match_modulo_spill(&s, &reference.1, &what);
-                }
+                let cfg = ExecConfig::sequential().with_mem_budget(budget);
+                let (t, s) = run_plan(plan, db, &cfg);
+                let what = format!("{} budget {budget:?}", q.id);
+                assert_eq!(t, reference.0, "{what}: rows/order differ");
+                assert_stats_match_modulo_spill(&s, &reference.1, &what);
             }
+            merged.merge(&reference.1);
         }
+        assert!(!merged.operators.is_empty(), "{}: operators recorded", q.id);
     }
 }
 
@@ -174,21 +174,16 @@ fn hash_workload_identical_across_typed_toggle_and_engages_kernels() {
         check_against_materializing_oracle(&plan, &db, &ref_cfg, "hash workload")
             .unwrap_or_else(|e| panic!("distinct {distinct}: {e}"));
         for budget in [UNLIMITED, BOUNDED, Some(8 * 1024)] {
-            for threads in [1, 4] {
-                let cfg = ExecConfig::sequential()
-                    .with_mem_budget(budget)
-                    .with_threads(threads)
-                    .with_morsel_size(64);
-                let (t, s) = run_plan(&plan, &db, &cfg);
-                let what = format!("distinct {distinct} budget {budget:?} DOP {threads}");
-                assert_eq!(t, reference.0, "{what}: rows/order differ");
-                assert_stats_match_modulo_spill(&s, &reference.1, &what);
-                let kernels = s.operators.iter().map(|o| o.kernel_rows).sum::<usize>();
-                assert!(
-                    kernels > 0,
-                    "{what}: no kernel engaged — the suite is vacuous"
-                );
-            }
+            let cfg = ExecConfig::sequential().with_mem_budget(budget);
+            let (t, s) = run_plan(&plan, &db, &cfg);
+            let what = format!("distinct {distinct} budget {budget:?}");
+            assert_eq!(t, reference.0, "{what}: rows/order differ");
+            assert_stats_match_modulo_spill(&s, &reference.1, &what);
+            let kernels = s.operators.iter().map(|o| o.kernel_rows).sum::<usize>();
+            assert!(
+                kernels > 0,
+                "{what}: no kernel engaged — the suite is vacuous"
+            );
         }
     }
 }
@@ -196,7 +191,7 @@ fn hash_workload_identical_across_typed_toggle_and_engages_kernels() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random predicate constants, budgets and DOP: the typed kernels and
+    /// Random predicate constants and budgets: the typed kernels and
     /// the materializing oracle's untyped `Value` comparisons must return
     /// identical rows in identical order, with identical aggregate counters
     /// and per-join-level actuals; every other actual must match the
@@ -207,7 +202,6 @@ proptest! {
         needle in 0usize..1000,
         budget_bytes in 4096usize..64 * 1024,
         unlimited in proptest::bool::ANY,
-        threads in 1usize..5,
     ) {
         let budget = (!unlimited).then_some(budget_bytes);
         let mut t = Table::new(Schema::new(["pre", "grp", "payload"]));
@@ -227,25 +221,21 @@ proptest! {
              ORDER BY d1.pre, d2.pre"
         );
         let plan = optimize(&parse_sql(&sql).unwrap(), &db).unwrap();
-        let cfg = ExecConfig::sequential()
-            .with_mem_budget(budget)
-            .with_threads(threads)
-            .with_morsel_size(64);
+        let cfg = ExecConfig::sequential().with_mem_budget(budget);
         let oracle = check_against_materializing_oracle(&plan, &db, &cfg, &sql);
         prop_assert!(oracle.is_ok(), "{:?}", oracle);
         let (_, s) = run_plan(&plan, &db, &cfg);
         let (_, s_ref) = run_plan(&plan, &db, &ExecConfig::sequential().with_mem_budget(None));
         let sans: Vec<OpStats> = s.operators.iter().map(OpStats::sans_spill).collect();
         let sans_ref: Vec<OpStats> = s_ref.operators.iter().map(OpStats::sans_spill).collect();
-        prop_assert_eq!(sans, sans_ref, "DOP/budget changed actuals");
+        prop_assert_eq!(sans, sans_ref, "the budget changed actuals");
     }
 
     /// NULL-aware sweep: random NULL densities over an `i64` and a
     /// dictionary column, a composite (two-column, NULL-bearing) equijoin
     /// key, and a multi-term conjunctive residual — every configuration
     /// must return the materializing oracle's rows, order, aggregate
-    /// counters and per-join-level actuals, and every other actual of the
-    /// sequential run, spilled legs included.
+    /// counters and per-join-level actuals, spilled legs included.
     #[test]
     fn null_density_composite_keys_and_multi_term_predicates_match_the_oracle(
         rows in 150i64..500,
@@ -254,7 +244,6 @@ proptest! {
         bound in 0i64..500,
         lo in 0i64..25,
         tiny in proptest::bool::ANY,
-        four_way in proptest::bool::ANY,
     ) {
         let mut t = Table::new(Schema::new(["pre", "grp", "tag", "val"]));
         for i in 0..rows {
@@ -281,27 +270,10 @@ proptest! {
              ORDER BY d1.pre, d2.pre"
         );
         let plan = optimize(&parse_sql(&sql).unwrap(), &db).unwrap();
-        let threads = if four_way { 4 } else { 1 };
         let budget = tiny.then_some(4 * 1024);
-        // Reference for the actuals the oracle does not define: the
-        // sequential run under the same budget.
-        let (t_ref, s_ref) = run_plan(
-            &plan,
-            &db,
-            &ExecConfig::sequential().with_mem_budget(budget),
-        );
-        let cfg = ExecConfig::sequential()
-            .with_mem_budget(budget)
-            .with_threads(threads)
-            .with_morsel_size(32);
+        let cfg = ExecConfig::sequential().with_mem_budget(budget);
         let oracle = check_against_materializing_oracle(&plan, &db, &cfg, "null sweep");
         prop_assert!(oracle.is_ok(), "{:?}", oracle);
-        let (t, s) = run_plan(&plan, &db, &cfg);
-        prop_assert_eq!(&t, &t_ref, "DOP {} diverged from the sequential run", threads);
-        let sans: Vec<OpStats> = s.operators.iter().map(OpStats::sans_spill).collect();
-        let sans_ref: Vec<OpStats> =
-            s_ref.operators.iter().map(OpStats::sans_spill).collect();
-        prop_assert_eq!(sans, sans_ref, "DOP {} changed actuals", threads);
     }
 
     /// NLJOIN predicates lowered onto the `i64` images — per-probe
@@ -319,7 +291,6 @@ proptest! {
         null_rhs in proptest::bool::ANY,
         dec_rhs in proptest::bool::ANY,
         near_max in proptest::bool::ANY,
-        four_way in proptest::bool::ANY,
     ) {
         let mut t = Table::new(Schema::new(["pre", "size", "lvl", "grp", "dec", "big"]));
         for i in 0..rows {
@@ -375,16 +346,10 @@ proptest! {
             preds.join(" AND ")
         );
         let plan = optimize(&parse_sql(&sql).unwrap(), &db).unwrap();
-        let threads = if four_way { 4 } else { 1 };
-        let (t_ref, s_ref) = run_plan(&plan, &db, &ExecConfig::sequential());
-        let cfg = ExecConfig::sequential()
-            .with_threads(threads)
-            .with_morsel_size(16);
+        let cfg = ExecConfig::sequential();
         let oracle = check_against_materializing_oracle(&plan, &db, &cfg, &sql);
         prop_assert!(oracle.is_ok(), "{:?}", oracle);
-        let (t, s) = run_plan(&plan, &db, &cfg);
-        prop_assert_eq!(&t, &t_ref, "DOP {} diverged from the sequential run: {}", threads, &sql);
-        prop_assert_eq!(&s.operators, &s_ref.operators, "DOP {} changed actuals: {}", threads, &sql);
+        let (_, s) = run_plan(&plan, &db, &cfg);
         let nljoin_kernels: usize = s
             .operators
             .iter()

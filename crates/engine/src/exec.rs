@@ -1,4 +1,4 @@
-//! Pipelined, morsel-parallel, columnar execution of physical plans.
+//! Pipelined, columnar execution of physical plans.
 //!
 //! The executor implements the operator repertoire of Table VII as a tree
 //! of discrete pull-based operators over the [`xqjg_store::ColOperator`]
@@ -16,15 +16,13 @@
 //! branch-free kernel; columns without one keep the untyped [`Value`]
 //! comparison inside the same operators.
 //!
-//! Execution is **morsel-driven** (see [`xqjg_store::morsel`]): the scan
-//! leaf's row-id domain is cut into fixed-size morsels, and up to
-//! [`ExecConfig::threads`] scoped workers each run a private copy of the
-//! pipeline fragment over one morsel at a time.  The genuine pipeline
-//! breakers anchor the merge points: hash-join build sides are built once
-//! up front and shared read-only by all workers, and the SORT tail
-//! concatenates the per-morsel outputs *in morsel order* before the
-//! distinct/sort pass — which makes results, EXPLAIN actuals and the
-//! aggregate work counters byte-identical across degrees of parallelism.
+//! Each execution runs **one pipeline** over the scan leaf's whole row-id
+//! domain on the calling thread: hash-join build sides are built once up
+//! front, then the leaf, join and tail operators stream batches to the
+//! SORT tail, which gathers them (or, under a memory budget, feeds them to
+//! the external sorter) as they arrive.  Concurrency comes from running
+//! several queries at once — the serving layer's connection workers —
+//! never from splitting one query across threads.
 //!
 //! [`QueryRequest::run`] is the one way to execute a plan.  The seed's
 //! materialize-everything executor is retained in [`crate::materialize`]
@@ -42,20 +40,20 @@ use std::path::PathBuf;
 use std::rc::Rc;
 use std::sync::Arc;
 use xqjg_store::{
-    effective_morsel_size, gather_i64, gather_u32, hash_keys_typed, hash_values, mask_terms,
-    merge_worker_stats, new_stats_sink, partition_morsels, sort_permutation_i64,
-    sort_permutation_typed, try_execute_morsels_streaming, BitMask, CancelToken, CodeRun,
-    ColOperator, ColumnBatch, Database, ExecConfig, ExecError, ExternalSorter, GraceBuilder,
-    HashKey, Interrupt, KernelCmp, MaskTerm, MemBudget, Morsel, OpStats, PostingsCache,
-    PostingsKey, PrefixRun, Row, Schema, SortKey, SortVals, SortedRows, SpilledPartitions,
-    StatsSink, Table, TypedColumn, Value, BUILD_ENTRY_FOOTPRINT,
+    gather_i64, gather_u32, hash_keys_typed, hash_values, mask_terms, new_stats_sink,
+    sort_permutation_i64, sort_permutation_typed, BitMask, CancelToken, CodeRun, ColOperator,
+    ColumnBatch, Database, ExecConfig, ExecError, ExternalSorter, GraceBuilder, HashKey, Interrupt,
+    KernelCmp, MaskTerm, MemBudget, OpStats, PostingsCache, PostingsKey, PrefixRun, Row, Schema,
+    SortKey, SortVals, SortedRows, SpilledPartitions, StatsSink, Table, TypedColumn, Value,
+    BUILD_ENTRY_FOOTPRINT,
 };
 
-/// Per-morsel error slot.  The pull-based [`ColOperator`] protocol is
-/// infallible, so the one operator that performs fallible I/O mid-pipeline
-/// (the hash-join probe over a *spilled* build side) records the first
-/// failure here and stops producing; the morsel driver checks the slot
-/// after the pipeline closes and fails the morsel with that error.
+/// Per-execution error slot.  The pull-based [`ColOperator`] protocol is
+/// infallible, so an operator that fails mid-pipeline — the leaf on
+/// cancellation or timeout, the hash-join probe over a *spilled* build
+/// side on a partition read — records the first failure here and stops
+/// producing; the driver checks the slot after the pipeline closes and
+/// fails the execution with that error.
 type ErrSlot = Rc<RefCell<Option<ExecError>>>;
 
 /// Counters describing the work a query execution performed — used by the
@@ -87,25 +85,14 @@ impl ExecStats {
     }
 }
 
-/// Aggregate work counters of one plan execution.  Every worker pipeline
-/// accumulates a private instance (operators fold their local counters in
-/// at `close` — nothing touches shared state per tuple) and the
-/// coordinator sums them.
+/// Aggregate work counters of one plan execution.  Operators fold their
+/// local counters in at `close`, so nothing touches it per tuple.
 #[derive(Debug, Clone, Default)]
 struct Agg {
     index_rows: usize,
     scan_rows: usize,
     probes: usize,
     bindings: usize,
-}
-
-impl Agg {
-    fn add(&mut self, other: &Agg) {
-        self.index_rows += other.index_rows;
-        self.scan_rows += other.scan_rows;
-        self.probes += other.probes;
-        self.bindings += other.bindings;
-    }
 }
 
 type SharedAgg = Rc<RefCell<Agg>>;
@@ -274,7 +261,7 @@ fn cached_tree_range(
     }
 }
 
-/// The scan leaf's row-id domain, computed once before the workers start.
+/// The scan leaf's row-id domain, computed once before the pipeline runs.
 enum LeafDomain {
     /// `TBSCAN`: the base table's full rid range `[0, n)`.
     Rids(usize),
@@ -371,9 +358,7 @@ enum BuildBackend {
 }
 
 /// A hash join's build side: enumerated and bucketed exactly once per
-/// execution, then shared read-only by every worker pipeline (the
-/// partitioned-build alternative would duplicate the build work
-/// accounting; sharing keeps `build_rows` identical to DOP = 1).
+/// execution, before the pipeline runs, then probed read-only.
 ///
 /// In-memory builds are pure functions of (table contents, pushed-down
 /// access path, key columns), so a [`BuildCache`] may hand the same build
@@ -514,11 +499,11 @@ impl JoinBuild {
     }
 }
 
-/// Probe-side view of a Grace-partitioned build: a small per-worker cache
-/// of loaded partition bucket tables, bounded by the shared [`MemBudget`].
-/// Each worker pipeline owns one — the shared [`SpilledPartitions`] is
-/// immutable, so no locks are needed — and evicts FIFO when a new load
-/// does not fit.  A single partition larger than what is left is loaded
+/// Probe-side view of a Grace-partitioned build: a small cache of loaded
+/// partition bucket tables, bounded by the shared [`MemBudget`].  Each
+/// hash-join operator owns one — the [`SpilledPartitions`] are immutable,
+/// so no locks are needed — and evicts FIFO when a new load does not
+/// fit.  A single partition larger than what is left is loaded
 /// anyway (progress guarantee); the overshoot shows in the budget's peak.
 struct PartitionProbe<'a> {
     parts: &'a SpilledPartitions,
@@ -549,8 +534,8 @@ impl<'a> PartitionProbe<'a> {
         let pid = self.parts.partition_of(h);
         if !self.loaded.contains_key(&pid) {
             let bytes = self.parts.load_footprint(pid);
-            // Transient bookings: per-worker cache lifetime depends on
-            // scheduling, and spill decisions elsewhere must not see it.
+            // Transient bookings: spill decisions elsewhere must not see
+            // this cache, whose contents follow the probe order.
             let mut booked = self.budget.try_reserve_transient(bytes);
             while !booked {
                 let Some(victim) = self.fifo.pop_front() else {
@@ -633,8 +618,8 @@ const BUILD_BASE_COST: usize = 256;
 /// and least-recently-used builds evict when the bound trips.  Repeated
 /// queries skip re-enumerating and re-bucketing unchanged build sides;
 /// hits surface as `cache_hits` in the operator's [`OpStats`].  The
-/// cached builds are shared read-only (`Arc`) with the morsel workers of
-/// each execution, which still books `JoinBuild::reserved` against its
+/// cached builds are shared read-only (`Arc`) with each execution, which
+/// still books `JoinBuild::reserved` against its
 /// own budget — hit and miss runs make identical spill decisions.
 #[derive(Clone)]
 pub struct BuildCache {
@@ -1663,48 +1648,6 @@ impl<'a> RunProbe<'a> {
     }
 }
 
-/// Everything a worker needs to run one morsel's pipeline — borrowed,
-/// read-only, and shared by all workers of one execution.
-struct ExecCtx<'a> {
-    /// The compiled left-deep join chain, leaf first.
-    cstages: Vec<CStage<'a>>,
-    /// Prebuilt hash-join build sides, aligned with `cstages` (`None` for
-    /// the leaf and nested-loop stages).  Shared read-only — possibly with
-    /// a session [`BuildCache`].
-    builds: Vec<Option<Arc<JoinBuild>>>,
-    /// Whether the aligned build side came from the cache.
-    build_hits: Vec<bool>,
-    domain: LeafDomain,
-    /// Base tables of the stage aliases, outer-to-inner (one per batch
-    /// column).
-    tables: Vec<&'a Table>,
-    /// The plan tail's select and order columns.
-    tail: TailSpec<'a>,
-    batch_capacity: usize,
-    /// The execution's shared memory accountant (probe-side partition
-    /// caches of spilled builds reserve against it).
-    budget: Arc<MemBudget>,
-    /// Cancellation/timeout check shared by every worker; consulted at
-    /// each morsel boundary.
-    interrupt: Interrupt,
-    /// Postings memoization context for the NLJOIN–IXSCAN inner probes
-    /// (`None` when the cache is absent or disabled).  Hit/miss patterns
-    /// race across workers, so its counters live on the shared cache —
-    /// never in the per-operator [`OpStats`], which stay byte-identical
-    /// across degrees of parallelism.
-    postings: PostingsCtx<'a>,
-}
-
-/// What one morsel's pipeline produced: its tail columns (aligned with
-/// [`TailSpec::sources`]), per-operator counters (leaf first) and the
-/// aggregate counters.
-struct MorselOutput {
-    cols: Vec<TailCol>,
-    ops: Vec<OpStats>,
-    tail_rows: usize,
-    agg: Agg,
-}
-
 /// The shared warm-path caches an execution may consult: hash-join build
 /// sides and memoized `IXSCAN` posting lists.  Both are `Arc`-backed
 /// handles a serving layer shares across `Processor` instances; `Default`
@@ -1741,12 +1684,12 @@ pub struct QueryRequest<'a> {
 }
 
 /// Everything one [`QueryRequest::run`] produced: the result rows, the
-/// DOP-invariant work counters and the warm-path cache actuals of this
+/// deterministic work counters and the warm-path cache actuals of this
 /// execution ([`CacheActuals::plan_cache`] stays `None` here — plan caching
 /// happens in front of the executor, so the planning layer fills it in).
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
-    /// The result table, byte-identical across every DOP / knob setting.
+    /// The result table, byte-identical across every knob setting.
     pub rows: Table,
     /// Aggregate and per-operator work counters.
     pub stats: ExecStats,
@@ -1769,10 +1712,8 @@ impl<'a> QueryRequest<'a> {
 
     /// Pin the execution knobs (default: [`ExecConfig::from_env`]).
     ///
-    /// The result table, the per-operator EXPLAIN actuals and the
-    /// aggregate counters are identical for every `threads` /
-    /// `morsel_size` setting; `batch_capacity` additionally
-    /// only affects the reported batch counts.
+    /// `batch_capacity` affects only the reported batch counts of the
+    /// result's per-operator EXPLAIN actuals.
     pub fn config(mut self, cfg: &'a ExecConfig) -> QueryRequest<'a> {
         self.config = Some(cfg);
         self
@@ -1798,7 +1739,7 @@ impl<'a> QueryRequest<'a> {
         self
     }
 
-    /// Observe a cancellation token at morsel boundaries and inside the
+    /// Observe a cancellation token once per leaf batch and inside the
     /// spill machinery.
     pub fn cancel(mut self, token: &'a CancelToken) -> QueryRequest<'a> {
         self.cancel = Some(token);
@@ -1821,7 +1762,7 @@ impl<'a> QueryRequest<'a> {
         };
         // Postings counters live on the (shared, concurrent) cache, so the
         // actuals are before/after deltas — telemetry that may include
-        // concurrent traffic, not DOP-invariant actuals.
+        // concurrent queries' traffic, not deterministic actuals.
         let postings = self.caches.postings.filter(|_| cfg.postings_cache);
         let postings0 = postings.map(|p| (p.hits(), p.lookups()));
         let (rows, stats) = run_with_caches(self.plan, self.db, cfg, self.caches, self.cancel)?;
@@ -1888,7 +1829,6 @@ fn run_with_caches(
     } else {
         None
     };
-    let threads = cfg.threads.max(1);
     let cap = cfg.batch_capacity.max(1);
     let mut mem_budget = cfg.mem_budget;
     let dir = xqjg_store::spill_dir(cfg.spill_dir.as_deref());
@@ -1925,7 +1865,7 @@ fn run_with_caches(
         .collect();
 
     // Pre-phase: resolve the leaf domain and build (or fetch from the
-    // session cache) all hash-join build sides once, on the coordinator.
+    // session cache) all hash-join build sides once.
     let mut pre_agg = Agg::default();
     let leaf = &stages[0];
     let domain = match leaf.access {
@@ -1974,40 +1914,17 @@ fn run_with_caches(
 
     let aliases: Vec<String> = stages.iter().map(|s| s.alias.to_string()).collect();
     let tables: Vec<&Table> = stages.iter().map(|s| s.base).collect();
-    let tail = TailSpec::resolve(plan, &aliases, &tables);
-    let ctx = ExecCtx {
-        cstages,
-        builds,
-        build_hits,
-        domain,
-        tables,
-        tail,
-        batch_capacity: cap,
-        budget: spill.budget.clone(),
-        interrupt: interrupt.clone(),
-        postings: postings_ctx,
-    };
+    let spec = TailSpec::resolve(plan, &aliases, &tables);
 
-    // Parallel + merge phase: workers drain the morsel queue, each running
-    // a private pipeline instance per morsel that gathers the tail columns,
-    // and the coordinator consumes each morsel's output in morsel order
-    // *as it completes*.  Per-morsel counters sum to the sequential
-    // counters, and morsel-ordered consumption restores the sequential
-    // scan order before the distinct/sort pass.  Without a memory budget
-    // the chunks are appended column by column and the tail runs as one
-    // columnar pass at the end ([`finish_tail`]).  Under a budget the
-    // sorter is the pipeline breaker: the chunks' rows stream straight
-    // into it, so it can flush sorted runs to disk while the workers are
-    // still scanning (the run boundaries depend only on the morsel-ordered
-    // row stream and the budget, so the spill counters — like every other
-    // actual — are identical across degrees of parallelism).
-    let morsel_size = effective_morsel_size(ctx.domain.len(), threads, cfg.morsel_size);
-    let morsels = partition_morsels(ctx.domain.len(), morsel_size);
-    let mut agg = pre_agg;
-    let mut per_morsel_ops: Vec<Vec<OpStats>> = Vec::new();
-    let mut tail_rows_in = 0usize;
+    // One pipeline over the whole leaf domain; each batch is consumed as
+    // it is produced.  Without a memory budget the batches are gathered
+    // into the tail columns and the tail runs as one columnar pass at the
+    // end ([`finish_tail`]).  Under a budget the sorter is the pipeline
+    // breaker: every batch's rows go straight into it, so it can flush
+    // sorted runs to disk while the leaf is still scanning (the run
+    // boundaries depend only on the row stream and the budget).
     let budgeted = spill.budget.limit().is_some();
-    let mut cols = ctx.tail.columns();
+    let mut cols = spec.columns();
     let mut sorter = ExternalSorter::new(spill.budget.clone(), spill.dir.clone());
     sorter.set_retries(cfg.spill_retries);
     sorter.set_interrupt(interrupt.clone());
@@ -2018,48 +1935,89 @@ fn run_with_caches(
     // order of a dedup set, with both passes free to spill.
     let sort_distinct = plan.distinct && budgeted;
     let mut seq = 0u64;
-    try_execute_morsels_streaming(
-        threads,
-        morsels,
-        |_, m| run_morsel(&ctx, m),
-        |_, o: MorselOutput| {
-            agg.add(&o.agg);
-            tail_rows_in += o.tail_rows;
-            per_morsel_ops.push(o.ops);
-            if !budgeted {
-                for (col, chunk) in cols.iter_mut().zip(o.cols) {
-                    col.append(chunk);
-                }
-                return Ok(());
+    let sink = new_stats_sink();
+    let agg: SharedAgg = Rc::new(RefCell::new(pre_agg));
+    let err: ErrSlot = Rc::new(RefCell::new(None));
+    let mut op: Box<dyn ColOperator + '_> = Box::new(ColScanLeaf::new(
+        &cstages[0],
+        &domain,
+        cap,
+        sink.clone(),
+        agg.clone(),
+        interrupt.clone(),
+        err.clone(),
+    ));
+    for (cstage, build) in cstages[1..].iter().zip(&builds[1..]) {
+        op = match build {
+            Some(b) => Box::new(ColHashJoin::new(
+                op,
+                cstage,
+                b.as_ref(),
+                &budget,
+                cap,
+                sink.clone(),
+                agg.clone(),
+                err.clone(),
+            )),
+            None => Box::new(ColNLJoin::new(
+                op,
+                cstage,
+                cap,
+                sink.clone(),
+                agg.clone(),
+                postings_ctx,
+            )),
+        };
+    }
+    op.open();
+    let mut tail_rows_in = 0usize;
+    while let Some(batch) = op.next_batch() {
+        tail_rows_in += batch.live();
+        if !budgeted {
+            spec.gather(&batch, &tables, &mut cols);
+            continue;
+        }
+        let mut chunk = spec.columns();
+        spec.gather(&batch, &tables, &mut chunk);
+        for i in 0..batch.live() {
+            let sel = values_at(&chunk, &spec.select, i);
+            let key = values_at(&chunk, &spec.order, i);
+            if sort_distinct {
+                // Pass-1 record: keyed by the select row; the payload
+                // carries (original sequence, order key, select row).
+                let mut payload: Row = Vec::with_capacity(1 + key.len() + sel.len());
+                payload.push(Value::Int(seq as i64));
+                payload.extend(key);
+                payload.extend(sel.iter().cloned());
+                sorter.push(sel, payload)?;
+                seq += 1;
+            } else {
+                sorter.push(key, sel)?;
             }
-            for i in 0..o.tail_rows {
-                let sel = values_at(&o.cols, &ctx.tail.select, i);
-                let key = values_at(&o.cols, &ctx.tail.order, i);
-                if sort_distinct {
-                    // Pass-1 record: keyed by the select row; the payload
-                    // carries (original sequence, order key, select row).
-                    let mut payload: Row = Vec::with_capacity(1 + key.len() + sel.len());
-                    payload.push(Value::Int(seq as i64));
-                    payload.extend(key);
-                    payload.extend(sel.iter().cloned());
-                    sorter.push(sel, payload)?;
-                    seq += 1;
-                } else {
-                    sorter.push(key, sel)?;
-                }
-            }
-            Ok(())
-        },
-    )?;
-    let mut operators = merge_worker_stats(&per_morsel_ops, cap);
-    // Fetch work done once on the coordinator — the IXSCAN leaf's range
+        }
+    }
+    op.close();
+    drop(op);
+    if let Some(e) = err.take() {
+        return Err(e);
+    }
+    let mut agg = agg.take();
+    let mut operators = sink.take();
+    // EXPLAIN reports each operator's batch count as `ceil(rows_out /
+    // cap)`, its count of full batches: the leaf's filters thin its
+    // batches and one join probe may overfill one, so raw counts
+    // would move with how rows happen to fall into batches.
+    for op in &mut operators {
+        op.batches = op.rows_out.div_ceil(cap);
+    }
+    // Fetch work done before the pipeline ran — the IXSCAN leaf's range
     // scan, fresh hash-join build enumerations — belongs to its operator.
-    if let (Some(leaf), LeafDomain::Postings(rids)) = (operators.first_mut(), &ctx.domain) {
+    if let (Some(leaf), LeafDomain::Postings(rids)) = (operators.first_mut(), &domain) {
         leaf.fetched += rids.len();
     }
-    for (i, (op, build)) in operators.iter_mut().zip(&ctx.builds).enumerate() {
+    for (i, (op, build)) in operators.iter_mut().zip(&builds).enumerate() {
         if let Some(b) = build {
-            if !ctx.build_hits[i] {
+            if !build_hits[i] {
                 op.fetched += b.fetched_scan + b.fetched_index;
             }
             op.build_rows += b.build_rows;
@@ -2067,7 +2025,7 @@ fn run_with_caches(
             op.spill_bytes += b.spill_bytes;
             op.partitions += b.partitions;
             op.retries += b.retries;
-            if ctx.build_hits[i] {
+            if build_hits[i] {
                 op.cache_hits += 1;
             }
         }
@@ -2084,12 +2042,12 @@ fn run_with_caches(
     tail.rows_in = tail_rows_in;
     tail.build_rows = tail_rows_in;
     let rows: Vec<Row> = if !budgeted {
-        let (rows, kernel_rows) = finish_tail(&ctx.tail, &cols, tail_rows_in, plan.distinct);
+        let (rows, kernel_rows) = finish_tail(&spec, &cols, tail_rows_in, plan.distinct);
         tail.kernel_rows = kernel_rows;
         rows
     } else {
         let sorted = if sort_distinct {
-            sort_distinct_two_pass(sorter, ctx.tail.order.len(), &spill)?
+            sort_distinct_two_pass(sorter, spec.order.len(), &spill)?
         } else {
             sorter.finish()?
         };
@@ -2172,70 +2130,6 @@ fn sort_distinct_two_pass(
     sorted.typed_rows += typed1;
     sorted.retries += retries1;
     Ok(sorted)
-}
-
-/// Run one morsel through a private pipeline instance: the columnar leaf
-/// over the morsel's domain slice, batch-at-a-time join probes, and the
-/// tail columns gathered batch by batch ([`TailSpec::gather`]).  The stats
-/// sink and aggregate counters live and die inside this call — workers
-/// never share mutable state.
-fn run_morsel(ctx: &ExecCtx<'_>, m: Morsel) -> Result<MorselOutput, ExecError> {
-    // One interrupt check per morsel bounds cancellation/timeout latency to
-    // a morsel's worth of work without a per-row atomic load.
-    ctx.interrupt.check()?;
-    let sink = new_stats_sink();
-    let agg: SharedAgg = Rc::new(RefCell::new(Agg::default()));
-    let err: ErrSlot = Rc::new(RefCell::new(None));
-    let mut op: Box<dyn ColOperator + '_> = Box::new(ColScanLeaf::new(
-        &ctx.cstages[0],
-        &ctx.domain,
-        m,
-        ctx.batch_capacity,
-        sink.clone(),
-        agg.clone(),
-    ));
-    for (cstage, build) in ctx.cstages[1..].iter().zip(&ctx.builds[1..]) {
-        op = match build {
-            Some(b) => Box::new(ColHashJoin::new(
-                op,
-                cstage,
-                b.as_ref(),
-                &ctx.budget,
-                ctx.batch_capacity,
-                sink.clone(),
-                agg.clone(),
-                err.clone(),
-            )),
-            None => Box::new(ColNLJoin::new(
-                op,
-                cstage,
-                ctx.batch_capacity,
-                sink.clone(),
-                agg.clone(),
-                ctx.postings,
-            )),
-        };
-    }
-    op.open();
-    let mut cols = ctx.tail.columns();
-    let mut tail_rows = 0usize;
-    while let Some(batch) = op.next_batch() {
-        tail_rows += batch.live();
-        ctx.tail.gather(&batch, &ctx.tables, &mut cols);
-    }
-    op.close();
-    drop(op);
-    if let Some(e) = err.borrow_mut().take() {
-        return Err(e);
-    }
-    let ops = sink.borrow().clone();
-    let agg = agg.borrow().clone();
-    Ok(MorselOutput {
-        cols,
-        ops,
-        tail_rows,
-        agg,
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -2400,8 +2294,8 @@ fn values_at(cols: &[TailCol], which: &[usize], i: usize) -> Row {
     which.iter().map(|&c| cols[c].value(i)).collect()
 }
 
-/// One tail column's gathered values: a morsel's chunk, or — once the
-/// coordinator has appended every chunk in morsel order — the execution's.
+/// One tail column's gathered values: one batch's under a budget, else
+/// the whole execution's.
 enum TailCol {
     /// Integers; a cleared validity bit is a NULL (its slot holds the
     /// image's sentinel).
@@ -2422,39 +2316,6 @@ fn mix(h: u64, x: u64) -> u64 {
 }
 
 impl TailCol {
-    fn len(&self) -> usize {
-        match self {
-            TailCol::I64 { vals, .. } => vals.len(),
-            TailCol::Value(vals) => vals.len(),
-        }
-    }
-
-    /// Append the next chunk of the same column.
-    fn append(&mut self, chunk: TailCol) {
-        if self.len() == 0 {
-            *self = chunk;
-            return;
-        }
-        match (self, chunk) {
-            (
-                TailCol::I64 { vals, validity },
-                TailCol::I64 {
-                    vals: more,
-                    validity: more_validity,
-                },
-            ) => {
-                vals.extend_from_slice(&more);
-                if let (Some(m), Some(more_m)) = (validity, more_validity) {
-                    for i in 0..more_m.len() {
-                        m.push(more_m.get(i));
-                    }
-                }
-            }
-            (TailCol::Value(vals), TailCol::Value(more)) => vals.extend(more),
-            _ => unreachable!("chunks of one column share its representation"),
-        }
-    }
-
     #[inline]
     fn is_valid(validity: &Option<BitMask>, i: usize) -> bool {
         validity.as_ref().is_none_or(|m| m.get(i))
@@ -2634,21 +2495,16 @@ fn sort_rows(order: &[&TailCol], mut rows: Vec<u32>) -> Vec<u32> {
 // The columnar operator repertoire.
 // ---------------------------------------------------------------------
 
-/// One morsel's slice of the [`LeafDomain`] and the scan position in it.
-enum DomainCursor<'a> {
-    /// Full scan: next rid to examine and the morsel's end rid.
-    Rids { next: usize, end: usize },
-    /// Index scan: the morsel's slice of the posting list and the cursor.
-    Postings { rids: &'a [usize], pos: usize },
-}
-
-/// Columnar scan leaf: fills one rid column directly from the morsel's
-/// domain slice (a bulk extend, not a per-tuple push), then evaluates each
-/// pushed-down predicate column-at-a-time into the selection vector.  Each
-/// call scans `cap` domain positions.
+/// Columnar scan leaf: fills one rid column directly from the leaf domain
+/// (a bulk extend, not a per-tuple push), then evaluates each pushed-down
+/// predicate column-at-a-time into the selection vector.  Each call scans
+/// `cap` domain positions, and each scan first polls the interrupt, so a
+/// cancelled or timed-out query stops within one batch of leaf work.
 struct ColScanLeaf<'a> {
     stage: &'a CStage<'a>,
-    cursor: DomainCursor<'a>,
+    domain: &'a LeafDomain,
+    /// Next domain position to scan.
+    pos: usize,
     cap: usize,
     /// Rows surviving the pushed-down filters (TBSCAN accounting).
     scan_rows: usize,
@@ -2665,27 +2521,21 @@ struct ColScanLeaf<'a> {
     stats: OpStats,
     sink: StatsSink,
     agg: SharedAgg,
+    interrupt: Interrupt,
+    /// Where a cancellation or timeout is reported; the leaf then stops.
+    err: ErrSlot,
 }
 
 impl<'a> ColScanLeaf<'a> {
     fn new(
         stage: &'a CStage<'a>,
         domain: &'a LeafDomain,
-        m: Morsel,
         cap: usize,
         sink: StatsSink,
         agg: SharedAgg,
+        interrupt: Interrupt,
+        err: ErrSlot,
     ) -> Self {
-        let cursor = match domain {
-            LeafDomain::Rids(n) => DomainCursor::Rids {
-                next: m.start.min(*n),
-                end: m.end.min(*n),
-            },
-            LeafDomain::Postings(rids) => DomainCursor::Postings {
-                rids: &rids[m.start..m.end],
-                pos: 0,
-            },
-        };
         let mut kernel_terms: Vec<MaskTerm<'a>> = Vec::new();
         let mut scalar_preds: Vec<usize> = Vec::new();
         for (pi, tp) in stage.typed_preds.iter().enumerate() {
@@ -2696,7 +2546,8 @@ impl<'a> ColScanLeaf<'a> {
         }
         ColScanLeaf {
             stage,
-            cursor,
+            domain,
+            pos: 0,
             cap,
             scan_rows: 0,
             kernel_terms,
@@ -2706,6 +2557,8 @@ impl<'a> ColScanLeaf<'a> {
             stats: OpStats::named(stage.label.clone()),
             sink,
             agg,
+            interrupt,
+            err,
         }
     }
 }
@@ -2716,23 +2569,20 @@ impl ColOperator for ColScanLeaf<'_> {
     fn next_batch(&mut self) -> Option<ColumnBatch> {
         let base = self.stage.base;
         loop {
+            if let Err(e) = self.interrupt.check() {
+                self.err.borrow_mut().get_or_insert(e);
+                return None;
+            }
+            let (start, n) = (self.pos, self.cap.min(self.domain.len() - self.pos));
+            if n == 0 {
+                return None;
+            }
+            self.pos += n;
             let mut out = ColumnBatch::new(1, self.cap);
-            match &mut self.cursor {
-                DomainCursor::Rids { next, end } => {
-                    let n = self.cap.min(*end - *next);
-                    if n == 0 {
-                        return None;
-                    }
-                    out.col_mut(0).extend(*next..*next + n);
-                    *next += n;
-                }
-                DomainCursor::Postings { rids, pos } => {
-                    let n = self.cap.min(rids.len() - *pos);
-                    if n == 0 {
-                        return None;
-                    }
-                    out.col_mut(0).extend_from_slice(&rids[*pos..*pos + n]);
-                    *pos += n;
+            match self.domain {
+                LeafDomain::Rids(_) => out.col_mut(0).extend(start..start + n),
+                LeafDomain::Postings(rids) => {
+                    out.col_mut(0).extend_from_slice(&rids[start..start + n])
                 }
             }
             // Column-at-a-time filtering: every typed-lowered predicate
@@ -3034,9 +2884,8 @@ impl<'a> ColNLJoin<'a> {
                 self.rid_buf.clear();
                 self.rid_buf.extend_from_slice(list);
                 if !static_terms.is_empty() {
-                    // Per-probe accounting (the probe count is invariant
-                    // across DOP and morsel size, operator-instance counts
-                    // are not): each probe consumes the kernel-built list.
+                    // Per-probe accounting: each probe consumes the
+                    // kernel-built list.
                     self.stats.kernel_rows += self.rid_buf.len();
                 }
             }
@@ -3160,7 +3009,7 @@ struct ProbeState {
 }
 
 /// Columnar hash-join probe over a shared (possibly cached) build side.
-/// A spilled build is probed through a per-worker [`PartitionProbe`]
+/// A spilled build is probed through the operator's [`PartitionProbe`]
 /// cache.
 struct ColHashJoin<'a> {
     input: Box<dyn ColOperator + 'a>,
@@ -3172,8 +3021,8 @@ struct ColHashJoin<'a> {
     stats: OpStats,
     sink: StatsSink,
     agg: SharedAgg,
-    /// First partition-load failure of this morsel's pipeline; once set the
-    /// operator stops producing batches.
+    /// The execution's first failure (a partition load here, or the
+    /// leaf's interrupt); once set the operator stops producing batches.
     err: ErrSlot,
 }
 
@@ -3915,35 +3764,6 @@ mod tests {
     }
 
     #[test]
-    fn dop_and_morsel_size_do_not_change_results_or_actuals() {
-        let db = db();
-        let reference = ExecConfig::sequential();
-        for sql in [
-            Q1_LIKE.to_string(),
-            "SELECT d1.pre AS p FROM doc AS d1 WHERE d1.kind = 'ELEM' ORDER BY d1.pre".to_string(),
-        ] {
-            let q = parse_sql(&sql).unwrap();
-            let plan = optimize(&q, &db).unwrap();
-            let (t_ref, s_ref) = run(&plan, &db, &reference);
-            for threads in [1, 2, 4] {
-                // Tiny morsels force multi-morsel merging even on this
-                // 9-row fixture.
-                for morsel_size in [1, 3, xqjg_store::DEFAULT_MORSEL_SIZE] {
-                    let cfg = ExecConfig::sequential()
-                        .with_threads(threads)
-                        .with_morsel_size(morsel_size);
-                    let (t, s) = run(&plan, &db, &cfg);
-                    assert_eq!(t, t_ref, "rows differ: {sql} DOP={threads}");
-                    assert_eq!(
-                        s, s_ref,
-                        "stats differ: {sql} DOP={threads} morsel={morsel_size}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn batch_capacity_sweeps_change_only_batch_counts() {
         let db = db();
         let q = parse_sql(Q1_LIKE).unwrap();
@@ -4084,25 +3904,21 @@ mod tests {
             builds: None,
             postings: Some(&pc),
         };
-        for threads in [1, 4] {
-            let cfg = ExecConfig::sequential()
-                .with_threads(threads)
-                .with_postings_cache(true);
-            let with = |caches: ExecCaches<'_>| {
-                let out = QueryRequest::new(&plan, &db)
-                    .config(&cfg)
-                    .caches(caches)
-                    .expect_run();
-                (out.rows, out.stats)
-            };
-            let (t0, s0) = with(ExecCaches::default());
-            let (t1, s1) = with(caches);
-            let (t2, s2) = with(caches);
-            assert_eq!(t0, t1, "cold cached run matches uncached");
-            assert_eq!(t1, t2, "warm run matches cold");
-            assert_eq!(s0, s1, "actuals identical with the cache cold");
-            assert_eq!(s1, s2, "actuals identical hit or miss");
-        }
+        let cfg = ExecConfig::sequential().with_postings_cache(true);
+        let with = |caches: ExecCaches<'_>| {
+            let out = QueryRequest::new(&plan, &db)
+                .config(&cfg)
+                .caches(caches)
+                .expect_run();
+            (out.rows, out.stats)
+        };
+        let (t0, s0) = with(ExecCaches::default());
+        let (t1, s1) = with(caches);
+        let (t2, s2) = with(caches);
+        assert_eq!(t0, t1, "cold cached run matches uncached");
+        assert_eq!(t1, t2, "warm run matches cold");
+        assert_eq!(s0, s1, "actuals identical with the cache cold");
+        assert_eq!(s1, s2, "actuals identical hit or miss");
         assert!(pc.hits() > 0, "repeated probes hit the postings cache");
         assert!(pc.lookups() > pc.hits(), "cold lookups missed first");
     }
@@ -4211,29 +4027,16 @@ mod tests {
             for residual in [vec![], vec![level.clone()]] {
                 let db = prefix_run_db();
                 let plan = prefix_run_plan(name_is_o.clone(), upper.clone(), residual);
+                // The materializing oracle walks the B-tree on every probe.
                 let (t_ref, agg_ref) = execute_materialized_with_stats(&plan, &db);
                 assert!(agg_ref.probes >= 3000, "{}", agg_ref.probes);
-                // One-row morsels: every operator instance probes once, so
-                // no run is built — the B-tree path's per-operator actuals.
-                let ops_ref = |cap: usize| {
-                    let cfg = ExecConfig::sequential()
-                        .with_morsel_size(1)
-                        .with_batch_capacity(cap);
-                    run(&plan, &db, &cfg).1
-                };
-                let refs = [ops_ref(1), ops_ref(1024)];
-                assert_eq!(db.prefix_runs_built(), 0, "single probes never build a run");
-                for threads in [1, 4] {
-                    for (cap, s_ref) in [1, 1024].into_iter().zip(&refs) {
-                        let cfg = ExecConfig::sequential()
-                            .with_threads(threads)
-                            .with_batch_capacity(cap);
-                        let (t, s) = run(&plan, &db, &cfg);
-                        let what = format!("{upper} DOP {threads} cap {cap}");
-                        assert_eq!(t, t_ref, "{what}: rows and their order");
-                        assert_aggregates_match(&s, &agg_ref, &what);
-                        assert_eq!(&s, s_ref, "{what}: per-operator actuals");
-                    }
+                for cap in [1, 1024] {
+                    let cfg = ExecConfig::sequential().with_batch_capacity(cap);
+                    let (t, s) = run(&plan, &db, &cfg);
+                    let what = format!("{upper} cap {cap}");
+                    assert_eq!(t, t_ref, "{what}: rows and their order");
+                    assert_aggregates_match(&s, &agg_ref, &what);
+                    assert_join_levels_match(&s, &agg_ref, &what);
                 }
                 assert_eq!(
                     db.prefix_runs_built(),
@@ -4242,6 +4045,56 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_run_stage_walks_the_btree_once_per_execution() {
+        // 6 000 leaf rows feed 3 000 probes into one NLJOIN operator.
+        let db = prefix_run_db();
+        let name_is_o = SqlPredicate::new(SqlExpr::col("o", "name"), SqlCmp::Eq, SqlExpr::lit("o"));
+        let upper = SqlExpr::col("o", "pre") + SqlExpr::lit(9i64);
+        let plan = prefix_run_plan(name_is_o, upper, vec![]);
+        let pc = xqjg_store::PostingsCache::new();
+        let cfg = ExecConfig::sequential().with_postings_cache(true);
+        for pass in ["cold", "warm"] {
+            let out = QueryRequest::new(&plan, &db)
+                .config(&cfg)
+                .postings_cache(&pc)
+                .expect_run();
+            assert!(out.stats.probes >= 3000, "{}", out.stats.probes);
+            assert_eq!(
+                out.cache_actuals.postings_lookups, 1,
+                "{pass}: only the first probe walks the B-tree"
+            );
+        }
+        assert_eq!(db.prefix_runs_built(), 1, "one run for both executions");
+    }
+
+    #[test]
+    fn the_leaf_polls_cancellation_and_the_deadline() {
+        // No hash build and no budget: the leaf's per-batch poll is the
+        // only interrupt check this plan passes.
+        let db = prefix_run_db();
+        let name_is_o = SqlPredicate::new(SqlExpr::col("o", "name"), SqlCmp::Eq, SqlExpr::lit("o"));
+        let upper = SqlExpr::col("o", "pre") + SqlExpr::lit(9i64);
+        let plan = prefix_run_plan(name_is_o, upper, vec![]);
+        let cfg = ExecConfig::sequential().with_mem_budget(None);
+        let token = CancelToken::new();
+        token.cancel();
+        let run = |cfg: &ExecConfig| {
+            QueryRequest::new(&plan, &db)
+                .config(cfg)
+                .cancel(&token)
+                .run()
+        };
+        assert_eq!(run(&cfg).unwrap_err(), ExecError::Cancelled);
+        token.clear();
+        let expired = cfg
+            .clone()
+            .with_query_timeout(Some(std::time::Duration::from_nanos(1)));
+        let err = run(&expired).unwrap_err();
+        assert!(matches!(err, ExecError::Timeout { .. }), "{err}");
+        assert!(run(&cfg).is_ok(), "a cleared token executes");
     }
 
     #[test]
@@ -4404,29 +4257,23 @@ mod tests {
     }
 
     #[test]
-    fn spilled_executions_agree_across_dop_and_budgets() {
+    fn spilled_executions_agree_across_budgets() {
         let db = big_db(1200);
         let q = parse_sql(SPILL_SQL).unwrap();
         let plan = optimize(&q, &db).unwrap();
         let (t_ref, s_ref) = run(&plan, &db, &ExecConfig::sequential().with_mem_budget(None));
         for budget in [Some(8 * 1024), Some(64 * 1024), None] {
-            for threads in [1, 4] {
-                let cfg = ExecConfig::sequential()
-                    .with_mem_budget(budget)
-                    .with_threads(threads)
-                    .with_morsel_size(64);
-                let (t, s) = run(&plan, &db, &cfg);
-                assert_eq!(t, t_ref, "budget {budget:?} DOP {threads}");
-                let sans: Vec<OpStats> = s.operators.iter().map(OpStats::sans_spill).collect();
-                let sans_ref: Vec<OpStats> =
-                    s_ref.operators.iter().map(OpStats::sans_spill).collect();
-                assert_eq!(sans, sans_ref, "actuals modulo spill drifted");
-            }
+            let cfg = ExecConfig::sequential().with_mem_budget(budget);
+            let (t, s) = run(&plan, &db, &cfg);
+            assert_eq!(t, t_ref, "budget {budget:?}");
+            let sans: Vec<OpStats> = s.operators.iter().map(OpStats::sans_spill).collect();
+            let sans_ref: Vec<OpStats> = s_ref.operators.iter().map(OpStats::sans_spill).collect();
+            assert_eq!(sans, sans_ref, "actuals modulo spill drifted");
         }
     }
 
     #[test]
-    fn spill_counters_identical_across_dop_at_fixed_budget() {
+    fn spill_counters_identical_across_batch_capacities_at_fixed_budget() {
         let db = big_db(1500);
         let q = parse_sql(SPILL_SQL).unwrap();
         let plan = optimize(&q, &db).unwrap();
@@ -4440,16 +4287,27 @@ mod tests {
             reference.1.operators.iter().any(|o| o.spill_runs > 0),
             "fixture must spill"
         );
-        for threads in [2, 4] {
+        // Spill runs are cut from the row stream alone, however the rows
+        // are batched.
+        for cap in [1, 7] {
             let cfg = ExecConfig::sequential()
                 .with_mem_budget(budget)
-                .with_threads(threads)
-                .with_morsel_size(32);
+                .with_batch_capacity(cap);
             let got = run(&plan, &db, &cfg);
             assert_eq!(got.0, reference.0);
+            let sans_batches = |s: &ExecStats| -> Vec<OpStats> {
+                s.operators
+                    .iter()
+                    .map(|o| OpStats {
+                        batches: 0,
+                        ..o.clone()
+                    })
+                    .collect()
+            };
             assert_eq!(
-                got.1, reference.1,
-                "full actuals (spill counters included) must be DOP-invariant"
+                sans_batches(&got.1),
+                sans_batches(&reference.1),
+                "full actuals but batches (spill counters included) at capacity {cap}"
             );
         }
         // Spilling changes where the rows wait, never which rows come back

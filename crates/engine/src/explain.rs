@@ -56,14 +56,13 @@
 //!
 //! * `sel` — the operator's measured selectivity (`rows_out / rows_in`;
 //!   values above 1 mean the operator expands, as joins do), and
-//! * `avg_vec` — the average vector length (`rows_out / batches`), i.e.
-//!   how full the batches the operator shipped downstream actually were;
-//!   a scan leaf reads `batch_capacity` domain positions per batch, so a
-//!   filtered leaf ships batches below capacity.
+//! * `avg_vec` — the average vector length (`rows_out / batches`).
 //!
-//! The actuals are byte-identical across degrees of parallelism (the
-//! spill counters included, because spill decisions are made on the
-//! coordinator against the morsel-ordered row stream).  Per join level,
+//! The actuals are deterministic, the spill counters included: spill
+//! decisions depend only on the row stream and the budget.  `batches` is
+//! reported as `ceil(rows_out / batch_capacity)`, the count of full
+//! batches (a filtered leaf really ships shorter ones), so the batch
+//! capacity moves nothing else.  Per join level,
 //! `rows_out`, `fetched` and `probes` equal what the materializing
 //! executor reports (the typed parity suite).  Across *budgets* the
 //! actuals additionally agree modulo the spill counters (the spill parity
@@ -78,15 +77,15 @@
 //!   (the sum of the per-operator `cache_hits` actuals), and
 //! * `postings=H/L` — memoized `IXSCAN` posting-list hits over lookups
 //!   *during this execution*.  Only probes that walk the B-tree count:
-//!   the leaf scan, hash-join builds, each NLJOIN operator instance's
-//!   first probe, and probes whose equality prefix depends on the outer
+//!   the leaf scan, hash-join builds, each NLJOIN operator's first probe
+//!   (once per execution), and probes whose equality prefix depends on the outer
 //!   row or whose bounds are not integers.  Repeat probes under a literal
 //!   prefix search the index's prefix run instead and look nothing up
 //!   (see `ColNLJoin::fetch_index`).  Unlike every counter above these are
-//!   **cache-wide deltas, not per-operator actuals**: at DOP > 1 the
-//!   workers race for cold keys, so which probe hits is
-//!   scheduling-dependent even though results and every `OpStats` line
-//!   stay byte-identical.  Treat `postings=` as telemetry, not as a
+//!   **cache-wide deltas, not per-operator actuals**: the cache is shared
+//!   by concurrent queries, so another session's probes can warm a key
+//!   or count into the delta, even though results and every `OpStats`
+//!   line stay byte-identical.  Treat `postings=` as telemetry, not as a
 //!   parity-checked actual.
 
 use crate::exec::ExecStats;
@@ -134,7 +133,7 @@ pub fn explain_with_stats(plan: &PhysPlan, stats: &ExecStats) -> String {
 /// Warm-path cache telemetry of one execution, rendered by
 /// [`explain_with_caches`] (see the module docs for the semantics of each
 /// field — the postings counters are cache-wide deltas, not
-/// DOP-invariant actuals).
+/// per-execution actuals).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheActuals {
     /// `Some(true)` = plan served from the plan cache, `Some(false)` =

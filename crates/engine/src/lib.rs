@@ -9,7 +9,7 @@
 //! 2. [`optimizer::optimize`] — cost-based access-path selection and join
 //!    tree planning over the catalog's B-tree indexes and statistics,
 //! 3. [`exec::QueryRequest`] — the one execution entry point: pipelined,
-//!    morsel-parallel, columnar execution through a tree of pull-based
+//!    columnar execution, one pipeline per query, through a tree of pull-based
 //!    operators (scan leaves, index nested-loop and build-once hash joins,
 //!    the duplicate-eliminating SORT plan tail); the seed's
 //!    materialize-everything strategy survives as the [`materialize`]

@@ -22,7 +22,8 @@
 //! the corresponding node trees — the same `open` / `next_batch` / `close`
 //! protocol (and the same [`OpStats`] work accounting) the relational
 //! executor and the stacked-plan evaluator use, so Table IX compares three
-//! strategies on one runtime.
+//! strategies on one runtime.  Each evaluation is one XISCAN → XSCAN
+//! pipeline over every candidate segment, on the calling thread.
 //!
 //! Limitation (shared with the paper's segmented setup): segmented
 //! evaluation is segment-local, so queries joining nodes that live in
@@ -31,8 +32,8 @@
 
 use std::collections::HashMap;
 use xqjg_store::{
-    drain, effective_morsel_size, execute_morsels, merge_worker_stats, new_stats_sink,
-    partition_morsels, Batch, BoxedOperator, ExecConfig, OpStats, Operator, StatsSink, VecSource,
+    drain, new_stats_sink, Batch, BoxedOperator, ExecConfig, OpStats, Operator, StatsSink,
+    VecSource,
 };
 use xqjg_xml::axis::{children_of, step};
 use xqjg_xml::{Axis, DocTable, NodeKind, NodeTest, Pre};
@@ -184,16 +185,12 @@ impl<'a> PureXmlStore<'a> {
         }
     }
 
-    /// The XISCAN → XSCAN pipeline behind [`XmlQueryRequest::run`].
-    ///
-    /// The XISCAN candidate list is partitioned into morsels on the same
-    /// exchange the relational executor uses: each worker runs a private
-    /// XISCAN → XSCAN pipeline over one morsel of candidate segments at a
-    /// time, and the per-worker counters merge back into the sequential
-    /// counters — so Table IX comparisons stay apples-to-apples across
-    /// degrees of parallelism.
+    /// The XISCAN → XSCAN pipeline behind [`XmlQueryRequest::run`]: one
+    /// pipeline over every candidate segment.  Both operators fill each
+    /// batch before handing it on, so their batch counts are
+    /// `ceil(rows_out / batch_capacity)`, the rule the relational
+    /// executor's EXPLAIN reports.
     fn run_pipeline(&self, core: &CoreExpr, cfg: &ExecConfig) -> (Vec<Pre>, Vec<OpStats>) {
-        let threads = cfg.threads.max(1);
         let cap = cfg.batch_capacity.max(1);
         // XISCAN: try to narrow the candidate segments via an eligible
         // value-index lookup.
@@ -201,35 +198,22 @@ impl<'a> PureXmlStore<'a> {
             Some(segs) => (segs, "XISCAN(value index)"),
             None => ((0..self.segments.len()).collect(), "XISCAN(all segments)"),
         };
-        let morsel_size = effective_morsel_size(candidates.len(), threads, cfg.morsel_size);
-        let morsels = partition_morsels(candidates.len(), morsel_size);
-        let runs: Vec<(Vec<Pre>, Vec<OpStats>)> = execute_morsels(threads, morsels, |_, m| {
-            let sink = new_stats_sink();
-            let xiscan: XiScanOp =
-                VecSource::new(name, candidates[m.range()].to_vec(), Some(sink.clone()))
-                    .with_batch_capacity(cap);
-            // XSCAN: traverse the morsel's candidate segments.
-            let mut xscan = XScanOp {
-                store: self,
-                core,
-                input: Box::new(xiscan),
-                pending: Vec::new(),
-                ppos: 0,
-                cap,
-                stats: OpStats::named("XSCAN"),
-                sink: sink.clone(),
-            };
-            let items = drain(&mut xscan);
-            let stats = sink.borrow().clone();
-            (items, stats)
-        });
-        let mut out = Vec::new();
-        let mut per_morsel: Vec<Vec<OpStats>> = Vec::with_capacity(runs.len());
-        for (items, ops) in runs {
-            out.extend(items);
-            per_morsel.push(ops);
-        }
-        let stats = merge_worker_stats(&per_morsel, cap);
+        let sink = new_stats_sink();
+        let xiscan: XiScanOp =
+            VecSource::new(name, candidates, Some(sink.clone())).with_batch_capacity(cap);
+        // XSCAN: traverse the candidate segments.
+        let mut xscan = XScanOp {
+            store: self,
+            core,
+            input: Box::new(xiscan),
+            pending: Vec::new(),
+            ppos: 0,
+            cap,
+            stats: OpStats::named("XSCAN"),
+            sink: sink.clone(),
+        };
+        let mut out = drain(&mut xscan);
+        let stats = sink.take();
         out.sort();
         out.dedup();
         (out, stats)
@@ -729,7 +713,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_evaluation_is_identical_to_sequential() {
+    fn batch_capacity_changes_only_batch_counts() {
         let doc = instance();
         let mut store = PureXmlStore::new(&doc, Storage::Segmented { depth: 3 });
         store.create_pattern_index(&["closed_auction", "price"]);
@@ -739,14 +723,21 @@ mod tests {
         ] {
             let core = parse_and_normalize(query, Some("auction.xml")).unwrap();
             let reference = store.query(&core).config(&ExecConfig::sequential()).run();
-            for threads in [2, 4] {
-                // Morsel size 1 forces one pipeline per candidate segment.
-                let cfg = ExecConfig::sequential()
-                    .with_threads(threads)
-                    .with_morsel_size(1);
-                let got = store.query(&core).config(&cfg).run();
-                assert_eq!(got.0, reference.0, "{query} items at DOP {threads}");
-                assert_eq!(got.1, reference.1, "{query} stats at DOP {threads}");
+            // Capacity 1 puts every candidate segment in a batch of its own.
+            let cfg = ExecConfig::sequential().with_batch_capacity(1);
+            let got = store.query(&core).config(&cfg).run();
+            assert_eq!(got.0, reference.0, "{query} items");
+            let sans_batches = |ops: &[OpStats]| -> Vec<OpStats> {
+                ops.iter()
+                    .map(|o| OpStats {
+                        batches: 0,
+                        ..o.clone()
+                    })
+                    .collect()
+            };
+            assert_eq!(sans_batches(&got.1), sans_batches(&reference.1), "{query}");
+            for op in &got.1 {
+                assert_eq!(op.batches, op.rows_out, "{query} {}", op.name);
             }
         }
     }

@@ -50,8 +50,8 @@ impl Session {
     }
 
     /// Apply one `SET` command.  Knob names accept both the full
-    /// environment spelling (`XQJG_THREADS`) and the bare suffix
-    /// (`threads`); values go through the one central parser, so the wire
+    /// environment spelling (`XQJG_MEM_BUDGET`) and the bare suffix
+    /// (`mem_budget`); values go through the one central parser, so the wire
     /// protocol and the environment agree on syntax, defaults and errors.
     pub fn set_knob(&mut self, var: &str, value: &str) -> Result<(), ConfigError> {
         let upper = var.to_ascii_uppercase();
@@ -91,17 +91,19 @@ mod tests {
     #[test]
     fn set_knob_accepts_both_spellings() {
         let mut s = session();
-        s.set_knob("threads", "3").unwrap();
-        assert_eq!(s.config().threads, 3);
-        s.set_knob("XQJG_THREADS", "5").unwrap();
-        assert_eq!(s.config().threads, 5);
+        s.set_knob("batch_capacity", "3").unwrap();
+        assert_eq!(s.config().batch_capacity, 3);
+        s.set_knob("XQJG_BATCH_CAPACITY", "5").unwrap();
+        assert_eq!(s.config().batch_capacity, 5);
         s.set_knob("mem_budget", "64k").unwrap();
         assert_eq!(s.config().mem_budget, Some(64 << 10));
         // Same strict parser as the environment: malformed is typed.
-        let err = s.set_knob("threads", "lots").unwrap_err();
-        assert_eq!(err.var, "XQJG_THREADS");
-        // Unknown knobs are errors, not silent no-ops.
+        let err = s.set_knob("batch_capacity", "lots").unwrap_err();
+        assert_eq!(err.var, "XQJG_BATCH_CAPACITY");
+        // Unknown and removed knobs are errors, not silent no-ops.
         assert!(s.set_knob("bogus", "1").is_err());
+        assert!(s.set_knob("threads", "2").is_err());
+        assert!(s.set_knob("morsel_size", "64").is_err());
     }
 
     #[test]

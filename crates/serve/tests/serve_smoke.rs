@@ -139,20 +139,24 @@ fn line_protocol_session_lifecycle() {
 
     // SET goes through the one central knob parser: both spellings, typed
     // errors, unknown knobs rejected.
-    assert_eq!(c.roundtrip("SET threads 2"), "OK threads=2");
+    assert_eq!(
+        c.roundtrip("SET batch_capacity 1024"),
+        "OK batch_capacity=1024"
+    );
     assert_eq!(
         c.roundtrip("SET XQJG_POSTINGS_CACHE off"),
         "OK XQJG_POSTINGS_CACHE=off"
     );
-    assert!(c.roundtrip("SET threads lots").starts_with("ERR config"));
+    assert!(c
+        .roundtrip("SET batch_capacity lots")
+        .starts_with("ERR config"));
     assert!(c.roundtrip("SET warp_drive 1").starts_with("ERR config"));
-    // Thread counts and batch capacities are bounded: a client cannot make
-    // one query spawn a million workers or preallocate a 2^40-slot batch.
-    // (Only the parser runs here; no query executes with such a value.)
+    // Batch capacities are bounded: a client cannot make one query
+    // preallocate a 2^40-slot batch.  (Only the parser runs here; no query
+    // executes with such a value.)
     for line in [
-        "SET XQJG_THREADS 1000000",
-        "SET threads 257",
         "SET XQJG_BATCH_CAPACITY 1099511627776",
+        "SET batch_capacity 1048577",
     ] {
         assert!(c.roundtrip(line).starts_with("ERR config"), "{line}");
     }
@@ -163,6 +167,10 @@ fn line_protocol_session_lifecycle() {
         "SET vectorize 0",
         "SET XQJG_TYPED_KERNELS off",
         "SET XQJG_ADAPTIVE_BATCH 0",
+        "SET threads 2",
+        "SET XQJG_THREADS 1",
+        "SET XQJG_MORSEL_SIZE 64",
+        "SET morsel_size 64",
     ] {
         assert!(c.roundtrip(line).starts_with("ERR config"), "{line}");
     }

@@ -25,8 +25,8 @@
 //! capacity.  [`AdmissionController::drained`] is the shutdown assertion
 //! — after the last query finishes, occupancy must be back to zero.
 
+use crate::config::{strict_bytes, strict_duration, strict_usize, ConfigError};
 use crate::error::{CancelToken, ExecError};
-use crate::morsel::{strict_bytes, strict_duration, strict_usize, ConfigError};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};

@@ -13,9 +13,8 @@
 //! breaker — hash build, sort — must buffer by nature).
 //!
 //! The batch capacity is a runtime parameter (defaulting to
-//! [`BATCH_CAPACITY`]) so the benchmark harness can sweep it; see the
-//! [`crate::morsel`] module for the parallel-execution layer that splits
-//! leaf scans into morsels and merges per-worker counters back together.
+//! [`BATCH_CAPACITY`], see [`crate::ExecConfig`]) so the tests can force
+//! batch boundaries and the benchmark harness can sweep it.
 //!
 //! Every operator keeps its own [`OpStats`] work counters and reports them
 //! into a shared [`StatsSink`] on `close`, children first, which is how
@@ -201,8 +200,7 @@ pub struct OpStats {
     /// external (spilled runs merge through the scalar record comparator).
     /// Deterministic for a fixed configuration: the
     /// engagement decision is per operator, never per batch, so the counter
-    /// is invariant across DOP and morsel/batch sizing like every other
-    /// actual.
+    /// is invariant across batch sizing like every other actual.
     pub kernel_rows: usize,
 }
 
@@ -213,29 +211,6 @@ impl OpStats {
             name: name.into(),
             ..OpStats::default()
         }
-    }
-
-    /// Fold the counters another worker recorded for the *same logical
-    /// operator* into this one.  `batches` is summed raw here; use
-    /// [`merge_worker_stats`] to normalize it to the canonical
-    /// single-worker count after all workers are folded.
-    pub fn absorb(&mut self, other: &OpStats) {
-        debug_assert_eq!(
-            self.name, other.name,
-            "merging stats of different operators"
-        );
-        self.rows_in += other.rows_in;
-        self.rows_out += other.rows_out;
-        self.batches += other.batches;
-        self.probes += other.probes;
-        self.fetched += other.fetched;
-        self.build_rows += other.build_rows;
-        self.cache_hits += other.cache_hits;
-        self.spill_runs += other.spill_runs;
-        self.spill_bytes += other.spill_bytes;
-        self.partitions += other.partitions;
-        self.retries += other.retries;
-        self.kernel_rows += other.kernel_rows;
     }
 
     /// A copy with the memory-governor-dependent counters zeroed — the
@@ -314,47 +289,9 @@ impl OpStats {
     }
 }
 
-/// Merge the per-operator counters several workers (or morsel pipelines)
-/// recorded for the *same operator tree* into the counters a single
-/// sequential execution would have produced.
-///
-/// Row, probe and build counters are summed positionally.  The batch count
-/// is recomputed as `ceil(rows_out / batch_capacity)`: every operator of
-/// the substrate fills each batch to capacity before handing it downstream
-/// (only the final batch may run short), so that expression *is* the batch
-/// count of a DOP = 1 execution — which keeps EXPLAIN actuals byte-identical
-/// across degrees of parallelism.
-pub fn merge_worker_stats(per_worker: &[Vec<OpStats>], batch_capacity: usize) -> Vec<OpStats> {
-    let cap = batch_capacity.max(1);
-    let mut iter = per_worker.iter();
-    let mut merged: Vec<OpStats> = match iter.next() {
-        Some(first) => first.clone(),
-        None => return Vec::new(),
-    };
-    for worker in iter {
-        assert_eq!(
-            merged.len(),
-            worker.len(),
-            "workers report differently-shaped operator trees"
-        );
-        for (acc, op) in merged.iter_mut().zip(worker) {
-            acc.absorb(op);
-        }
-    }
-    for op in &mut merged {
-        op.batches = op.rows_out.div_ceil(cap);
-    }
-    merged
-}
-
 /// Shared collection point for per-operator counters: every operator pushes
 /// its [`OpStats`] here when it is closed (children before parents).
-///
-/// Deliberately *not* thread-safe: in parallel execution each worker owns a
-/// private sink created inside its thread, and the harvested `Vec<OpStats>`
-/// (plain data, `Send`) is merged across workers via
-/// [`merge_worker_stats`] — workers record locally, the merge happens once
-/// at close.
+/// Deliberately *not* thread-safe: one operator tree runs on one thread.
 pub type StatsSink = Rc<RefCell<Vec<OpStats>>>;
 
 /// A fresh, empty stats sink.
@@ -596,32 +533,6 @@ mod tests {
         }
         assert_eq!(collected, vec![1, 2, 3, 4, 5]);
         assert!(pending.is_empty());
-    }
-
-    #[test]
-    fn merge_worker_stats_sums_counters_and_normalizes_batches() {
-        let mk = |rows_out: usize, batches: usize, probes: usize| {
-            let mut s = OpStats::named("NLJOIN(d2)");
-            s.rows_in = rows_out / 2;
-            s.rows_out = rows_out;
-            s.batches = batches;
-            s.probes = probes;
-            s.fetched = probes * 3;
-            s
-        };
-        // Two workers, each with a partial final batch: raw batch counts
-        // (2 + 2) exceed the canonical sequential count ceil(900/512) = 2.
-        let merged = merge_worker_stats(&[vec![mk(500, 2, 10)], vec![mk(400, 2, 7)]], 512);
-        assert_eq!(merged.len(), 1);
-        assert_eq!(merged[0].rows_out, 900);
-        assert_eq!(merged[0].rows_in, 450);
-        assert_eq!(merged[0].probes, 17);
-        assert_eq!(merged[0].fetched, 51);
-        assert_eq!(merged[0].batches, 2, "batches normalized to ceil(900/512)");
-        // Zero-row operators report zero batches.
-        let zero = merge_worker_stats(&[vec![mk(0, 0, 0)], vec![mk(0, 0, 0)]], 512);
-        assert_eq!(zero[0].batches, 0);
-        assert!(merge_worker_stats(&[], 512).is_empty());
     }
 
     #[test]

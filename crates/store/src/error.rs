@@ -4,10 +4,10 @@
 //! machinery carry XQuery — and mature relational machinery survives I/O
 //! faults, resource exhaustion and operator cancellation *per query*, not
 //! per process.  [`ExecError`] is the query-scoped error every fallible
-//! layer of the executor (spill I/O, the morsel crew, the operator
-//! pipeline) propagates instead of panicking; [`CancelToken`] and
-//! [`Interrupt`] carry the cooperative cancellation / deadline signal that
-//! the morsel boundaries and the spill paths poll.
+//! layer of the executor (spill I/O, the operator pipeline) propagates
+//! instead of panicking; [`CancelToken`] and [`Interrupt`] carry the
+//! cooperative cancellation / deadline signal that the leaf scan polls
+//! once per batch and the spill paths once per run.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 /// A query-scoped execution failure.
 ///
 /// Everything is owned plain data (`Clone + Send`) so the error can cross
-/// the morsel crew's thread boundary and be stored in caches or
+/// thread boundaries (a serving worker) and be stored in caches or
 /// higher-level error types without lifetime or `io::Error` cloning
 /// headaches.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -136,7 +136,7 @@ impl std::error::Error for ExecError {}
 /// A shareable cancellation flag: clone it, hand a copy to another thread
 /// (or keep one in a service layer), and [`CancelToken::cancel`] makes
 /// every execution polling the token fail with [`ExecError::Cancelled`]
-/// at its next morsel boundary or spill run.
+/// at its next leaf batch or spill run.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
@@ -166,8 +166,8 @@ impl CancelToken {
 }
 
 /// The per-execution interruption context: an optional shared
-/// [`CancelToken`] plus an optional absolute deadline.  Checked at morsel
-/// boundaries and once per spill run; both checks are a relaxed atomic
+/// [`CancelToken`] plus an optional absolute deadline.  Checked once per
+/// leaf batch and once per spill run; both checks are a relaxed atomic
 /// load (plus one `Instant::now` when a deadline is set), so the
 /// uninterrupted path stays hot.
 #[derive(Debug, Clone, Default)]

@@ -15,10 +15,9 @@
 //! join-graph executor: [`ColumnBatch`]es carry one rid column per bound
 //! alias plus a selection vector, so filters refine indices instead of
 //! materializing survivors.  The
-//! [`morsel`] module layers morsel-driven parallelism on top: leaf scans
-//! split into rid-range [`Morsel`]s, scoped worker threads drain a shared
-//! [`MorselQueue`], and per-worker counters merge back into
-//! sequential-identical [`OpStats`].  The [`spill`] module makes the
+//! [`config`] module holds the [`ExecConfig`] knobs every evaluation path
+//! reads; each query runs as one pipeline on the calling thread.  The
+//! [`spill`] module makes the
 //! pipeline breakers memory-governed: a shared [`MemBudget`] accountant,
 //! an [`ExternalSorter`] (sorted runs + loser-tree merge) and Grace-style
 //! hash partitions ([`GraceBuilder`] / [`SpilledPartitions`]) let sorts
@@ -37,11 +36,11 @@ pub mod btree;
 pub mod cache;
 pub mod catalog;
 pub mod columnar;
+pub mod config;
 pub mod error;
 pub mod fault;
 pub mod kernel;
 pub mod mask;
-pub mod morsel;
 pub mod schema;
 pub mod spill;
 pub mod stats;
@@ -54,8 +53,8 @@ pub use admission::{
     DEFAULT_QUEUE_TIMEOUT,
 };
 pub use batch::{
-    drain, fill_from_pending, merge_worker_stats, new_stats_sink, Batch, BoxedOperator, OpStats,
-    Operator, StatsSink, VecSource, BATCH_CAPACITY,
+    drain, fill_from_pending, new_stats_sink, Batch, BoxedOperator, OpStats, Operator, StatsSink,
+    VecSource, BATCH_CAPACITY,
 };
 pub use btree::{BPlusTree, CodeRun, Key, PrefixRun};
 pub use cache::{
@@ -63,6 +62,9 @@ pub use cache::{
 };
 pub use catalog::{BuiltIndex, Database, IndexDef};
 pub use columnar::{ColOperator, ColumnBatch};
+pub use config::{
+    parse_bytes, parse_duration, ConfigError, ExecConfig, EXEC_KNOBS, MAX_BATCH_CAPACITY,
+};
 pub use error::{CancelToken, ExecError, Interrupt};
 pub use fault::{FaultGuard, FaultKind, FaultPlan, FaultSpec, Trigger};
 pub use kernel::{
@@ -71,12 +73,6 @@ pub use kernel::{
     KernelCmp, MaskTerm, MaskedAgg, SortKey, SortVals,
 };
 pub use mask::{BitMask, MASK_WORD_BITS};
-pub use morsel::{
-    default_threads, effective_morsel_size, execute_morsels, execute_morsels_streaming,
-    parse_bytes, parse_duration, partition_morsels, try_execute_morsels,
-    try_execute_morsels_streaming, ConfigError, ExecConfig, Morsel, MorselQueue,
-    DEFAULT_MORSEL_SIZE, EXEC_KNOBS, MAX_BATCH_CAPACITY, MAX_THREADS, MIN_MORSEL_SIZE,
-};
 pub use schema::Schema;
 pub use spill::{
     record_checksum, row_footprint, spill_dir, ExternalSorter, GraceBuilder, MemBudget, SortedRows,

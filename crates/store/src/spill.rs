@@ -8,8 +8,8 @@
 //!
 //! Three pieces compose:
 //!
-//! * [`MemBudget`] — a lock-free accountant shared by the coordinator and
-//!   every morsel worker of one execution.  Operators `try_reserve` before
+//! * [`MemBudget`] — a lock-free accountant shared by every operator of
+//!   one execution.  Operators `try_reserve` before
 //!   they grow a buffer; a failed reservation is the signal to spill.  A
 //!   budget of `None` never fails (the in-memory fast paths stay
 //!   byte-identical to the pre-spill executor).
@@ -25,11 +25,10 @@
 //!   build side to disk with recursive repartitioning of skewed
 //!   partitions.
 //!
-//! Spill decisions on the coordinator (build sides, the SORT tail) depend
-//! only on the row stream and the budget — never on the degree of
-//! parallelism — which keeps the `spill_runs` / `spill_bytes` /
-//! `partitions` EXPLAIN actuals byte-identical across DOP and morsel size,
-//! exactly like the other counters.
+//! Spill decisions (build sides, the SORT tail) depend only on the row
+//! stream and the budget, which keeps the `spill_runs` / `spill_bytes` /
+//! `partitions` EXPLAIN actuals deterministic, exactly like the other
+//! counters.
 //!
 //! Every disk interaction in this module is *fallible and checksummed*:
 //! I/O errors, short writes and corrupt records surface as
@@ -69,7 +68,7 @@ fn backoff(attempt: usize) {
 // Memory budget.
 // ---------------------------------------------------------------------
 
-/// A memory accountant shared across the workers of one execution.
+/// A memory accountant shared by the operators of one execution.
 ///
 /// Reservations are approximate footprints (see [`row_footprint`]) — the
 /// governor bounds the dominant buffers (sort runs, hash builds, loaded
@@ -80,13 +79,12 @@ fn backoff(attempt: usize) {
 /// visible in [`MemBudget::peak`].
 ///
 /// Reservations come in two classes.  *Durable* reservations
-/// ([`MemBudget::try_reserve`] / [`MemBudget::reserve_force`]) are made on
-/// the coordinator in a deterministic order — build sides, the dedup set,
-/// sorter buffers — and are the only ones a pipeline breaker's spill
-/// decision may observe: spill counters are EXPLAIN actuals and must not
-/// depend on worker timing.  *Transient* reservations
-/// ([`MemBudget::try_reserve_transient`]) are worker-side caches whose
-/// lifetime depends on scheduling (loaded probe partitions); they count
+/// ([`MemBudget::try_reserve`] / [`MemBudget::reserve_force`]) are made in
+/// a deterministic order — build sides, sorter buffers — and are the only
+/// ones a pipeline breaker's spill decision may observe: spill counters
+/// are EXPLAIN actuals.  *Transient* reservations
+/// ([`MemBudget::try_reserve_transient`]) are probe-side caches (loaded
+/// probe partitions) that come and go while rows stream; they count
 /// toward the limit for their own admission/eviction checks and toward
 /// [`MemBudget::peak`], but stay invisible to durable admission.
 #[derive(Debug)]
@@ -160,9 +158,9 @@ impl MemBudget {
         debug_assert!(prev >= bytes, "releasing more than was reserved");
     }
 
-    /// Try to book `bytes` as a transient (worker-side) reservation.  The
+    /// Try to book `bytes` as a transient (probe-side) reservation.  The
     /// admission check sees the whole occupancy — durable plus transient —
-    /// so worker caches still compete for the same allowance, but the
+    /// so probe caches still compete for the same allowance, but the
     /// booking itself never influences a durable [`Self::try_reserve`].
     pub fn try_reserve_transient(&self, bytes: usize) -> bool {
         let Some(limit) = self.limit else {
@@ -229,7 +227,7 @@ impl MemBudget {
 /// Approximate in-memory footprint of one owned [`Row`]: vector header,
 /// one [`Value`] slot per column, plus string heap payloads.  Deliberately
 /// deterministic (no allocator introspection) so spill decisions — and with
-/// them the spill counters — are reproducible across runs and DOP.
+/// them the spill counters — are reproducible across runs.
 pub fn row_footprint(row: &[Value]) -> usize {
     const VEC_HEADER: usize = 24;
     let heap: usize = row
@@ -1579,10 +1577,10 @@ fn read_part_entries(file: &SpillFile, entries: usize) -> Result<Vec<(u64, u64)>
 }
 
 /// The probe-time half of the Grace join: an immutable tree of partition
-/// files.  Workers address a partition by hash ([`SpilledPartitions::partition_of`]),
+/// files.  Probes address a partition by hash ([`SpilledPartitions::partition_of`]),
 /// load it into a transient bucket table ([`SpilledPartitions::load`]) and
-/// probe that — each worker keeps its own small partition cache, so the
-/// shared structure needs no locks.
+/// probe that — each probing operator keeps its own small partition
+/// cache, so the shared structure needs no locks.
 pub struct SpilledPartitions {
     nodes: Vec<PartNode>,
     leaves: Vec<(SpillFile, usize)>,

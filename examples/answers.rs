@@ -5,10 +5,10 @@
 //! change — are compared by diffing this output byte for byte.
 //!
 //! ```text
-//! cargo run --release --example answers -- [xmark_scale] [dblp_scale] [threads]
+//! cargo run --release --example answers -- [xmark_scale] [dblp_scale]
 //! ```
 //!
-//! Defaults: scales 0.1 / 0.1, one thread.  The documents are generated
+//! Defaults: scales 0.1 / 0.1.  The documents are generated
 //! from fixed seeds, so equal arguments give equal documents.
 
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -30,7 +30,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let arg = |i: usize, default: &str| args.get(i).cloned().unwrap_or(default.to_string());
     let xmark_scale: f64 = arg(0, "0.1").parse()?;
     let dblp_scale: f64 = arg(1, "0.1").parse()?;
-    let threads: usize = arg(2, "1").parse()?;
 
     let mut p = Processor::new();
     let xmark = XmarkConfig {
@@ -44,9 +43,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     p.load_encoded("auction.xml", generate_xmark_encoded("auction.xml", &xmark));
     p.load_encoded("dblp.xml", generate_dblp_encoded("dblp.xml", &dblp));
     p.create_default_indexes();
-    p.set_exec_config(Some(p.exec_config().with_threads(threads)));
     println!(
-        "# xmark {xmark_scale} dblp {dblp_scale} threads {threads}: {} doc rows",
+        "# xmark {xmark_scale} dblp {dblp_scale}: {} doc rows",
         p.doc().len()
     );
 

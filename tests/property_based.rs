@@ -544,42 +544,25 @@ fn value_join_reference(outer: &Table, doc: &Table) -> Vec<Vec<Value>> {
     out
 }
 
-/// Run [`value_join_plan`] over `outer` at several DOPs, capacities and
-/// morsel sizes and check rows, order and per-join-level actuals against
-/// the reference and the materializing oracle (a B-tree walk per probe);
-/// returns the number of probes.  One-row morsels probe each operator
-/// instance once, so every probe walks the B-tree there: NULL must match
-/// nothing on that path too.
+/// Run [`value_join_plan`] over `outer` at several batch capacities and
+/// check rows, order and per-join-level actuals against the reference and
+/// the materializing oracle, which walks the B-tree on every probe (so
+/// NULL must match nothing on that path too); returns the number of
+/// probes.
 fn check_value_join(db: &Database, outer: &str) -> usize {
     let plan = value_join_plan(outer);
     let expected = value_join_reference(db.table(outer).unwrap(), db.table("doc").unwrap());
     let (t_ref, s_ref) = execute_materialized_with_stats(&plan, db);
     prop_assert_eq!(t_ref.rows(), expected.as_slice(), "oracle over {}", outer);
-    for (threads, cap, morsel) in [
-        (1, 1, 1 << 16),
-        (1, 1024, 1 << 16),
-        (2, 1024, 1 << 16),
-        (1, 1024, 1),
-    ] {
-        let cfg = ExecConfig::sequential()
-            .with_threads(threads)
-            .with_batch_capacity(cap)
-            .with_morsel_size(morsel);
+    for cap in [1, 1024] {
+        let cfg = ExecConfig::sequential().with_batch_capacity(cap);
         let (t, s) = run_plan(&plan, db, &cfg);
-        prop_assert_eq!(
-            t.rows(),
-            expected.as_slice(),
-            "{} DOP {} cap {}",
-            outer,
-            threads,
-            cap
-        );
+        prop_assert_eq!(t.rows(), expected.as_slice(), "{} cap {}", outer, cap);
         prop_assert_eq!(
             join_levels(&s, true),
             join_levels(&s_ref, false),
-            "{} DOP {} cap {}",
+            "{} cap {}",
             outer,
-            threads,
             cap
         );
     }
@@ -966,43 +949,5 @@ proptest! {
         let oracle = p.execute(query, Mode::Interpreter).unwrap().items;
         let isolated = p.execute(query, Mode::JoinGraph).unwrap().items;
         prop_assert_eq!(isolated, oracle);
-    }
-
-    #[test]
-    fn morsel_partitioning_covers_each_rid_exactly_once(
-        domain in 0usize..6000,
-        morsel_size in 1usize..700,
-    ) {
-        let morsels = xqjg::store::partition_morsels(domain, morsel_size);
-        // At least one pipeline instance always runs, even on empty input.
-        prop_assert!(!morsels.is_empty());
-        // Morsels are contiguous, ordered, bounded by the requested size,
-        // and tile the domain without gap or overlap — every rid is
-        // covered exactly once.
-        let mut next_expected = 0usize;
-        for m in &morsels {
-            prop_assert_eq!(m.start, next_expected, "gap or overlap at {}", m.start);
-            prop_assert!(m.end >= m.start);
-            prop_assert!(m.len() <= morsel_size);
-            next_expected = m.end;
-        }
-        prop_assert_eq!(next_expected, domain, "domain fully covered");
-        let covered: usize = morsels.iter().map(|m| m.len()).sum();
-        prop_assert_eq!(covered, domain);
-        // The parallel exchange claims each morsel exactly once and
-        // returns results in morsel order, at any DOP.
-        for threads in [1usize, 3] {
-            let echoed = xqjg::store::execute_morsels(
-                threads,
-                morsels.clone(),
-                |idx, m| (idx, m.start, m.end),
-            );
-            prop_assert_eq!(echoed.len(), morsels.len());
-            for (i, (idx, start, end)) in echoed.iter().enumerate() {
-                prop_assert_eq!(*idx, i);
-                prop_assert_eq!(*start, morsels[i].start);
-                prop_assert_eq!(*end, morsels[i].end);
-            }
-        }
     }
 }
