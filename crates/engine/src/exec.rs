@@ -30,7 +30,7 @@
 //! (and the baseline of the `executor` benchmark).
 
 use crate::explain::CacheActuals;
-use crate::physical::{Access, Bounds, JoinNode, PhysPlan};
+use crate::physical::{Access, JoinNode, PhysPlan};
 use crate::sql::{SelectItem, SqlCmp, SqlExpr, SqlPredicate};
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -183,10 +183,8 @@ impl std::ops::Deref for Postings {
 pub(crate) type PostingsCtx<'a> = Option<(&'a PostingsCache, u64)>;
 
 /// `IXSCAN` probe bounds with every expression evaluated to a constant
-/// composite key: the canonical form shared by the interpreted
-/// ([`resolve_bounds`]) and compiled ([`resolve_cbounds`]) evaluators, and
-/// — together with the index name — the [`PostingsKey`] of the memoized
-/// range scan.  An unbounded side is the
+/// composite key ([`resolve_cbounds`]): together with the index name, the
+/// [`PostingsKey`] of the memoized range scan.  An unbounded side is the
 /// empty key with its inclusive flag normalized to `true`, so every range
 /// has exactly one spelling (cache keys must not alias).
 struct ResolvedBounds {
@@ -261,7 +259,8 @@ fn cached_tree_range(
     }
 }
 
-/// The scan leaf's row-id domain, computed once before the pipeline runs.
+/// The row ids a stage's access path fetches with no outer row bound:
+/// the scan leaf's domain, and the enumeration of a hash join's build side.
 enum LeafDomain {
     /// `TBSCAN`: the base table's full rid range `[0, n)`.
     Rids(usize),
@@ -275,6 +274,81 @@ impl LeafDomain {
             LeafDomain::Rids(n) => *n,
             LeafDomain::Postings(rids) => rids.len(),
         }
+    }
+
+    /// Replace `out` with up to `n` rids from domain position `start` on.
+    fn fill(&self, start: usize, n: usize, out: &mut Vec<usize>) {
+        let end = self.len().min(start + n);
+        out.clear();
+        match self {
+            LeafDomain::Rids(_) => out.extend(start..end),
+            LeafDomain::Postings(rids) => out.extend_from_slice(&rids[start..end]),
+        }
+    }
+}
+
+/// Resolve a stage's access path against no outer row: a `TBSCAN` covers
+/// the whole table, an `IXSCAN` fetches the range of its constant bounds
+/// (memoized through `postings` when a context is given).
+fn stage_domain(stage: &CStage<'_>, postings: PostingsCtx<'_>) -> LeafDomain {
+    match (stage.access, stage.tree, &stage.cbounds) {
+        (Access::IndexScan { index, .. }, Some(tree), Some(cb)) => LeafDomain::Postings(
+            cached_tree_range(tree, resolve_cbounds(cb, &EMPTY_ENV), index, postings),
+        ),
+        _ => LeafDomain::Rids(stage.base.len()),
+    }
+}
+
+/// Rids a hash-join build enumerates per step (one interrupt poll each).
+const BUILD_CHUNK: usize = 4096;
+
+/// A stage's access-level predicates as one filter over candidate rids:
+/// every typed-lowered predicate runs in ONE fused selection pass (a
+/// single gather over the rids, the conjunction folded word-wise), then
+/// the interpreted remainder refines the survivors.  The scan leaf filters
+/// each batch through it and a hash join's build side its enumeration.
+struct AccessFilter<'a> {
+    stage: &'a CStage<'a>,
+    kernel_terms: Vec<MaskTerm<'a>>,
+    /// Indices of the access predicates left to the interpreted path.
+    scalar_preds: Vec<usize>,
+    /// Scratch: packed keep bits of one kernel pass.
+    keep: BitMask,
+}
+
+impl<'a> AccessFilter<'a> {
+    fn new(stage: &'a CStage<'a>) -> Self {
+        let mut kernel_terms: Vec<MaskTerm<'a>> = Vec::new();
+        let mut scalar_preds: Vec<usize> = Vec::new();
+        for (pi, tp) in stage.typed_preds.iter().enumerate() {
+            match tp.term() {
+                Some(t) => kernel_terms.push(t),
+                None => scalar_preds.push(pi),
+            }
+        }
+        AccessFilter {
+            stage,
+            kernel_terms,
+            scalar_preds,
+            keep: BitMask::default(),
+        }
+    }
+
+    /// Keep the rids (in order) that satisfy every access predicate;
+    /// returns the kernel work, rows times fused terms.
+    fn retain(&mut self, rids: &mut Vec<usize>) -> usize {
+        let mut kernel_rows = 0;
+        if !self.kernel_terms.is_empty() {
+            mask_terms(&self.kernel_terms, true, rids, &mut self.keep);
+            kernel_rows = rids.len() * self.kernel_terms.len();
+            retain_rids(rids, &self.keep);
+        }
+        let base = self.stage.base;
+        for &pi in &self.scalar_preds {
+            let pred = &self.stage.access_preds[pi];
+            rids.retain(|&rid| cpred_holds(pred, &EMPTY_ENV, Some((base, rid))));
+        }
+        kernel_rows
     }
 }
 
@@ -391,21 +465,15 @@ pub(crate) struct JoinBuild {
 }
 
 impl JoinBuild {
-    fn build(stage: &Stage<'_>, db: &Database, spill: &SpillCtx) -> Result<JoinBuild, ExecError> {
+    fn build(stage: &CStage<'_>, spill: &SpillCtx) -> Result<JoinBuild, ExecError> {
         // No postings context here: the build cache memoizes the whole
         // finished build, so memoizing its enumeration scan too would
         // only duplicate the rid list in two caches.
-        let (inner_rows, fetched) =
-            exec_access(stage.access, stage.alias, stage.table_name, db, None, None);
-        let (fetched_scan, fetched_index) = match fetched {
-            Fetched::Scanned(n) => (n, 0),
-            Fetched::Indexed(n) => (0, n),
-        };
-        let key_cols: Vec<usize> = stage
-            .hash_keys
-            .iter()
-            .map(|(_, col)| stage.base.schema().expect_index(col))
-            .collect();
+        let domain = stage_domain(stage, None);
+        let mut filter = AccessFilter::new(stage);
+        let scan = matches!(stage.access, Access::TableScan { .. });
+        let (mut fetched_scan, fetched_index) = (0, if scan { 0 } else { domain.len() });
+        let key_cols: Vec<usize> = stage.hash_keys.iter().map(|&(_, col)| col).collect();
         let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
         let mut build_rows = 0;
         // Build-time bookings release on every exit — the error paths out
@@ -413,40 +481,46 @@ impl JoinBuild {
         // caller re-books the finished table's footprint.
         let mut res = Booked::new(spill.budget.clone());
         let mut grace: Option<GraceBuilder> = None;
-        for &rid in inner_rows.iter() {
-            if build_rows % 4096 == 0 {
-                spill.interrupt.check()?;
+        let mut rids: Vec<usize> = Vec::new();
+        for start in (0..domain.len()).step_by(BUILD_CHUNK) {
+            spill.interrupt.check()?;
+            domain.fill(start, BUILD_CHUNK, &mut rids);
+            filter.retain(&mut rids);
+            if scan {
+                fetched_scan += rids.len();
             }
-            let row = &stage.base.rows()[rid];
-            if key_cols.iter().any(|&c| row[c].is_null()) {
-                continue;
-            }
-            let h = hash_values(key_cols.iter().map(|&c| &row[c]));
-            build_rows += 1;
-            if let Some(g) = &mut grace {
-                g.add(h, rid)?;
-                continue;
-            }
-            if res.try_book(BUILD_ENTRY_FOOTPRINT) {
-                buckets.entry(h).or_default().push(rid);
-                continue;
-            }
-            // The budget tripped: switch to a Grace-partitioned build.
-            // The buckets gathered so far drain to the partition files
-            // (per-hash rid order is preserved — every bucket keeps its
-            // scan order, and loads group by hash — so probe results and
-            // their order are identical to the in-memory backend).
-            let mut g = GraceBuilder::new(spill.dir.clone())?;
-            g.set_retries(spill.retries);
-            g.set_interrupt(spill.interrupt.clone());
-            for (bh, rids) in buckets.drain() {
-                for brid in rids {
-                    g.add(bh, brid)?;
+            for &rid in &rids {
+                let row = &stage.base.rows()[rid];
+                if key_cols.iter().any(|&c| row[c].is_null()) {
+                    continue;
                 }
+                let h = hash_values(key_cols.iter().map(|&c| &row[c]));
+                build_rows += 1;
+                if let Some(g) = &mut grace {
+                    g.add(h, rid)?;
+                    continue;
+                }
+                if res.try_book(BUILD_ENTRY_FOOTPRINT) {
+                    buckets.entry(h).or_default().push(rid);
+                    continue;
+                }
+                // The budget tripped: switch to a Grace-partitioned build.
+                // The buckets gathered so far drain to the partition files
+                // (per-hash rid order is preserved — every bucket keeps its
+                // scan order, and loads group by hash — so probe results
+                // and their order are identical to the in-memory backend).
+                let mut g = GraceBuilder::new(spill.dir.clone())?;
+                g.set_retries(spill.retries);
+                g.set_interrupt(spill.interrupt.clone());
+                for (bh, rids) in buckets.drain() {
+                    for brid in rids {
+                        g.add(bh, brid)?;
+                    }
+                }
+                res.clear();
+                g.add(h, rid)?;
+                grace = Some(g);
             }
-            res.clear();
-            g.add(h, rid)?;
-            grace = Some(g);
         }
         let (backend, spill_runs, spill_bytes, partitions, retries) = match grace {
             Some(g) => {
@@ -1104,12 +1178,6 @@ struct NlSplit<'a> {
     scalar: Vec<usize>,
 }
 
-impl NlSplit<'_> {
-    fn is_empty(&self) -> bool {
-        self.static_terms.is_empty() && self.dynamic.is_empty() && self.computed.is_empty()
-    }
-}
-
 /// Does the expression avoid the current stage's candidate row (literals
 /// and bound outer columns only)?
 fn outer_only(e: &CExpr) -> bool {
@@ -1517,8 +1585,9 @@ fn compile_stage<'a>(index: usize, stage: &Stage<'a>, db: &'a Database) -> CStag
     }
 }
 
-/// Evaluate compiled probe bounds against one outer row into their
-/// canonical resolved form (the compiled twin of [`resolve_bounds`]).
+/// Evaluate compiled probe bounds against one outer row (the empty
+/// environment for a leaf or build side) into their canonical resolved
+/// form.
 fn resolve_cbounds(bounds: &CBounds, env: &ColEnv<'_>) -> ResolvedBounds {
     let eq_vals: Vec<Value> = bounds
         .eq
@@ -1867,33 +1936,26 @@ fn run_with_caches(
     // Pre-phase: resolve the leaf domain and build (or fetch from the
     // session cache) all hash-join build sides once.
     let mut pre_agg = Agg::default();
-    let leaf = &stages[0];
-    let domain = match leaf.access {
-        Access::TableScan { .. } => LeafDomain::Rids(leaf.base.len()),
-        Access::IndexScan { index, bounds, .. } => {
-            let ix = db.index(index).expect("index registered");
-            let rb = resolve_bounds(bounds, leaf.alias, None);
-            let rids = cached_tree_range(&ix.tree, rb, index, postings_ctx);
-            pre_agg.index_rows += rids.len();
-            LeafDomain::Postings(rids)
-        }
-    };
+    let domain = stage_domain(&cstages[0], postings_ctx);
+    if let LeafDomain::Postings(rids) = &domain {
+        pre_agg.index_rows += rids.len();
+    }
     let mut build_hits = vec![false; stages.len()];
     // Every booking of this execution — the resident build footprints —
     // goes through one guard, so early error returns release it all
     // without bespoke cleanup code.
     let mut booked = Booked::new(budget.clone());
     let mut builds: Vec<Option<Arc<JoinBuild>>> = Vec::with_capacity(stages.len());
-    for (i, s) in stages.iter().enumerate() {
+    for (i, (s, cs)) in stages.iter().zip(&cstages).enumerate() {
         if i == 0 || s.hash_keys.is_empty() {
             builds.push(None);
             continue;
         }
         let (build, hit) = match build_cache {
             Some(c) => c.get_or_build(JoinBuild::cache_key(s), db.version(), || {
-                JoinBuild::build(s, db, &spill)
+                JoinBuild::build(cs, &spill)
             })?,
-            None => (Arc::new(JoinBuild::build(s, db, &spill)?), false),
+            None => (Arc::new(JoinBuild::build(cs, &spill)?), false),
         };
         build_hits[i] = hit;
         // A cache hit performs no fetch work, and the counters report the
@@ -2063,8 +2125,11 @@ fn run_with_caches(
     for item in &plan.select {
         match item {
             SelectItem::Star(alias) => {
-                let table = alias_table(&plan.root, alias, db);
-                columns.extend(table.schema().columns().iter().cloned());
+                let slot = aliases
+                    .iter()
+                    .position(|a| a == alias)
+                    .expect("alias bound");
+                columns.extend(tables[slot].schema().columns().iter().cloned());
             }
             SelectItem::Expr { alias, .. } => columns.push(alias.clone()),
         }
@@ -2496,10 +2561,10 @@ fn sort_rows(order: &[&TailCol], mut rows: Vec<u32>) -> Vec<u32> {
 // ---------------------------------------------------------------------
 
 /// Columnar scan leaf: fills one rid column directly from the leaf domain
-/// (a bulk extend, not a per-tuple push), then evaluates each pushed-down
-/// predicate column-at-a-time into the selection vector.  Each call scans
-/// `cap` domain positions, and each scan first polls the interrupt, so a
-/// cancelled or timed-out query stops within one batch of leaf work.
+/// (a bulk extend, not a per-tuple push), then filters it through the
+/// stage's [`AccessFilter`].  Each call scans `cap` domain positions, and
+/// each scan first polls the interrupt, so a cancelled or timed-out query
+/// stops within one batch of leaf work.
 struct ColScanLeaf<'a> {
     stage: &'a CStage<'a>,
     domain: &'a LeafDomain,
@@ -2508,16 +2573,7 @@ struct ColScanLeaf<'a> {
     cap: usize,
     /// Rows surviving the pushed-down filters (TBSCAN accounting).
     scan_rows: usize,
-    /// Every typed-lowered access predicate as one fused-pass term: the
-    /// whole conjunction evaluates in a single gather over the batch's
-    /// rids instead of one selection pass per predicate.
-    kernel_terms: Vec<MaskTerm<'a>>,
-    /// Indices of the access predicates left to the interpreted path.
-    scalar_preds: Vec<usize>,
-    /// Scratch: live rids gathered for one kernel pass (reused per batch).
-    rid_buf: Vec<usize>,
-    /// Scratch: packed keep bits of one kernel pass.
-    keep: BitMask,
+    filter: AccessFilter<'a>,
     stats: OpStats,
     sink: StatsSink,
     agg: SharedAgg,
@@ -2536,24 +2592,13 @@ impl<'a> ColScanLeaf<'a> {
         interrupt: Interrupt,
         err: ErrSlot,
     ) -> Self {
-        let mut kernel_terms: Vec<MaskTerm<'a>> = Vec::new();
-        let mut scalar_preds: Vec<usize> = Vec::new();
-        for (pi, tp) in stage.typed_preds.iter().enumerate() {
-            match tp.term() {
-                Some(t) => kernel_terms.push(t),
-                None => scalar_preds.push(pi),
-            }
-        }
         ColScanLeaf {
             stage,
             domain,
             pos: 0,
             cap,
             scan_rows: 0,
-            kernel_terms,
-            scalar_preds,
-            rid_buf: Vec::new(),
-            keep: BitMask::default(),
+            filter: AccessFilter::new(stage),
             stats: OpStats::named(stage.label.clone()),
             sink,
             agg,
@@ -2567,39 +2612,20 @@ impl ColOperator for ColScanLeaf<'_> {
     fn open(&mut self) {}
 
     fn next_batch(&mut self) -> Option<ColumnBatch> {
-        let base = self.stage.base;
         loop {
             if let Err(e) = self.interrupt.check() {
                 self.err.borrow_mut().get_or_insert(e);
                 return None;
             }
-            let (start, n) = (self.pos, self.cap.min(self.domain.len() - self.pos));
-            if n == 0 {
+            if self.pos == self.domain.len() {
                 return None;
             }
-            self.pos += n;
             let mut out = ColumnBatch::new(1, self.cap);
-            match self.domain {
-                LeafDomain::Rids(_) => out.col_mut(0).extend(start..start + n),
-                LeafDomain::Postings(rids) => {
-                    out.col_mut(0).extend_from_slice(&rids[start..start + n])
-                }
-            }
-            // Column-at-a-time filtering: every typed-lowered predicate
-            // evaluates in ONE fused selection pass (single gather over
-            // the batch's rids, conjunction folded word-wise), then the
-            // interpreted remainder refines per live row.  Dropped rows
-            // are never materialized.
-            if !self.kernel_terms.is_empty() {
-                out.gather_col(0, &mut self.rid_buf);
-                mask_terms(&self.kernel_terms, true, &self.rid_buf, &mut self.keep);
-                self.stats.kernel_rows += self.rid_buf.len() * self.kernel_terms.len();
-                out.retain_by_mask(&self.keep);
-            }
-            for &pi in &self.scalar_preds {
-                let pred = &self.stage.access_preds[pi];
-                out.retain_by_col(0, |rid| cpred_holds(pred, &EMPTY_ENV, Some((base, rid))));
-            }
+            let rids = out.col_mut(0);
+            self.domain.fill(self.pos, self.cap, rids);
+            self.pos += rids.len();
+            // Dropped rows are never materialized.
+            self.stats.kernel_rows += self.filter.retain(rids);
             if out.is_empty() {
                 continue;
             }
@@ -2649,15 +2675,14 @@ fn retain_rids(rids: &mut Vec<usize>, keep: &BitMask) {
 /// Columnar index/scan nested-loop join: consumes outer batches whole,
 /// probing the inner access path once per live outer row through compiled
 /// bounds and predicates (no schema lookups, no value clones on the
-/// comparison path).  When the stage carries NLJOIN kernel lowerings
-/// ([`NlSplit`]), each probe runs as selection kernels over the inner
-/// column images instead of per-row interpretation: constant-rhs
-/// predicates pre-materialize one survivor rid list per `TBSCAN` inner
-/// (shared by every probe of this operator instance), outer-dependent
-/// `i64` comparisons fuse into one multi-term mask pass per probe, and
-/// computed integer checks (`outer.pre <= cur.pre + cur.size`) run per
-/// candidate rid over the images.  An
-/// `IXSCAN` inner under a literal equality prefix fetches by two binary
+/// comparison path).  Every probe runs the stage's NLJOIN lowerings
+/// ([`NlSplit`]) as selection kernels over the inner column images:
+/// constant-rhs predicates pre-materialize one survivor rid list per
+/// `TBSCAN` inner (shared by every probe of this operator instance),
+/// outer-dependent `i64` comparisons fuse into one multi-term mask pass
+/// per probe, computed integer checks (`outer.pre <= cur.pre + cur.size`)
+/// run per candidate rid over the images, and the rest (strings,
+/// decimals) interprets per candidate rid.  An `IXSCAN` inner under a literal equality prefix fetches by two binary
 /// searches over the prefix's [`PrefixRun`], and a value self-join's by
 /// two over the outer row's code in a [`CodeRun`] (see
 /// [`ColNLJoin::fetch_index`]).
@@ -2750,48 +2775,6 @@ impl<'a> ColNLJoin<'a> {
         self.fetched_index += self.rid_buf.len();
     }
 
-    fn probe(&mut self, batch: &ColumnBatch, phys: usize, out: &mut ColumnBatch) {
-        self.stats.probes += 1;
-        let stage = self.stage;
-        let base = stage.base;
-        let env = ColEnv {
-            tables: &stage.outer_tables,
-            cols: batch.cols(),
-            idx: phys,
-        };
-        if !stage.nl_access.is_empty() || !stage.nl_residual.is_empty() {
-            return self.probe_kernel(batch, phys, &env, out);
-        }
-        match stage.access {
-            Access::TableScan { .. } => {
-                let mut fetched = 0usize;
-                for rid in 0..base.len() {
-                    let cur = Some((base, rid));
-                    if !stage.access_preds.iter().all(|p| cpred_holds(p, &env, cur)) {
-                        continue;
-                    }
-                    fetched += 1;
-                    if stage.residual.iter().all(|p| cpred_holds(p, &env, cur)) {
-                        emit_extended(batch, phys, rid, out);
-                    }
-                }
-                self.fetched_scan += fetched;
-            }
-            Access::IndexScan { .. } => {
-                self.fetch_index(&env);
-                for &rid in &self.rid_buf {
-                    let cur = Some((base, rid));
-                    if !stage.access_preds.iter().all(|p| cpred_holds(p, &env, cur)) {
-                        continue;
-                    }
-                    if stage.residual.iter().all(|p| cpred_holds(p, &env, cur)) {
-                        emit_extended(batch, phys, rid, out);
-                    }
-                }
-            }
-        }
-    }
-
     /// Resolve one probe's dynamic terms against the outer row and run the
     /// fused kernel pass over `rid_buf`, then the interpreted remainder.
     /// Returns `false` when a dynamic rhs is NULL (no rid can match).
@@ -2851,18 +2834,17 @@ impl<'a> ColNLJoin<'a> {
         true
     }
 
-    /// The kernelized probe: candidate rids flow through the access-level
-    /// and residual-level [`NlSplit`]s as packed-mask passes.  Emission
-    /// order, `fetched_*` accounting and `probes` are identical to the
-    /// interpreted probe; only `kernel_rows` reports the engagement.
-    fn probe_kernel(
-        &mut self,
-        batch: &ColumnBatch,
-        phys: usize,
-        env: &ColEnv<'_>,
-        out: &mut ColumnBatch,
-    ) {
+    /// One probe: candidate rids flow through the access-level and
+    /// residual-level [`NlSplit`]s as packed-mask passes and the
+    /// interpreted remainder, then extend the outer row in fetch order.
+    fn probe(&mut self, batch: &ColumnBatch, phys: usize, out: &mut ColumnBatch) {
+        self.stats.probes += 1;
         let stage = self.stage;
+        let env = &ColEnv {
+            tables: &stage.outer_tables,
+            cols: batch.cols(),
+            idx: phys,
+        };
         // 1. Candidate rids: the static survivor list of a `TBSCAN` inner
         //    (constant-rhs predicates hold for every probe, so the list is
         //    computed once per operator instance), or the B-tree fetch of
@@ -2910,10 +2892,9 @@ impl<'a> ColNLJoin<'a> {
         if self.rid_buf.is_empty() {
             return;
         }
-        // 3. Residual filtering and emission (ascending/fetch rid order,
-        //    same as the interpreted probe).  Residual static terms join
-        //    the fused pass — there is no shared candidate list to bake
-        //    them into.
+        // 3. Residual filtering and emission (ascending/fetch rid order).
+        //    Residual static terms join the fused pass — there is no
+        //    shared candidate list to bake them into.
         if !self.apply_split(
             &stage.nl_residual,
             &stage.nl_residual.static_terms,
@@ -3001,16 +2982,16 @@ struct ProbeState {
     /// carries key images.
     gkeys: Vec<GatheredKey>,
     hashes: Vec<Option<u64>>,
-    /// Pre-resolved build candidates per probe row, when the probe side of
-    /// a spilled build was spooled into Grace-partition order at prepare
-    /// time (each partition loaded at most once per batch).
+    /// Pre-resolved build candidates per probe row of a spilled build,
+    /// spooled into Grace-partition order at prepare time (each partition
+    /// loaded at most once per batch).
     cands: Option<Vec<Vec<usize>>>,
     pos: usize,
 }
 
 /// Columnar hash-join probe over a shared (possibly cached) build side.
 /// A spilled build is probed through the operator's [`PartitionProbe`]
-/// cache.
+/// cache, one batch of probe hashes at a time.
 struct ColHashJoin<'a> {
     input: Box<dyn ColOperator + 'a>,
     stage: &'a CStage<'a>,
@@ -3109,21 +3090,7 @@ impl<'a> ColHashJoin<'a> {
             let mut hashes: Vec<Option<u64>> = Vec::new();
             hash_keys_typed(&hkeys, valid.as_ref(), live, &mut hashes);
             self.stats.kernel_rows += live;
-            // Probe side of a spilled build: group this batch's rows by
-            // Grace partition up front so each partition file is read at
-            // most once per batch.  A failed partition load parks its
-            // error in the slot and leaves this batch candidate-less —
-            // `next_batch` stops producing on the next poll.
-            let cands = match self.parts.as_mut() {
-                Some(parts) => match parts.spool(&hashes) {
-                    Ok(c) => Some(c),
-                    Err(e) => {
-                        self.err.borrow_mut().get_or_insert(e);
-                        Some(vec![Vec::new(); hashes.len()])
-                    }
-                },
-                None => None,
-            };
+            let cands = self.spool(&hashes);
             ProbeState {
                 batch,
                 keys: Vec::new(),
@@ -3152,15 +3119,29 @@ impl<'a> ColHashJoin<'a> {
                     hashes.push(Some(hash_values((0..nk).map(|k| &keys[k * live + i]))));
                 }
             }
+            let cands = self.spool(&hashes);
             ProbeState {
                 batch,
                 keys,
                 gkeys: Vec::new(),
                 hashes,
-                cands: None,
+                cands,
                 pos: 0,
             }
         }
+    }
+
+    /// Probe side of a spilled build: group a batch's rows by Grace
+    /// partition up front so each partition file is read at most once per
+    /// batch (`None` for an in-memory build).  A failed partition load
+    /// parks its error in the slot and leaves the batch candidate-less —
+    /// `next_batch` stops producing on the next poll.
+    fn spool(&mut self, hashes: &[Option<u64>]) -> Option<Vec<Vec<usize>>> {
+        let parts = self.parts.as_mut()?;
+        Some(parts.spool(hashes).unwrap_or_else(|e| {
+            self.err.borrow_mut().get_or_insert(e);
+            vec![Vec::new(); hashes.len()]
+        }))
     }
 
     fn probe(&mut self, st: &ProbeState, i: usize, out: &mut ColumnBatch) {
@@ -3168,25 +3149,11 @@ impl<'a> ColHashJoin<'a> {
         let Some(h) = st.hashes[i] else { return };
         let build = self.build;
         let stage = self.stage;
-        let candidates: &[usize] = match &st.cands {
-            // Pre-spooled at prepare time (typed probe of a spilled build).
-            Some(c) => &c[i],
-            None => match &build.backend {
-                BuildBackend::Mem(buckets) => buckets.get(&h).map_or(&[][..], Vec::as_slice),
-                BuildBackend::Spilled(_) => {
-                    let parts = self
-                        .parts
-                        .as_mut()
-                        .expect("partition cache for spilled build");
-                    match parts.candidates(h) {
-                        Ok(c) => c.map_or(&[][..], Vec::as_slice),
-                        Err(e) => {
-                            self.err.borrow_mut().get_or_insert(e);
-                            return;
-                        }
-                    }
-                }
-            },
+        let candidates: &[usize] = match (&st.cands, &build.backend) {
+            // Spooled at prepare time (probe of a spilled build).
+            (Some(c), _) => &c[i],
+            (None, BuildBackend::Mem(buckets)) => buckets.get(&h).map_or(&[][..], Vec::as_slice),
+            (None, BuildBackend::Spilled(_)) => unreachable!("spilled probes are spooled"),
         };
         let live = st.hashes.len();
         let phys = st.batch.phys(i);
@@ -3296,198 +3263,6 @@ impl ColOperator for ColHashJoin<'_> {
 
     fn stats(&self) -> OpStats {
         self.stats.clone()
-    }
-}
-
-/// Find the base table of an alias used in the join tree.
-pub(crate) fn alias_table<'a>(node: &JoinNode, alias: &str, db: &'a Database) -> &'a Table {
-    fn table_name<'n>(node: &'n JoinNode, alias: &str) -> Option<&'n str> {
-        match node {
-            JoinNode::Leaf {
-                alias: a, table, ..
-            } => (a == alias).then_some(table.as_str()),
-            JoinNode::Join {
-                outer,
-                alias: a,
-                table,
-                ..
-            } => {
-                if a == alias {
-                    Some(table.as_str())
-                } else {
-                    table_name(outer, alias)
-                }
-            }
-        }
-    }
-    let name = table_name(node, alias).unwrap_or_else(|| panic!("alias {alias:?} not in plan"));
-    db.table(name).expect("table registered")
-}
-
-/// Evaluation environment: one bound row per alias.
-pub(crate) struct Env<'a> {
-    pub(crate) aliases: &'a [String],
-    pub(crate) tables: &'a [&'a Table],
-    pub(crate) binding: &'a [usize],
-}
-
-impl<'a> Env<'a> {
-    pub(crate) fn lookup(&self, alias: &str) -> (&'a Table, usize) {
-        let idx = self
-            .aliases
-            .iter()
-            .position(|a| a == alias)
-            .unwrap_or_else(|| panic!("alias {alias:?} not bound"));
-        (self.tables[idx], self.binding[idx])
-    }
-
-    pub(crate) fn eval(&self, expr: &SqlExpr) -> Value {
-        match expr {
-            SqlExpr::Lit(v) => v.clone(),
-            SqlExpr::Col(c) => {
-                let (table, rid) = self.lookup(&c.table);
-                table.rows()[rid][table.schema().expect_index(&c.column)].clone()
-            }
-            SqlExpr::Add(a, b) => self.eval(a).numeric_add(&self.eval(b)),
-        }
-    }
-}
-
-/// Evaluate an expression that may reference the current alias's candidate
-/// row (`current`) or outer aliases through `outer`.
-pub(crate) fn eval_expr(
-    expr: &SqlExpr,
-    current_alias: &str,
-    current: Option<(&Table, usize)>,
-    outer: Option<&Env<'_>>,
-) -> Value {
-    match expr {
-        SqlExpr::Lit(v) => v.clone(),
-        SqlExpr::Col(c) => {
-            if c.table == current_alias {
-                let (table, rid) = current.expect("current row required");
-                table.rows()[rid][table.schema().expect_index(&c.column)].clone()
-            } else {
-                outer
-                    .expect("outer environment required")
-                    .eval(&SqlExpr::Col(c.clone()))
-            }
-        }
-        SqlExpr::Add(a, b) => eval_expr(a, current_alias, current, outer).numeric_add(&eval_expr(
-            b,
-            current_alias,
-            current,
-            outer,
-        )),
-    }
-}
-
-pub(crate) fn pred_holds(
-    pred: &SqlPredicate,
-    current_alias: &str,
-    current: Option<(&Table, usize)>,
-    outer: Option<&Env<'_>>,
-) -> bool {
-    let l = eval_expr(&pred.lhs, current_alias, current, outer);
-    let r = eval_expr(&pred.rhs, current_alias, current, outer);
-    match l.sql_cmp(&r) {
-        Some(ord) => pred.op.eval(ord),
-        None => false,
-    }
-}
-
-/// How many rows an access-path execution fetched, and through which path
-/// (table scans report the post-filter count, index scans the pre-residual
-/// fetch count — the quantities Table IX's work accounting uses).
-pub(crate) enum Fetched {
-    /// Rows surviving a full scan's pushed-down filters.
-    Scanned(usize),
-    /// Rows fetched from a B-tree range scan (before residual filtering).
-    Indexed(usize),
-}
-
-/// Execute an access path, returning the matching row ids and the fetch
-/// accounting.  An `IndexScan` consults the postings context (if any) for
-/// its B-tree range; the residual-free fast path hands the shared list
-/// straight through without copying.
-pub(crate) fn exec_access(
-    access: &Access,
-    alias: &str,
-    table_name: &str,
-    db: &Database,
-    outer: Option<&Env<'_>>,
-    postings: PostingsCtx<'_>,
-) -> (Postings, Fetched) {
-    let base = db.table(table_name).expect("table registered");
-    match access {
-        Access::TableScan { preds } => {
-            let mut out = Vec::new();
-            for rid in 0..base.len() {
-                let ok = preds
-                    .iter()
-                    .all(|p| pred_holds(p, alias, Some((base, rid)), outer));
-                if ok {
-                    out.push(rid);
-                }
-            }
-            let n = out.len();
-            (Postings::Owned(out), Fetched::Scanned(n))
-        }
-        Access::IndexScan {
-            index,
-            bounds,
-            residual,
-        } => {
-            let ix = db.index(index).expect("index registered");
-            let rb = resolve_bounds(bounds, alias, outer);
-            let rows = cached_tree_range(&ix.tree, rb, index, postings);
-            let fetched = rows.len();
-            if residual.is_empty() {
-                return (rows, Fetched::Indexed(fetched));
-            }
-            let out: Vec<usize> = rows
-                .iter()
-                .copied()
-                .filter(|&rid| {
-                    residual
-                        .iter()
-                        .all(|p| pred_holds(p, alias, Some((base, rid)), outer))
-                })
-                .collect();
-            (Postings::Owned(out), Fetched::Indexed(fetched))
-        }
-    }
-}
-
-/// Evaluate probe bounds against the outer environment into their
-/// canonical resolved form (empty side = unbounded, inclusive).
-fn resolve_bounds(bounds: &Bounds, alias: &str, outer: Option<&Env<'_>>) -> ResolvedBounds {
-    let eq_vals: Vec<Value> = bounds
-        .eq
-        .iter()
-        .map(|(_, e)| eval_expr(e, alias, None, outer))
-        .collect();
-    let (lower, lower_inc) = match &bounds.lower {
-        Some((e, inclusive)) => {
-            let mut k = eq_vals.clone();
-            k.push(eval_expr(e, alias, None, outer));
-            (k, *inclusive)
-        }
-        None => (eq_vals.clone(), true),
-    };
-    let (upper, upper_inc) = match &bounds.upper {
-        Some((e, inclusive)) => {
-            let mut k = eq_vals.clone();
-            k.push(eval_expr(e, alias, None, outer));
-            (k, *inclusive)
-        }
-        None => (eq_vals, true),
-    };
-    ResolvedBounds {
-        lower,
-        lower_inc,
-        upper,
-        upper_inc,
     }
 }
 
@@ -3963,7 +3738,7 @@ mod tests {
         upper: SqlExpr,
         residual: Vec<SqlPredicate>,
     ) -> PhysPlan {
-        use crate::physical::JoinMethod;
+        use crate::physical::{Bounds, JoinMethod};
         use crate::sql::SelectItem;
         let outer = JoinNode::Leaf {
             alias: "o".into(),
@@ -4022,8 +3797,8 @@ mod tests {
             SqlExpr::col("o", "pre") + SqlExpr::col("o", "size"),
         ];
         for upper in uppers {
-            // Without a residual the probe runs interpreted; with one, on
-            // the kernel path.
+            // Without a residual the probe has nothing to filter; with one,
+            // its outer-dependent term joins the fused kernel pass.
             for residual in [vec![], vec![level.clone()]] {
                 let db = prefix_run_db();
                 let plan = prefix_run_plan(name_is_o.clone(), upper.clone(), residual);

@@ -1,18 +1,27 @@
-//! The seed's operator-at-a-time executor, retained as the independent
+//! The seed's operator-at-a-time executor, kept as the independent
 //! reference the tests compare the pipelined executor in [`crate::exec`]
 //! against (and as the baseline of the `executor` benchmark).
 //!
 //! Every join level materializes the complete binding set before the next
 //! level starts, and the hash join clones an owned `Vec<Value>` key per
 //! inner row and per probe — no batches, no compiled predicates, no typed
-//! kernels, no spilling.  Keep this module semantically frozen: the parity
-//! suites treat its rows, row order, aggregate counters and per-join-level
-//! actuals as ground truth.
+//! kernels, no spilling, no caches.  Its evaluator is its own: it reads
+//! the plan's SQL expressions through a row-at-a-time interpreter
+//! ([`Env`], [`eval_expr`], [`pred_holds`]) and enumerates every access
+//! path with [`exec_access`], and none of that code is reachable from the
+//! executor, which evaluates only the compiled stage form.  The two share
+//! the catalog and the [`ExecStats`] counter struct, nothing else, so a
+//! bug in one evaluator shows up as a parity failure rather than in both.
+//!
+//! Keep this module semantically frozen: the parity suites treat its rows,
+//! row order, aggregate counters and per-join-level actuals as ground
+//! truth.
 
-use crate::exec::{alias_table, exec_access, pred_holds, Env, ExecStats, Fetched};
-use crate::physical::{Access, JoinNode, PhysPlan};
-use crate::sql::{SelectItem, SqlExpr};
+use crate::exec::ExecStats;
+use crate::physical::{Access, Bounds, JoinNode, PhysPlan};
+use crate::sql::{SelectItem, SqlExpr, SqlPredicate};
 use std::collections::HashMap;
+use std::ops::Bound;
 use xqjg_store::{Database, OpStats, Schema, Table, Value};
 
 /// Execute a physical plan by materializing every join level, returning
@@ -115,7 +124,7 @@ fn exec_node(
             access,
             ..
         } => {
-            let (rows, fetched) = exec_access(access, alias, table, db, None, None);
+            let (rows, fetched) = exec_access(access, alias, table, db, None);
             let mut op = OpStats::named(match access {
                 Access::TableScan { .. } => format!("TBSCAN({alias})"),
                 Access::IndexScan { index, .. } => format!("IXSCAN({alias} ix={index})"),
@@ -156,7 +165,7 @@ fn exec_node(
                         tables: &outer_tables,
                         binding,
                     };
-                    let (rows, fetched) = exec_access(access, alias, table, db, Some(&env), None);
+                    let (rows, fetched) = exec_access(access, alias, table, db, Some(&env));
                     op.fetched += record(stats, fetched);
                     for &rid in rows.iter() {
                         let ok = residual
@@ -173,7 +182,7 @@ fn exec_node(
                 // Hash join: enumerate inner rows once, hash on key columns
                 // (owned key vectors per inner row and per probe — the
                 // allocation behaviour the pipelined executor fixes).
-                let (inner_rows, fetched) = exec_access(access, alias, table, db, None, None);
+                let (inner_rows, fetched) = exec_access(access, alias, table, db, None);
                 op.fetched = record(stats, fetched);
                 let key_cols: Vec<usize> = hash_keys
                     .iter()
@@ -225,6 +234,199 @@ fn exec_node(
             stats.operators.push(op);
             (aliases, result)
         }
+    }
+}
+
+/// Find the base table of an alias used in the join tree.
+fn alias_table<'a>(node: &JoinNode, alias: &str, db: &'a Database) -> &'a Table {
+    fn table_name<'n>(node: &'n JoinNode, alias: &str) -> Option<&'n str> {
+        match node {
+            JoinNode::Leaf {
+                alias: a, table, ..
+            } => (a == alias).then_some(table.as_str()),
+            JoinNode::Join {
+                outer,
+                alias: a,
+                table,
+                ..
+            } => {
+                if a == alias {
+                    Some(table.as_str())
+                } else {
+                    table_name(outer, alias)
+                }
+            }
+        }
+    }
+    let name = table_name(node, alias).unwrap_or_else(|| panic!("alias {alias:?} not in plan"));
+    db.table(name).expect("table registered")
+}
+
+/// Evaluation environment: one bound row per alias.
+struct Env<'a> {
+    aliases: &'a [String],
+    tables: &'a [&'a Table],
+    binding: &'a [usize],
+}
+
+impl<'a> Env<'a> {
+    fn lookup(&self, alias: &str) -> (&'a Table, usize) {
+        let idx = self
+            .aliases
+            .iter()
+            .position(|a| a == alias)
+            .unwrap_or_else(|| panic!("alias {alias:?} not bound"));
+        (self.tables[idx], self.binding[idx])
+    }
+
+    fn eval(&self, expr: &SqlExpr) -> Value {
+        match expr {
+            SqlExpr::Lit(v) => v.clone(),
+            SqlExpr::Col(c) => {
+                let (table, rid) = self.lookup(&c.table);
+                table.rows()[rid][table.schema().expect_index(&c.column)].clone()
+            }
+            SqlExpr::Add(a, b) => self.eval(a).numeric_add(&self.eval(b)),
+        }
+    }
+}
+
+/// Evaluate an expression that may reference the current alias's candidate
+/// row (`current`) or outer aliases through `outer`.
+fn eval_expr(
+    expr: &SqlExpr,
+    current_alias: &str,
+    current: Option<(&Table, usize)>,
+    outer: Option<&Env<'_>>,
+) -> Value {
+    match expr {
+        SqlExpr::Lit(v) => v.clone(),
+        SqlExpr::Col(c) => {
+            if c.table == current_alias {
+                let (table, rid) = current.expect("current row required");
+                table.rows()[rid][table.schema().expect_index(&c.column)].clone()
+            } else {
+                outer
+                    .expect("outer environment required")
+                    .eval(&SqlExpr::Col(c.clone()))
+            }
+        }
+        SqlExpr::Add(a, b) => eval_expr(a, current_alias, current, outer).numeric_add(&eval_expr(
+            b,
+            current_alias,
+            current,
+            outer,
+        )),
+    }
+}
+
+/// Check a predicate (SQL three-valued semantics: NULL fails).
+fn pred_holds(
+    pred: &SqlPredicate,
+    current_alias: &str,
+    current: Option<(&Table, usize)>,
+    outer: Option<&Env<'_>>,
+) -> bool {
+    let l = eval_expr(&pred.lhs, current_alias, current, outer);
+    let r = eval_expr(&pred.rhs, current_alias, current, outer);
+    match l.sql_cmp(&r) {
+        Some(ord) => pred.op.eval(ord),
+        None => false,
+    }
+}
+
+/// How many rows an access-path execution fetched, and through which path
+/// (table scans report the post-filter count, index scans the pre-residual
+/// fetch count — the quantities Table IX's work accounting uses).
+enum Fetched {
+    /// Rows surviving a full scan's pushed-down filters.
+    Scanned(usize),
+    /// Rows fetched from a B-tree range scan (before residual filtering).
+    Indexed(usize),
+}
+
+/// Execute an access path, returning the matching row ids and the fetch
+/// accounting.
+fn exec_access(
+    access: &Access,
+    alias: &str,
+    table_name: &str,
+    db: &Database,
+    outer: Option<&Env<'_>>,
+) -> (Vec<usize>, Fetched) {
+    let base = db.table(table_name).expect("table registered");
+    match access {
+        Access::TableScan { preds } => {
+            let mut out = Vec::new();
+            for rid in 0..base.len() {
+                let ok = preds
+                    .iter()
+                    .all(|p| pred_holds(p, alias, Some((base, rid)), outer));
+                if ok {
+                    out.push(rid);
+                }
+            }
+            let n = out.len();
+            (out, Fetched::Scanned(n))
+        }
+        Access::IndexScan {
+            index,
+            bounds,
+            residual,
+        } => {
+            let ix = db.index(index).expect("index registered");
+            let [lower, upper] = resolve_bounds(bounds, alias, outer);
+            // A bound compared against NULL matches no entry (SQL
+            // three-valued logic), although the B-tree orders NULL keys
+            // like any other.
+            let mut rows = if lower.0.iter().chain(&upper.0).any(Value::is_null) {
+                Vec::new()
+            } else {
+                ix.tree.range_rids(key_bound(&lower), key_bound(&upper))
+            };
+            let fetched = rows.len();
+            rows.retain(|&rid| {
+                residual
+                    .iter()
+                    .all(|p| pred_holds(p, alias, Some((base, rid)), outer))
+            });
+            (rows, Fetched::Indexed(fetched))
+        }
+    }
+}
+
+/// Evaluate probe bounds against the outer environment: the lower and the
+/// upper composite key, each with its inclusive flag (an empty key is an
+/// unbounded side).
+fn resolve_bounds(
+    bounds: &Bounds,
+    alias: &str,
+    outer: Option<&Env<'_>>,
+) -> [(Vec<Value>, bool); 2] {
+    let eq_vals: Vec<Value> = bounds
+        .eq
+        .iter()
+        .map(|(_, e)| eval_expr(e, alias, None, outer))
+        .collect();
+    let side = |b: &Option<(SqlExpr, bool)>| {
+        let mut k = eq_vals.clone();
+        match b {
+            Some((e, inclusive)) => {
+                k.push(eval_expr(e, alias, None, outer));
+                (k, *inclusive)
+            }
+            None => (k, true),
+        }
+    };
+    [side(&bounds.lower), side(&bounds.upper)]
+}
+
+/// One side of a resolved key range as a B-tree bound.
+fn key_bound((key, inclusive): &(Vec<Value>, bool)) -> Bound<&[Value]> {
+    match (key.is_empty(), inclusive) {
+        (true, _) => Bound::Unbounded,
+        (false, true) => Bound::Included(key),
+        (false, false) => Bound::Excluded(key),
     }
 }
 
