@@ -406,7 +406,7 @@ mod tests {
                 store.create_pattern_index(&["closed_auction", "price"]);
                 store.create_pattern_index(&["proceedings", "@key"]);
                 store.create_pattern_index(&["phdthesis", "year"]);
-                let cfg = xqjg_store::ExecConfig::sequential();
+                let cfg = xqjg_store::ExecConfig::from_env();
                 let reference = store.query(&core).config(&cfg).run();
                 let got = store
                     .query(&core)

@@ -17,8 +17,8 @@ use xqjg_xml::Pre;
 fn engines(scale: f64, admission: AdmissionConfig) -> (Arc<Engine>, Arc<Engine>) {
     let Workload { xmark, dblp, .. } = Workload::new(scale);
     (
-        Engine::new(xmark, ExecConfig::sequential(), admission.clone()),
-        Engine::new(dblp, ExecConfig::sequential(), admission),
+        Engine::new(xmark, ExecConfig::from_env(), admission.clone()),
+        Engine::new(dblp, ExecConfig::from_env(), admission),
     )
 }
 
@@ -30,7 +30,7 @@ fn reference(engine: &Engine, query: &str) -> Vec<Pre> {
         .execute_prepared_shared(
             &prepared,
             Mode::JoinGraph,
-            &ExecConfig::sequential(),
+            &ExecConfig::from_env(),
             &CancelToken::new(),
         )
         .expect("reference execution")

@@ -23,11 +23,11 @@ fn processor_with(uri: &str, doc: &DocTable, caches: &QueryCaches, cfg: &ExecCon
     p
 }
 
-/// The sequential configuration with all three caches pinned *on*: the
+/// The environment's configuration with all three caches pinned *on*: the
 /// suite's subject, whatever `XQJG_*_CACHE` the environment carries (CI's
 /// "caches off" leg sets all three to 0).
 fn caches_on() -> ExecConfig {
-    ExecConfig::sequential()
+    ExecConfig::from_env()
         .with_build_cache(true)
         .with_plan_cache(true)
         .with_postings_cache(true)

@@ -35,7 +35,7 @@ fn run(workload: &mut Workload, id: &str) -> (Vec<PhysPlan>, usize, ExecStats) {
     for b in &prepared.branches {
         let plan = optimize(&b.isolated.query, db).expect("optimizes");
         let out = QueryRequest::new(&plan, db)
-            .config(&ExecConfig::sequential())
+            .config(&ExecConfig::from_env())
             .expect_run();
         rows += out.rows.len();
         stats.merge(&out.stats);

@@ -146,7 +146,7 @@ fn chaos_sweep_every_site_trigger_budget() {
         for trigger in [Trigger::Nth(1), Trigger::Nth(3), Trigger::Always] {
             for budget in [TIGHT, UNLIMITED] {
                 let dir = fresh_dir("sweep");
-                let cfg = ExecConfig::sequential()
+                let cfg = ExecConfig::from_env()
                     .with_mem_budget(budget)
                     .with_spill_dir(&dir);
                 let what = format!("site {site} {trigger:?} budget {budget:?}");
@@ -209,7 +209,7 @@ fn corrupt_and_short_write_faults_error_not_panic() {
     ] {
         for kind in [FaultKind::Corrupt, FaultKind::ShortWrite] {
             let dir = fresh_dir("corrupt");
-            let cfg = ExecConfig::sequential()
+            let cfg = ExecConfig::from_env()
                 .with_mem_budget(TIGHT)
                 .with_spill_dir(&dir);
             let what = format!("site {site} kind {kind:?}");
@@ -316,7 +316,7 @@ fn failed_build_leaves_no_cache_entry() {
     // rows), with an unlimited budget so the finished build *would* be
     // memoized — exactly the case where a partial entry could leak.
     let (db, plan) = equijoin_fixture(6000);
-    let cfg = ExecConfig::sequential()
+    let cfg = ExecConfig::from_env()
         .with_mem_budget(UNLIMITED)
         .with_build_cache(true);
     let reference = try_run(&plan, &db, &cfg).expect("unfaulted reference");
@@ -354,7 +354,7 @@ fn failed_build_leaves_no_cache_entry() {
     // tight budget genuinely pushes this build through the Grace writer.
     let cache = BuildCache::new();
     let dir = fresh_dir("cache");
-    let tight = ExecConfig::sequential()
+    let tight = ExecConfig::from_env()
         .with_mem_budget(TIGHT)
         .with_spill_dir(&dir);
     let tight_ref = try_run(&plan, &db, &tight).expect("tight reference");
@@ -377,7 +377,7 @@ fn cancellation_and_timeout_surface_typed_errors() {
     let _guard = io_lock();
     let (db, plan) = equijoin_fixture(1500);
     let dir = fresh_dir("cancel");
-    let cfg = ExecConfig::sequential()
+    let cfg = ExecConfig::from_env()
         .with_mem_budget(TIGHT)
         .with_spill_dir(&dir);
     let token = CancelToken::new();
@@ -412,7 +412,7 @@ fn unusable_spill_dir_degrades_to_in_memory() {
     // A path *under a regular file* can never become a directory.
     let blocker = std::env::temp_dir().join(format!("xqjg-blocker-{}", std::process::id()));
     std::fs::write(&blocker, b"x").expect("blocker file");
-    let cfg = ExecConfig::sequential()
+    let cfg = ExecConfig::from_env()
         .with_mem_budget(TIGHT)
         .with_spill_dir(blocker.join("sub"));
     let (degraded, stats) = try_run(&plan, &db, &cfg).expect("degraded run succeeds");
@@ -423,7 +423,7 @@ fn unusable_spill_dir_degrades_to_in_memory() {
     let reference = try_run(
         &plan,
         &db,
-        &ExecConfig::sequential().with_mem_budget(UNLIMITED),
+        &ExecConfig::from_env().with_mem_budget(UNLIMITED),
     )
     .expect("reference");
     assert_eq!(degraded, reference.0, "degraded rows differ");

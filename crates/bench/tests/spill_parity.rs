@@ -64,11 +64,7 @@ fn table9_queries_identical_across_budgets() {
         let plans = plans_for(&mut workload, &q);
         let db: &Database = workload.processor(&q).database();
         for plan in &plans {
-            let reference = run_plan(
-                plan,
-                db,
-                &ExecConfig::sequential().with_mem_budget(UNLIMITED),
-            );
+            let reference = run_plan(plan, db, &ExecConfig::from_env().with_mem_budget(UNLIMITED));
             assert!(
                 reference.1.operators.iter().all(|o| o.spill_runs == 0),
                 "{}: unlimited budget must never spill",
@@ -101,7 +97,7 @@ fn table9_queries_identical_across_budgets() {
                 q.id
             );
             for budget in [TINY, MEDIUM, UNLIMITED] {
-                let cfg = ExecConfig::sequential().with_mem_budget(budget);
+                let cfg = ExecConfig::from_env().with_mem_budget(budget);
                 let (t, s) = run_plan(plan, db, &cfg);
                 let what = format!("{} budget {budget:?}", q.id);
                 assert_eq!(t, reference.0, "{what}: rows/order differ");
@@ -135,9 +131,9 @@ fn spill_counters_are_batch_capacity_invariant_at_fixed_budget() {
         let plans = plans_for(&mut workload, &q);
         let db: &Database = workload.processor(&q).database();
         for plan in &plans {
-            let reference = run_plan(plan, db, &ExecConfig::sequential().with_mem_budget(TINY));
+            let reference = run_plan(plan, db, &ExecConfig::from_env().with_mem_budget(TINY));
             for cap in [8, 64] {
-                let cfg = ExecConfig::sequential()
+                let cfg = ExecConfig::from_env()
                     .with_mem_budget(TINY)
                     .with_batch_capacity(cap);
                 let got = run_plan(plan, db, &cfg);
@@ -181,12 +177,12 @@ fn tight_budget_spills_both_pipeline_breakers_on_the_hash_workload() {
     let (t_ref, s_ref) = run_plan(
         &plan,
         &db,
-        &ExecConfig::sequential().with_mem_budget(UNLIMITED),
+        &ExecConfig::from_env().with_mem_budget(UNLIMITED),
     );
     let (t, s) = run_plan(
         &plan,
         &db,
-        &ExecConfig::sequential().with_mem_budget(Some(8 * 1024)),
+        &ExecConfig::from_env().with_mem_budget(Some(8 * 1024)),
     );
     assert_eq!(t, t_ref);
     assert_stats_match_modulo_spill(&s, &s_ref, "hash workload");
@@ -217,9 +213,9 @@ proptest! {
         let reference = run_plan(
             &plan,
             &db,
-            &ExecConfig::sequential().with_mem_budget(UNLIMITED),
+            &ExecConfig::from_env().with_mem_budget(UNLIMITED),
         );
-        let cfg = ExecConfig::sequential().with_mem_budget(Some(budget));
+        let cfg = ExecConfig::from_env().with_mem_budget(Some(budget));
         let (t, s) = run_plan(&plan, &db, &cfg);
         prop_assert_eq!(&t, &reference.0, "budget {} changed rows", budget);
         let sans: Vec<OpStats> = s.operators.iter().map(OpStats::sans_spill).collect();

@@ -228,7 +228,7 @@ proptest! {
 
         let mut unbudgeted: Option<(Table, OpStats)> = None;
         for cap in [1, 1024] {
-            let cfg = ExecConfig::sequential()
+            let cfg = ExecConfig::from_env()
                 .with_batch_capacity(cap)
                 .with_mem_budget(None);
             let out = QueryRequest::new(&plan, &db).config(&cfg).expect_run();
@@ -250,7 +250,7 @@ proptest! {
         // The budgeted path (external sorter, two-pass sort DISTINCT)
         // returns the same rows.
         let (rows_ref, tail_ref) = unbudgeted.expect("the unbudgeted legs ran");
-        let cfg = ExecConfig::sequential().with_mem_budget(Some(4 * 1024));
+        let cfg = ExecConfig::from_env().with_mem_budget(Some(4 * 1024));
         let out = QueryRequest::new(&plan, &db).config(&cfg).expect_run();
         let what = format!("{sql} [4 KiB]");
         prop_assert_eq!(

@@ -120,14 +120,14 @@ fn table9_queries_identical_across_budgets() {
         let db: &Database = workload.processor(&q).database();
         let mut merged = ExecStats::default();
         for plan in &plans {
-            let ref_cfg = ExecConfig::sequential().with_mem_budget(UNLIMITED);
+            let ref_cfg = ExecConfig::from_env().with_mem_budget(UNLIMITED);
             let reference = run_plan(plan, db, &ref_cfg);
             check_against_materializing_oracle(plan, db, &ref_cfg, q.id)
                 .unwrap_or_else(|e| panic!("{e}"));
             let fetched: usize = reference.1.operators.iter().map(|o| o.fetched).sum();
             assert!(fetched > 0, "{}: no operator reports fetch work", q.id);
             for budget in [UNLIMITED, BOUNDED] {
-                let cfg = ExecConfig::sequential().with_mem_budget(budget);
+                let cfg = ExecConfig::from_env().with_mem_budget(budget);
                 let (t, s) = run_plan(plan, db, &cfg);
                 let what = format!("{} budget {budget:?}", q.id);
                 assert_eq!(t, reference.0, "{what}: rows/order differ");
@@ -169,12 +169,12 @@ fn equijoin_fixture(rows: i64, distinct: bool) -> (Database, PhysPlan) {
 fn hash_workload_identical_across_typed_toggle_and_engages_kernels() {
     for distinct in [false, true] {
         let (db, plan) = equijoin_fixture(900, distinct);
-        let ref_cfg = ExecConfig::sequential().with_mem_budget(UNLIMITED);
+        let ref_cfg = ExecConfig::from_env().with_mem_budget(UNLIMITED);
         let reference = run_plan(&plan, &db, &ref_cfg);
         check_against_materializing_oracle(&plan, &db, &ref_cfg, "hash workload")
             .unwrap_or_else(|e| panic!("distinct {distinct}: {e}"));
         for budget in [UNLIMITED, BOUNDED, Some(8 * 1024)] {
-            let cfg = ExecConfig::sequential().with_mem_budget(budget);
+            let cfg = ExecConfig::from_env().with_mem_budget(budget);
             let (t, s) = run_plan(&plan, &db, &cfg);
             let what = format!("distinct {distinct} budget {budget:?}");
             assert_eq!(t, reference.0, "{what}: rows/order differ");
@@ -221,11 +221,11 @@ proptest! {
              ORDER BY d1.pre, d2.pre"
         );
         let plan = optimize(&parse_sql(&sql).unwrap(), &db).unwrap();
-        let cfg = ExecConfig::sequential().with_mem_budget(budget);
+        let cfg = ExecConfig::from_env().with_mem_budget(budget);
         let oracle = check_against_materializing_oracle(&plan, &db, &cfg, &sql);
         prop_assert!(oracle.is_ok(), "{:?}", oracle);
         let (_, s) = run_plan(&plan, &db, &cfg);
-        let (_, s_ref) = run_plan(&plan, &db, &ExecConfig::sequential().with_mem_budget(None));
+        let (_, s_ref) = run_plan(&plan, &db, &ExecConfig::from_env().with_mem_budget(None));
         let sans: Vec<OpStats> = s.operators.iter().map(OpStats::sans_spill).collect();
         let sans_ref: Vec<OpStats> = s_ref.operators.iter().map(OpStats::sans_spill).collect();
         prop_assert_eq!(sans, sans_ref, "the budget changed actuals");
@@ -271,7 +271,7 @@ proptest! {
         );
         let plan = optimize(&parse_sql(&sql).unwrap(), &db).unwrap();
         let budget = tiny.then_some(4 * 1024);
-        let cfg = ExecConfig::sequential().with_mem_budget(budget);
+        let cfg = ExecConfig::from_env().with_mem_budget(budget);
         let oracle = check_against_materializing_oracle(&plan, &db, &cfg, "null sweep");
         prop_assert!(oracle.is_ok(), "{:?}", oracle);
     }
@@ -346,7 +346,7 @@ proptest! {
             preds.join(" AND ")
         );
         let plan = optimize(&parse_sql(&sql).unwrap(), &db).unwrap();
-        let cfg = ExecConfig::sequential();
+        let cfg = ExecConfig::from_env();
         let oracle = check_against_materializing_oracle(&plan, &db, &cfg, &sql);
         prop_assert!(oracle.is_ok(), "{:?}", oracle);
         let (_, s) = run_plan(&plan, &db, &cfg);

@@ -11,7 +11,7 @@
 //! so no join level ever materializes the full binding set (the sort tail,
 //! a genuine pipeline breaker, is the only operator that buffers its
 //! input).  Every predicate, hash key and probe bound is compiled once per
-//! execution ([`CStage`]): schema offsets are resolved up front, and where
+//! execution (`CStage`): schema offsets are resolved up front, and where
 //! the operand columns carry typed images the comparison runs as a
 //! branch-free kernel; columns without one keep the untyped [`Value`]
 //! comparison inside the same operators.
@@ -353,13 +353,12 @@ impl<'a> AccessFilter<'a> {
 }
 
 /// Everything the spill machinery of one execution needs: the shared
-/// [`MemBudget`] accountant, the run directory, the transient-failure
-/// retry allowance and the cancellation/deadline context.
+/// [`MemBudget`] accountant, the run directory and the
+/// cancellation/deadline context.
 #[derive(Clone)]
 struct SpillCtx {
     budget: Arc<MemBudget>,
     dir: PathBuf,
-    retries: usize,
     interrupt: Interrupt,
 }
 
@@ -510,7 +509,6 @@ impl JoinBuild {
                 // scan order, and loads group by hash — so probe results
                 // and their order are identical to the in-memory backend).
                 let mut g = GraceBuilder::new(spill.dir.clone())?;
-                g.set_retries(spill.retries);
                 g.set_interrupt(spill.interrupt.clone());
                 for (bh, rids) in buckets.drain() {
                     for brid in rids {
@@ -686,7 +684,7 @@ const BUILD_BASE_COST: usize = 256;
 /// Concurrent memo of hash-join build sides, keyed by (table, key
 /// columns, pushed-down filters) and invalidated whenever the catalog
 /// version moves (table or index DDL).  Built on the byte-bounded
-/// [`ShardedLru`], so it is `Arc`-shared across `Processor` instances
+/// [`xqjg_store::ShardedLru`], so it is `Arc`-shared across `Processor` instances
 /// (cloning the handle shares the cache) and bounded for long-lived
 /// sessions: each build is charged its resident bucket-table footprint
 /// and least-recently-used builds evict when the bound trips.  Repeated
@@ -1923,7 +1921,6 @@ fn run_with_caches(
     let spill = SpillCtx {
         budget: budget.clone(),
         dir,
-        retries: cfg.spill_retries,
         interrupt: interrupt.clone(),
     };
     let stages = flatten_stages(&plan.root, db);
@@ -1988,7 +1985,6 @@ fn run_with_caches(
     let budgeted = spill.budget.limit().is_some();
     let mut cols = spec.columns();
     let mut sorter = ExternalSorter::new(spill.budget.clone(), spill.dir.clone());
-    sorter.set_retries(cfg.spill_retries);
     sorter.set_interrupt(interrupt.clone());
     // Budgeted DISTINCT is sort-based and two-pass: pass 1 sorts by the
     // select row (original sequence as tie-break) and drops adjacent
@@ -2170,7 +2166,6 @@ fn sort_distinct_two_pass(
         pass1.retries,
     );
     let mut resort = ExternalSorter::new(spill.budget.clone(), spill.dir.clone());
-    resort.set_retries(spill.retries);
     resort.set_interrupt(spill.interrupt.clone());
     let mut prev_sel: Option<Row> = None;
     for payload in pass1 {
@@ -3273,11 +3268,6 @@ pub fn run_sql(sql: &str, db: &Database) -> Result<Table, Box<dyn std::error::Er
     Ok(QueryRequest::new(&plan, db).run()?.rows)
 }
 
-/// Check a predicate operator against an ordering (exposed for reuse).
-pub fn cmp_eval(op: SqlCmp, ord: std::cmp::Ordering) -> bool {
-    op.eval(ord)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -3463,7 +3453,7 @@ mod tests {
         let sql = "SELECT d1.pre AS a, d2.pre AS b FROM doc AS d1, doc AS d2 \
                    WHERE d2.v + 1 >= d1.v AND d1.pre = 0 ORDER BY d2.pre";
         let plan = optimize(&parse_sql(sql).unwrap(), &db).unwrap();
-        let (t, _) = run(&plan, &db, &ExecConfig::sequential());
+        let (t, _) = run(&plan, &db, &ExecConfig::from_env());
         assert_eq!(t.len(), 2, "rows with v + 1 >= 2^63");
         assert_eq!(t, execute_materialized_with_stats(&plan, &db).0);
     }
@@ -3543,9 +3533,9 @@ mod tests {
         let db = db();
         let q = parse_sql(Q1_LIKE).unwrap();
         let plan = optimize(&q, &db).unwrap();
-        let (t_ref, s_ref) = run(&plan, &db, &ExecConfig::sequential());
+        let (t_ref, s_ref) = run(&plan, &db, &ExecConfig::from_env());
         for cap in [1, 2, 7] {
-            let cfg = ExecConfig::sequential().with_batch_capacity(cap);
+            let cfg = ExecConfig::from_env().with_batch_capacity(cap);
             let (t, s) = run(&plan, &db, &cfg);
             assert_eq!(t, t_ref, "rows differ at batch capacity {cap}");
             assert_eq!(s.index_rows, s_ref.index_rows);
@@ -3611,7 +3601,7 @@ mod tests {
             "fixture plan must contain a hash join"
         );
         let cache = BuildCache::new();
-        let cfg = ExecConfig::sequential();
+        let cfg = ExecConfig::from_env();
         let (t1, s1) = run_cached(&plan, &db, &cfg, &cache);
         assert_eq!(cache.hits(), 0);
         assert!(cache.lookups() > 0);
@@ -3679,7 +3669,7 @@ mod tests {
             builds: None,
             postings: Some(&pc),
         };
-        let cfg = ExecConfig::sequential().with_postings_cache(true);
+        let cfg = ExecConfig::from_env().with_postings_cache(true);
         let with = |caches: ExecCaches<'_>| {
             let out = QueryRequest::new(&plan, &db)
                 .config(&cfg)
@@ -3806,7 +3796,7 @@ mod tests {
                 let (t_ref, agg_ref) = execute_materialized_with_stats(&plan, &db);
                 assert!(agg_ref.probes >= 3000, "{}", agg_ref.probes);
                 for cap in [1, 1024] {
-                    let cfg = ExecConfig::sequential().with_batch_capacity(cap);
+                    let cfg = ExecConfig::from_env().with_batch_capacity(cap);
                     let (t, s) = run(&plan, &db, &cfg);
                     let what = format!("{upper} cap {cap}");
                     assert_eq!(t, t_ref, "{what}: rows and their order");
@@ -3830,7 +3820,7 @@ mod tests {
         let upper = SqlExpr::col("o", "pre") + SqlExpr::lit(9i64);
         let plan = prefix_run_plan(name_is_o, upper, vec![]);
         let pc = xqjg_store::PostingsCache::new();
-        let cfg = ExecConfig::sequential().with_postings_cache(true);
+        let cfg = ExecConfig::from_env().with_postings_cache(true);
         for pass in ["cold", "warm"] {
             let out = QueryRequest::new(&plan, &db)
                 .config(&cfg)
@@ -3853,7 +3843,7 @@ mod tests {
         let name_is_o = SqlPredicate::new(SqlExpr::col("o", "name"), SqlCmp::Eq, SqlExpr::lit("o"));
         let upper = SqlExpr::col("o", "pre") + SqlExpr::lit(9i64);
         let plan = prefix_run_plan(name_is_o, upper, vec![]);
-        let cfg = ExecConfig::sequential().with_mem_budget(None);
+        let cfg = ExecConfig::from_env().with_mem_budget(None);
         let token = CancelToken::new();
         token.cancel();
         let run = |cfg: &ExecConfig| {
@@ -3881,7 +3871,7 @@ mod tests {
             SqlExpr::col("o", "pre") + SqlExpr::lit(9i64),
             vec![],
         );
-        let (t, s) = run(&plan, &db, &ExecConfig::sequential());
+        let (t, s) = run(&plan, &db, &ExecConfig::from_env());
         assert_eq!(
             (s.probes, t.len()),
             (1, 3),
@@ -3900,7 +3890,7 @@ mod tests {
             builds: None,
             postings: Some(&pc),
         };
-        let cfg = ExecConfig::sequential().with_postings_cache(false);
+        let cfg = ExecConfig::from_env().with_postings_cache(false);
         let req = QueryRequest::new(&plan, &db).config(&cfg).caches(caches);
         let (t1, t2) = (req.expect_run().rows, req.expect_run().rows);
         assert_eq!(t1, t2);
@@ -3953,9 +3943,9 @@ mod tests {
             // actuals: the independent materializing executor.  Every
             // other actual but `batches`: the default-capacity run.
             let (t_ref, s_ref) = execute_materialized_with_stats(&plan, &db);
-            let (_, ops_ref) = run(&plan, &db, &ExecConfig::sequential());
+            let (_, ops_ref) = run(&plan, &db, &ExecConfig::from_env());
             for cap in [1, 64, 1024] {
-                let cfg = ExecConfig::sequential().with_batch_capacity(cap);
+                let cfg = ExecConfig::from_env().with_batch_capacity(cap);
                 let (t, s) = run(&plan, &db, &cfg);
                 let what = format!("{sql} cap {cap}");
                 assert_eq!(t, t_ref, "{what}");
@@ -3999,11 +3989,11 @@ mod tests {
         let db = big_db(2000);
         let q = parse_sql(SPILL_SQL).unwrap();
         let plan = optimize(&q, &db).unwrap();
-        let unlimited = ExecConfig::sequential().with_mem_budget(None);
+        let unlimited = ExecConfig::from_env().with_mem_budget(None);
         let (t_ref, s_ref) = run(&plan, &db, &unlimited);
         assert!(t_ref.len() > 1000, "fixture large enough to pressure 16K");
 
-        let tight = ExecConfig::sequential().with_mem_budget(Some(16 * 1024));
+        let tight = ExecConfig::from_env().with_mem_budget(Some(16 * 1024));
         let (t, s) = run(&plan, &db, &tight);
         assert_eq!(t, t_ref, "spilled execution must return identical rows");
 
@@ -4036,9 +4026,9 @@ mod tests {
         let db = big_db(1200);
         let q = parse_sql(SPILL_SQL).unwrap();
         let plan = optimize(&q, &db).unwrap();
-        let (t_ref, s_ref) = run(&plan, &db, &ExecConfig::sequential().with_mem_budget(None));
+        let (t_ref, s_ref) = run(&plan, &db, &ExecConfig::from_env().with_mem_budget(None));
         for budget in [Some(8 * 1024), Some(64 * 1024), None] {
-            let cfg = ExecConfig::sequential().with_mem_budget(budget);
+            let cfg = ExecConfig::from_env().with_mem_budget(budget);
             let (t, s) = run(&plan, &db, &cfg);
             assert_eq!(t, t_ref, "budget {budget:?}");
             let sans: Vec<OpStats> = s.operators.iter().map(OpStats::sans_spill).collect();
@@ -4053,11 +4043,7 @@ mod tests {
         let q = parse_sql(SPILL_SQL).unwrap();
         let plan = optimize(&q, &db).unwrap();
         let budget = Some(16 * 1024);
-        let reference = run(
-            &plan,
-            &db,
-            &ExecConfig::sequential().with_mem_budget(budget),
-        );
+        let reference = run(&plan, &db, &ExecConfig::from_env().with_mem_budget(budget));
         assert!(
             reference.1.operators.iter().any(|o| o.spill_runs > 0),
             "fixture must spill"
@@ -4065,7 +4051,7 @@ mod tests {
         // Spill runs are cut from the row stream alone, however the rows
         // are batched.
         for cap in [1, 7] {
-            let cfg = ExecConfig::sequential()
+            let cfg = ExecConfig::from_env()
                 .with_mem_budget(budget)
                 .with_batch_capacity(cap);
             let got = run(&plan, &db, &cfg);
@@ -4112,7 +4098,7 @@ mod tests {
             let sql = format!("SELECT d1.pre AS p FROM doc AS d1 WHERE {pred} ORDER BY d1.pre");
             let q = parse_sql(&sql).unwrap();
             let plan = optimize(&q, &db).unwrap();
-            let (t, s) = run(&plan, &db, &ExecConfig::sequential());
+            let (t, s) = run(&plan, &db, &ExecConfig::from_env());
             let (t_ref, s_ref) = execute_materialized_with_stats(&plan, &db);
             assert_eq!(t, t_ref, "{pred}");
             assert_join_levels_match(&s, &s_ref, pred);
@@ -4131,7 +4117,7 @@ mod tests {
         let db = db();
         let q = parse_sql(Q1_LIKE).unwrap();
         let plan = optimize(&q, &db).unwrap();
-        let (t, s) = run(&plan, &db, &ExecConfig::sequential());
+        let (t, s) = run(&plan, &db, &ExecConfig::from_env());
         let (t_ref, s_ref) = execute_materialized_with_stats(&plan, &db);
         assert_eq!(t, t_ref);
         assert_aggregates_match(&s, &s_ref, "Q1-like");
@@ -4269,7 +4255,7 @@ mod tests {
         let terms = vec![None, Some(Value::str("id")), Some(Value::str("ATTR"))];
         assert_eq!(coded, [terms.clone(), terms], "both vnkp stages");
         let out = QueryRequest::new(&plan, &db)
-            .config(&ExecConfig::sequential())
+            .config(&ExecConfig::from_env())
             .expect_run();
         assert!(!out.rows.is_empty());
         assert_eq!(db.code_runs_built(), 1, "one run serves both stages");
@@ -4325,7 +4311,7 @@ mod tests {
             let sql = format!("SELECT d1.pre AS p FROM doc AS d1 WHERE {pred} ORDER BY d1.pre");
             let q = parse_sql(&sql).unwrap();
             let plan = optimize(&q, &db).unwrap();
-            let (t, s) = run(&plan, &db, &ExecConfig::sequential());
+            let (t, s) = run(&plan, &db, &ExecConfig::from_env());
             let (t_ref, s_ref) = execute_materialized_with_stats(&plan, &db);
             assert_eq!(t, t_ref, "{pred}");
             assert_join_levels_match(&s, &s_ref, pred);
@@ -4362,7 +4348,7 @@ mod tests {
         // hashing kernels, no spill).  Every other actual: the run under no
         // budget.
         let (t_ref, agg_ref) = execute_materialized_with_stats(&plan, &db);
-        let (t_mem, s_ref) = run(&plan, &db, &ExecConfig::sequential().with_mem_budget(None));
+        let (t_mem, s_ref) = run(&plan, &db, &ExecConfig::from_env().with_mem_budget(None));
         assert_eq!(t_mem, t_ref);
         assert!(
             s_ref.operators.iter().any(|o| o.name.starts_with("HSJOIN")),
@@ -4375,7 +4361,7 @@ mod tests {
             .all(|r| r[0].as_i64().unwrap() % 11 != 3 && r[0].as_i64().unwrap() % 13 != 7));
         let mut spilled = false;
         for budget in [None, Some(8 * 1024)] {
-            let cfg = ExecConfig::sequential().with_mem_budget(budget);
+            let cfg = ExecConfig::from_env().with_mem_budget(budget);
             let (t, s) = run(&plan, &db, &cfg);
             let what = format!("budget {budget:?}");
             assert_eq!(t, t_ref, "{what}");
@@ -4407,14 +4393,14 @@ mod tests {
         assert!(plan.distinct);
         // The unbudgeted tail dedups in one hash pass; it and the
         // materializing oracle's dedup set are the references.
-        let unlimited = ExecConfig::sequential().with_mem_budget(None);
+        let unlimited = ExecConfig::from_env().with_mem_budget(None);
         let (t_ref, s_ref) = run(&plan, &db, &unlimited);
         assert_eq!(t_ref.len(), 97);
         let (t_oracle, s_oracle) = execute_materialized_with_stats(&plan, &db);
         assert_eq!(t_ref, t_oracle);
         for budget in [Some(4 * 1024), Some(64 * 1024)] {
             // A limited budget engages the two-pass sort DISTINCT.
-            let base = ExecConfig::sequential().with_mem_budget(budget);
+            let base = ExecConfig::from_env().with_mem_budget(budget);
             let (t_sort, s_sort) = run(&plan, &db, &base);
             assert_eq!(t_sort, t_ref, "budget {budget:?}");
             assert_join_levels_match(&s_sort, &s_oracle, &format!("budget {budget:?}"));
@@ -4424,7 +4410,7 @@ mod tests {
             assert_eq!(sans_sort, sans_ref);
         }
         // Under real pressure the sort DISTINCT spills.
-        let tight = ExecConfig::sequential().with_mem_budget(Some(4 * 1024));
+        let tight = ExecConfig::from_env().with_mem_budget(Some(4 * 1024));
         let (_, s) = run(&plan, &db, &tight);
         let tail = s.operators.last().unwrap();
         assert_eq!(tail.name, "SORT(distinct)");
@@ -4443,7 +4429,7 @@ mod tests {
         // fresh or fetched from the session cache.
         let budget = Some(256 * 1024);
         let cache = BuildCache::new();
-        let cfg = ExecConfig::sequential().with_mem_budget(budget);
+        let cfg = ExecConfig::from_env().with_mem_budget(budget);
         let (t1, s1) = run_cached(&plan, &db, &cfg, &cache);
         assert_eq!(cache.hits(), 0);
         let (t2, s2) = run_cached(&plan, &db, &cfg, &cache);
@@ -4465,7 +4451,7 @@ mod tests {
         let q = parse_sql(SPILL_SQL).unwrap();
         let plan = optimize(&q, &db).unwrap();
         let cache = BuildCache::new();
-        let tight = ExecConfig::sequential().with_mem_budget(Some(16 * 1024));
+        let tight = ExecConfig::from_env().with_mem_budget(Some(16 * 1024));
         let (t1, s1) = run_cached(&plan, &db, &tight, &cache);
         assert!(
             s1.operators.iter().any(|o| o.partitions > 0),
@@ -4481,7 +4467,7 @@ mod tests {
         assert_eq!(cache.hits(), 0, "second run rebuilds, it cannot hit");
         assert!(s2.operators.iter().all(|o| o.cache_hits == 0));
         // The same query under an unlimited budget is cached as before.
-        let unlimited = ExecConfig::sequential().with_mem_budget(None);
+        let unlimited = ExecConfig::from_env().with_mem_budget(None);
         run_cached(&plan, &db, &unlimited, &cache);
         assert!(!cache.is_empty());
         let (_, s4) = run_cached(&plan, &db, &unlimited, &cache);

@@ -30,7 +30,7 @@
 //! * `spill_bytes` — bytes written across those runs, and
 //! * `partitions` — leaf partitions of a Grace-partitioned build side, and
 //! * `retries` — transient spill-write failures the operator survived by
-//!   retrying (bounded by `XQJG_SPILL_RETRIES`, default 2); shown only
+//!   retrying (at most `DEFAULT_SPILL_RETRIES`, 2, per write); shown only
 //!   when a retry actually rescued a write,
 //!
 //! the typed-kernel engagement counter when a kernel ran

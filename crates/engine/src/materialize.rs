@@ -7,8 +7,8 @@
 //! inner row and per probe — no batches, no compiled predicates, no typed
 //! kernels, no spilling, no caches.  Its evaluator is its own: it reads
 //! the plan's SQL expressions through a row-at-a-time interpreter
-//! ([`Env`], [`eval_expr`], [`pred_holds`]) and enumerates every access
-//! path with [`exec_access`], and none of that code is reachable from the
+//! (`Env`, `eval_expr`, `pred_holds`) and enumerates every access path
+//! with `exec_access`, and none of that code is reachable from the
 //! executor, which evaluates only the compiled stage form.  The two share
 //! the catalog and the [`ExecStats`] counter struct, nothing else, so a
 //! bug in one evaluator shows up as a parity failure rather than in both.

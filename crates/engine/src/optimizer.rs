@@ -8,13 +8,13 @@
 //!   column), estimate selectivities from table statistics, or fall back to
 //!   a table scan.  A range column bounded from one side only gets its
 //!   other side from the catalog's column-group extent statistic when a
-//!   containment partner allows it (see [`Planner::implied_lower`]) — the
+//!   containment partner allows it (see `Planner::implied_lower`) — the
 //!   step that makes walking *up* from a selective leaf cost a window, not
 //!   half an index partition.  A parent step whose own group is unknown (a
 //!   nameless `*` or `..`) and which no index windows that way is closed
 //!   from the bound child's side instead: the catalog's parent-gap
 //!   statistic of the child's `(name, kind)` group bounds how far before
-//!   the child its parent sits (see [`Planner::child_window`]) — and
+//!   the child its parent sits (see `Planner::child_window`) — and
 //! * **join tree planning** — dynamic programming over connected sub-plans
 //!   (Selinger-style, left-deep), choosing nested-loop (index probe) or hash
 //!   joins per step.
@@ -26,7 +26,7 @@
 //! # What the enumeration is built from
 //!
 //! Planning should cost what it decides, so one `optimize` call builds three
-//! structures and throws them away with its [`Planner`]:
+//! structures and throws them away with its `Planner`:
 //!
 //! * **Predicate index** (`Planner::new`).  Aliases are bit positions of a
 //!   `u64`.  Every WHERE predicate gets its alias mask once; every alias
@@ -36,7 +36,7 @@
 //!   test per entry of `i`'s own list, and predicates travel as indices
 //!   into the WHERE clause until a winner is turned into a plan.
 //! * **Step memo** (`Planner::step`).  Adding alias `i` to a bound set is
-//!   described by a [`Step`]: join selectivity, the cheapest probe with its
+//!   described by a `Step`: join selectivity, the cheapest probe with its
 //!   per-probe cost and leftover predicates, and the hash-join alternative.
 //!   All of it is derived from the predicates of `i` that are available —
 //!   those whose other aliases are all bound — and a predicate of `i`

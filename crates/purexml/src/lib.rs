@@ -722,9 +722,9 @@ mod tests {
             "/site/people/person/name/text()",
         ] {
             let core = parse_and_normalize(query, Some("auction.xml")).unwrap();
-            let reference = store.query(&core).config(&ExecConfig::sequential()).run();
+            let reference = store.query(&core).config(&ExecConfig::from_env()).run();
             // Capacity 1 puts every candidate segment in a batch of its own.
-            let cfg = ExecConfig::sequential().with_batch_capacity(1);
+            let cfg = ExecConfig::from_env().with_batch_capacity(1);
             let got = store.query(&core).config(&cfg).run();
             assert_eq!(got.0, reference.0, "{query} items");
             let sans_batches = |ops: &[OpStats]| -> Vec<OpStats> {

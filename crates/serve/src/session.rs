@@ -85,7 +85,7 @@ mod tests {
     use super::*;
 
     fn session() -> Session {
-        Session::new(1, ExecConfig::sequential(), CancelToken::new())
+        Session::new(1, ExecConfig::from_env(), CancelToken::new())
     }
 
     #[test]

@@ -24,7 +24,7 @@ fn processor(scale: f64) -> Processor {
 }
 
 fn engine(admission: AdmissionConfig) -> Arc<Engine> {
-    Engine::new(processor(0.02), ExecConfig::sequential(), admission)
+    Engine::new(processor(0.02), ExecConfig::from_env(), admission)
 }
 
 /// A line-protocol test client.
@@ -104,7 +104,7 @@ fn reference_items(engine: &Engine, query: &str, mode: Mode) -> String {
         .execute_prepared_shared(
             &prepared,
             mode,
-            &ExecConfig::sequential(),
+            &ExecConfig::from_env(),
             &xqjg_store::CancelToken::new(),
         )
         .expect("reference execution");

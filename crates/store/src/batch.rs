@@ -133,11 +133,6 @@ impl<T> Batch<T> {
             keep
         });
     }
-
-    /// Consume the batch, yielding its tuples.
-    pub fn into_items(self) -> Vec<T> {
-        self.items
-    }
 }
 
 impl<T> Default for Batch<T> {
@@ -190,8 +185,8 @@ pub struct OpStats {
     /// Leaf partitions of a Grace-partitioned (spilled) hash-join build
     /// side; zero for in-memory builds.
     pub partitions: usize,
-    /// Transient spill-write failures the operator retried past (see
-    /// `XQJG_SPILL_RETRIES`); zero on a healthy disk.
+    /// Transient spill-write failures the operator retried past (at most
+    /// [`crate::DEFAULT_SPILL_RETRIES`] per write); zero on a healthy disk.
     pub retries: usize,
     /// Rows the operator pushed through the typed-column kernels (compare/
     /// hash/sort over `i64` or dictionary-code images) instead of scalar

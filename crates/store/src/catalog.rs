@@ -322,11 +322,6 @@ impl Database {
         self.indexes.iter().find(|ix| ix.def.name == name)
     }
 
-    /// All index names (useful for EXPLAIN output and tests).
-    pub fn index_names(&self) -> Vec<&str> {
-        self.indexes.iter().map(|ix| ix.def.name.as_str()).collect()
-    }
-
     /// Fetch the row values of `table` at `row_id` for the given columns.
     pub fn fetch(&self, table: &str, row_id: usize, columns: &[String]) -> Vec<Value> {
         let t = &self.tables[table];

@@ -111,16 +111,6 @@ impl ColumnBatch {
         }
     }
 
-    /// Install a selection vector (indices must be ascending physical rows).
-    pub fn set_sel(&mut self, sel: Vec<u32>) {
-        debug_assert!(
-            sel.windows(2).all(|w| w[0] < w[1]),
-            "selection not ascending"
-        );
-        debug_assert!(sel.last().is_none_or(|&i| (i as usize) < self.rows()));
-        self.sel = Some(sel);
-    }
-
     /// Refine the selection: keep only live rows whose *physical* index
     /// satisfies the predicate.  This is the column-at-a-time filter
     /// primitive — dropped rows are never moved or materialized.

@@ -26,10 +26,6 @@ pub struct ExecConfig {
     /// Directory spill runs are written to (`None` = the system temp
     /// directory).
     pub spill_dir: Option<PathBuf>,
-    /// How many times a *transient* spill-write failure (an I/O error on a
-    /// run or partition write) is retried with bounded backoff before it
-    /// surfaces as [`crate::ExecError::Io`].  `0` fails on first error.
-    pub spill_retries: usize,
     /// Wall-clock deadline for one execution; exceeding it fails the query
     /// with [`crate::ExecError::Timeout`] at the next leaf batch or spill
     /// run.  `None` = no limit.
@@ -52,7 +48,6 @@ pub const EXEC_KNOBS: &[&str] = &[
     "XQJG_BATCH_CAPACITY",
     "XQJG_MEM_BUDGET",
     "XQJG_SPILL_DIR",
-    "XQJG_SPILL_RETRIES",
     "XQJG_QUERY_TIMEOUT",
     "XQJG_BUILD_CACHE",
     "XQJG_PLAN_CACHE",
@@ -173,19 +168,6 @@ pub(crate) fn strict_duration(
         .ok_or_else(|| ConfigError::new(var, value, "a duration (suffixes ms/s/m, e.g. 500ms)"))
 }
 
-/// Strictly parse a non-negative integer knob (zero is meaningful); empty
-/// means "unset".
-pub(crate) fn strict_count(var: &str, value: &str) -> Result<Option<usize>, ConfigError> {
-    let v = value.trim();
-    if v.is_empty() {
-        return Ok(None);
-    }
-    v.parse::<usize>()
-        .ok()
-        .map(Some)
-        .ok_or_else(|| ConfigError::new(var, value, "a non-negative integer"))
-}
-
 impl ExecConfig {
     /// Apply one knob by its environment-variable name.  This is the *only*
     /// parser for `XQJG_*` execution knobs: [`ExecConfig::try_from_env`]
@@ -209,10 +191,6 @@ impl ExecConfig {
             "XQJG_SPILL_DIR" => {
                 let v = value.trim();
                 self.spill_dir = (!v.is_empty()).then(|| PathBuf::from(v));
-            }
-            "XQJG_SPILL_RETRIES" => {
-                self.spill_retries =
-                    strict_count(var, value)?.unwrap_or(crate::spill::DEFAULT_SPILL_RETRIES)
             }
             "XQJG_QUERY_TIMEOUT" => self.query_timeout = strict_duration(var, value)?,
             "XQJG_BUILD_CACHE" => self.build_cache = strict_bool(var, value)?.unwrap_or(true),
@@ -268,18 +246,6 @@ impl ExecConfig {
         cfg
     }
 
-    /// The environment's configuration with the default batch capacity.
-    /// The other knobs (`XQJG_MEM_BUDGET`, `XQJG_SPILL_DIR`, the cache
-    /// switches, ...) are still read from the environment, so the whole
-    /// test suite can be pointed at a tight memory budget or at cold caches
-    /// (the CI matrix does exactly that).
-    pub fn sequential() -> Self {
-        ExecConfig {
-            batch_capacity: crate::BATCH_CAPACITY,
-            ..Self::from_env()
-        }
-    }
-
     /// Builder: set the batch capacity, clamped to
     /// `1..=`[`MAX_BATCH_CAPACITY`].
     pub fn with_batch_capacity(mut self, cap: usize) -> Self {
@@ -296,13 +262,6 @@ impl ExecConfig {
     /// Builder: set the spill directory.
     pub fn with_spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.spill_dir = Some(dir.into());
-        self
-    }
-
-    /// Builder: set the transient spill-write retry limit (`0` fails on
-    /// the first error).
-    pub fn with_spill_retries(mut self, retries: usize) -> Self {
-        self.spill_retries = retries;
         self
     }
 
@@ -354,7 +313,6 @@ impl Default for ExecConfig {
             batch_capacity: crate::BATCH_CAPACITY,
             mem_budget: None,
             spill_dir: None,
-            spill_retries: crate::spill::DEFAULT_SPILL_RETRIES,
             query_timeout: None,
             build_cache: true,
             plan_cache: true,
@@ -411,11 +369,11 @@ mod tests {
 
     #[test]
     fn config_builders_clamp_to_one() {
-        let cfg = ExecConfig::sequential().with_batch_capacity(0);
+        let cfg = ExecConfig::from_env().with_batch_capacity(0);
         assert_eq!(cfg.batch_capacity, 1);
         // ...and batch capacities to their upper bound (nothing here
         // allocates a batch).
-        let cfg = ExecConfig::sequential().with_batch_capacity(usize::MAX);
+        let cfg = ExecConfig::from_env().with_batch_capacity(usize::MAX);
         assert_eq!(cfg.batch_capacity, MAX_BATCH_CAPACITY);
     }
 
@@ -450,6 +408,7 @@ mod tests {
             "XQJG_ADAPTIVE_BATCH",
             "XQJG_THREADS",
             "XQJG_MORSEL_SIZE",
+            "XQJG_SPILL_RETRIES",
             "XQJG_WARP_DRIVE",
             "threads",
         ] {
@@ -465,7 +424,7 @@ mod tests {
 
     #[test]
     fn exec_knobs_lists_exactly_the_names_apply_knob_accepts() {
-        assert_eq!(EXEC_KNOBS.len(), 8);
+        assert_eq!(EXEC_KNOBS.len(), 7);
         // Every listed name is a match arm (an empty value resets it)…
         for var in EXEC_KNOBS {
             let mut cfg = ExecConfig::default();
@@ -522,12 +481,8 @@ mod tests {
     fn timeout_builder_filters_zero_and_defaults_are_off() {
         use std::time::Duration;
         let cfg = ExecConfig::default();
-        assert_eq!(cfg.spill_retries, crate::spill::DEFAULT_SPILL_RETRIES);
         assert_eq!(cfg.query_timeout, None);
-        let cfg = cfg
-            .with_spill_retries(0)
-            .with_query_timeout(Some(Duration::ZERO));
-        assert_eq!(cfg.spill_retries, 0);
+        let cfg = cfg.with_query_timeout(Some(Duration::ZERO));
         assert_eq!(cfg.query_timeout, None);
         let cfg = cfg.with_query_timeout(Some(Duration::from_secs(1)));
         assert_eq!(cfg.query_timeout, Some(Duration::from_secs(1)));

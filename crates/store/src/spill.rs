@@ -52,8 +52,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtOrd};
 use std::sync::Arc;
 
-/// Default number of retry attempts for a transient spill-write failure
-/// (`XQJG_SPILL_RETRIES` overrides per execution).
+/// Number of retry attempts for a transient spill-write failure.
 pub const DEFAULT_SPILL_RETRIES: usize = 2;
 
 /// Bounded exponential backoff between spill-write retry attempts
@@ -898,7 +897,6 @@ pub struct ExternalSorter {
     budget: Arc<MemBudget>,
     dir: PathBuf,
     runs: Vec<(SpillFile, usize)>,
-    retry_limit: usize,
     interrupt: Interrupt,
     /// Transient write failures that were retried (and succeeded or not).
     pub retries: usize,
@@ -921,18 +919,11 @@ impl ExternalSorter {
             budget,
             dir,
             runs: Vec::new(),
-            retry_limit: DEFAULT_SPILL_RETRIES,
             interrupt: Interrupt::default(),
             retries: 0,
             spill_runs: 0,
             spill_bytes: 0,
         }
-    }
-
-    /// Bound the retry attempts for a transient run-write failure
-    /// (`XQJG_SPILL_RETRIES`; 0 disables retrying).
-    pub fn set_retries(&mut self, limit: usize) {
-        self.retry_limit = limit;
     }
 
     /// Attach the execution's cancellation/deadline context; it is checked
@@ -1021,7 +1012,7 @@ impl ExternalSorter {
         loop {
             match Self::try_write_buf(&self.dir, &self.buf) {
                 Ok(run) => return Ok(run),
-                Err(e) if e.is_transient() && attempt < self.retry_limit => {
+                Err(e) if e.is_transient() && attempt < DEFAULT_SPILL_RETRIES => {
                     attempt += 1;
                     self.retries += 1;
                     backoff(attempt);
@@ -1271,12 +1262,11 @@ struct PartWriter {
     entries: usize,
     crc: Xxh32Stripes,
     poisoned: bool,
-    retry_limit: usize,
     retries: usize,
 }
 
 impl PartWriter {
-    fn create(dir: &Path, retry_limit: usize) -> Result<PartWriter, ExecError> {
+    fn create(dir: &Path) -> Result<PartWriter, ExecError> {
         let site = fault::SITE_PART_CREATE;
         if let Some(kind) = fault::check(site) {
             return Err(ExecError::io(site, &fault::injected_io_error(site, kind)));
@@ -1288,7 +1278,6 @@ impl PartWriter {
             entries: 0,
             crc: Xxh32Stripes::new(),
             poisoned: false,
-            retry_limit,
             retries: 0,
         })
     }
@@ -1308,7 +1297,7 @@ impl PartWriter {
                     self.entries += 1;
                     return Ok(());
                 }
-                Err(e) if e.is_transient() && !self.poisoned && attempt < self.retry_limit => {
+                Err(e) if e.is_transient() && !self.poisoned && attempt < DEFAULT_SPILL_RETRIES => {
                     attempt += 1;
                     self.retries += 1;
                     backoff(attempt);
@@ -1389,7 +1378,6 @@ fn nibble(hash: u64, level: usize) -> usize {
 pub struct GraceBuilder {
     dir: PathBuf,
     writers: Vec<PartWriter>,
-    retry_limit: usize,
     interrupt: Interrupt,
     /// Transient write failures retried across all partition writers.
     pub retries: usize,
@@ -1404,25 +1392,16 @@ impl GraceBuilder {
     /// A builder writing partitions under `dir`.
     pub fn new(dir: PathBuf) -> Result<GraceBuilder, ExecError> {
         let writers = (0..GRACE_FANOUT)
-            .map(|_| PartWriter::create(&dir, DEFAULT_SPILL_RETRIES))
+            .map(|_| PartWriter::create(&dir))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(GraceBuilder {
             dir,
             writers,
-            retry_limit: DEFAULT_SPILL_RETRIES,
             interrupt: Interrupt::default(),
             retries: 0,
             spill_runs: 0,
             spill_bytes: 0,
         })
-    }
-
-    /// Bound the retry attempts for transient partition-write failures.
-    pub fn set_retries(&mut self, limit: usize) {
-        self.retry_limit = limit;
-        for w in &mut self.writers {
-            w.retry_limit = limit;
-        }
     }
 
     /// Attach the execution's cancellation/deadline context (checked once
@@ -1489,7 +1468,7 @@ impl GraceBuilder {
             return Ok(BuildNode::Leaf { file, entries });
         }
         let mut writers = (0..GRACE_FANOUT)
-            .map(|_| PartWriter::create(&self.dir, self.retry_limit))
+            .map(|_| PartWriter::create(&self.dir))
             .collect::<Result<Vec<_>, _>>()?;
         for &(h, rid) in &entries_vec {
             writers[nibble(h, level)].write(h, rid)?;
@@ -2096,7 +2075,6 @@ mod tests {
         let guard =
             FaultPlan::single(fault::SITE_RUN_WRITE, Trigger::Always, FaultKind::IoError).install();
         let mut s = ExternalSorter::new(budget.clone(), dir.clone());
-        s.set_retries(1);
         let mut err = None;
         for i in 0..2000i64 {
             if let Err(e) = s.push(vec![Value::Int(i % 13)], vec![Value::Int(i)]) {
@@ -2106,7 +2084,7 @@ mod tests {
         }
         let err = err.expect("an always-on write fault must fail the sort");
         assert!(matches!(err, ExecError::Io { site, .. } if site == fault::SITE_RUN_WRITE));
-        assert_eq!(s.retries, 1, "exactly the configured retry budget");
+        assert_eq!(s.retries, DEFAULT_SPILL_RETRIES, "exactly the retry budget");
         drop(s);
         drop(guard);
         assert_eq!(budget.used(), 0, "drop must release all reservations");

@@ -81,19 +81,6 @@ impl Axis {
         Axis::ALL.into_iter().find(|a| a.name() == name)
     }
 
-    /// Is this a reverse axis (results come before the context node in
-    /// document order)?
-    pub fn is_reverse(self) -> bool {
-        matches!(
-            self,
-            Axis::Parent
-                | Axis::Ancestor
-                | Axis::AncestorOrSelf
-                | Axis::Preceding
-                | Axis::PrecedingSibling
-        )
-    }
-
     /// The dual axis obtained by swapping the roles of context node and
     /// result node — the basis of the "axis reversal" the optimizer performs
     /// (Section IV-A: `descendant` ↔ `ancestor`, `child` ↔ `parent`, …).

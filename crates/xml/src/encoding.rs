@@ -73,7 +73,7 @@ impl NodeKind {
     }
 
     /// Stable numeric code used when the kind is stored in a relational
-    /// [`xqjg-store`] table or a B-tree key.
+    /// `xqjg-store` table or a B-tree key.
     pub fn code(self) -> i64 {
         match self {
             NodeKind::Document => 0,
@@ -83,19 +83,6 @@ impl NodeKind {
             NodeKind::Comment => 4,
             NodeKind::ProcessingInstruction => 5,
         }
-    }
-
-    /// Inverse of [`NodeKind::code`].
-    pub fn from_code(code: i64) -> Option<NodeKind> {
-        Some(match code {
-            0 => NodeKind::Document,
-            1 => NodeKind::Element,
-            2 => NodeKind::Attribute,
-            3 => NodeKind::Text,
-            4 => NodeKind::Comment,
-            5 => NodeKind::ProcessingInstruction,
-            _ => return None,
-        })
     }
 }
 

@@ -90,11 +90,6 @@ impl Document {
         &self.nodes[id.0]
     }
 
-    /// Mutable access to a node.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        &mut self.nodes[id.0]
-    }
-
     /// Append a fresh element node under `parent`.
     pub fn add_element(&mut self, parent: NodeId, name: impl Into<String>) -> NodeId {
         let id = self.push(Node {

@@ -10,6 +10,10 @@
 //! * join-edge semantics: NULL hash/probe keys never match, residual
 //!   predicates filter *after* the join, and nested-loop and hash joins
 //!   return identical binding sets for the same plan,
+//! * hash-join build sides that carry pushed-down filters (a filtered
+//!   `TBSCAN`, an `IXSCAN` with bounds and a residual) match the
+//!   materializing oracle with typed and `Value` keys, in memory and
+//!   Grace-partitioned,
 //! * upward steps (`parent::`, `ancestor::`, `..`, attribute-to-owner value
 //!   joins) agree with the interpreter where the optimizer closes their
 //!   one-sided index range with a statistics-derived lower bound — at the
@@ -385,6 +389,115 @@ fn join_plan(method: JoinMethod, with_residual: bool) -> PhysPlan {
     }
 }
 
+/// One build-side row of the pushed-down-work properties: `(k2, w, t, d)`
+/// with a nullable integer key and range column, a nullable string over a
+/// tiny domain, and a column mixing integers, decimals and NULL.
+type BuildRow = (Option<i64>, Option<i64>, Option<&'static str>, Option<f64>);
+
+fn arb_build_row() -> BoxedStrategy<BuildRow> {
+    let w = prop_oneof![Just(None), (0i64..10).prop_map(Some)];
+    let t = prop_oneof![
+        Just(None),
+        Just(Some("a")),
+        Just(Some("b")),
+        Just(Some("c"))
+    ];
+    let d = prop_oneof![
+        Just(None),
+        (0i64..4).prop_map(|n| Some(n as f64)),
+        Just(Some(1.5))
+    ];
+    ((arb_key(), w), t, d)
+        .prop_map(|((k2, w), t, d)| (k2, w, t, d))
+        .boxed()
+}
+
+/// [`join_db`]'s `l` plus a build table `r(k2, w, t, d)`; `d` holds an
+/// `Int` for whole values and a `Dec` otherwise, so it has no typed image.
+/// `rtw` indexes `r` on `(t, w)`.
+fn build_db(left: &[(Option<i64>, i64)], right: &[BuildRow]) -> Database {
+    let mut db = join_db(left, &[]);
+    let mut rt = Table::new(Schema::new(["k2", "w", "t", "d"]));
+    for &(k2, w, t, d) in right {
+        let d = match d {
+            Some(x) if x.fract() == 0.0 => Value::Int(x as i64),
+            Some(x) => Value::Dec(x),
+            None => Value::Null,
+        };
+        rt.push(vec![
+            Value::from(k2),
+            Value::from(w),
+            t.map(Value::str).unwrap_or(Value::Null),
+            d,
+        ]);
+    }
+    db.create_table("r", rt);
+    db.create_index(IndexDef {
+        name: "rtw".into(),
+        table: "r".into(),
+        key_columns: vec!["t".into(), "w".into()],
+        include_columns: vec![],
+        clustered: false,
+    });
+    db
+}
+
+/// A hash join of `l` and `r` on `key = r.k2` whose build side carries
+/// pushed-down work: a `TBSCAN` filtered by integer, string and mixed-column
+/// predicates over NULL-bearing columns, or an `IXSCAN` of `rtw` with
+/// bounds and a residual.  `key` is `l.k` (typed key images) or `l.k + 0`
+/// (a computed key, hashed as `Value`s).
+fn build_plan(key: SqlExpr, index_build: bool) -> PhysPlan {
+    let pred =
+        |col: &str, op, v: Value| SqlPredicate::new(SqlExpr::col("r", col), op, SqlExpr::Lit(v));
+    let access = if index_build {
+        Access::IndexScan {
+            index: "rtw".into(),
+            bounds: Bounds {
+                eq: vec![("t".into(), SqlExpr::lit("a"))],
+                range_col: Some("w".into()),
+                lower: Some((SqlExpr::lit(2i64), true)),
+                upper: Some((SqlExpr::lit(8i64), false)),
+            },
+            residual: vec![pred("d", SqlCmp::Lt, Value::Int(3))],
+        }
+    } else {
+        Access::TableScan {
+            preds: vec![
+                pred("w", SqlCmp::Ge, Value::Int(1)),
+                pred("t", SqlCmp::Ne, Value::str("c")),
+                pred("d", SqlCmp::Le, Value::Dec(2.5)),
+            ],
+        }
+    };
+    PhysPlan {
+        root: JoinNode::Join {
+            outer: Box::new(JoinNode::Leaf {
+                alias: "l".into(),
+                table: "l".into(),
+                access: Access::TableScan { preds: vec![] },
+                est_rows: 0.0,
+            }),
+            alias: "r".into(),
+            table: "r".into(),
+            access,
+            method: JoinMethod::Hash,
+            hash_keys: vec![(key, "k2".to_string())],
+            residual: vec![SqlPredicate::new(
+                SqlExpr::col("l", "v"),
+                SqlCmp::Le,
+                SqlExpr::col("r", "w"),
+            )],
+            est_rows: 0.0,
+        },
+        select: vec![SelectItem::Star("l".into()), SelectItem::Star("r".into())],
+        distinct: false,
+        order_by: vec![],
+        est_cost: 0.0,
+        est_rows: 0.0,
+    }
+}
+
 proptest! {
     // Each case plans ~20 queries, two of them 10-way value joins: keep
     // the case count low enough for the debug-build CI legs.
@@ -555,7 +668,7 @@ fn check_value_join(db: &Database, outer: &str) -> usize {
     let (t_ref, s_ref) = execute_materialized_with_stats(&plan, db);
     prop_assert_eq!(t_ref.rows(), expected.as_slice(), "oracle over {}", outer);
     for cap in [1, 1024] {
-        let cfg = ExecConfig::sequential().with_batch_capacity(cap);
+        let cfg = ExecConfig::from_env().with_batch_capacity(cap);
         let (t, s) = run_plan(&plan, db, &cfg);
         prop_assert_eq!(t.rows(), expected.as_slice(), "{} cap {}", outer, cap);
         prop_assert_eq!(
@@ -892,9 +1005,9 @@ proptest! {
                 let sans_batches = |s: &ExecStats| -> Vec<OpStats> {
                     s.operators.iter().map(|o| OpStats { batches: 0, ..o.clone() }).collect()
                 };
-                let ops_ref = sans_batches(&run_plan(&plan, db, &ExecConfig::sequential()).1);
+                let ops_ref = sans_batches(&run_plan(&plan, db, &ExecConfig::from_env()).1);
                 for cap in PROBE_CAPACITIES {
-                    let cfg = ExecConfig::sequential().with_batch_capacity(cap);
+                    let cfg = ExecConfig::from_env().with_batch_capacity(cap);
                     let (t_col, s_col) = run_plan(&plan, db, &cfg);
                     prop_assert_eq!(&t_col, &t_ref, "{} cap {}", query, cap);
                     prop_assert_eq!(
@@ -926,7 +1039,7 @@ proptest! {
                 let (t, s) = run_plan(
                     &plan,
                     &db,
-                    &ExecConfig::sequential().with_batch_capacity(cap),
+                    &ExecConfig::from_env().with_batch_capacity(cap),
                 );
                 prop_assert_eq!(&t, &t_ref, "{:?} cap {}", method, cap);
                 prop_assert_eq!(s.probes, s_ref.probes, "{:?} cap {}", method, cap);
@@ -935,6 +1048,37 @@ proptest! {
                 prop_assert_eq!(s.index_rows, s_ref.index_rows, "{:?} cap {}", method, cap);
                 prop_assert_eq!(join_levels(&s, true), join_levels(&s_ref, false),
                     "{:?} cap {}", method, cap);
+            }
+        }
+    }
+
+    #[test]
+    fn build_sides_with_pushed_down_work_match_the_materializing_oracle(
+        left in prop::collection::vec((arb_key(), 0i64..10), 0..12),
+        right in prop::collection::vec(arb_build_row(), 0..16),
+    ) {
+        // The build side enumerates its filtered access path once; typed
+        // and `Value` keys, in memory and Grace-partitioned (a 16-byte
+        // budget spills the first build row), must reproduce the oracle's
+        // rows in order and its per-level `fetched` and `probes`.
+        let db = build_db(&left, &right);
+        let keys = [SqlExpr::col("l", "k"), SqlExpr::col("l", "k") + SqlExpr::lit(0i64)];
+        for (key, index_build) in keys.iter().flat_map(|k| [(k, false), (k, true)]) {
+            let plan = build_plan(key.clone(), index_build);
+            let (t_ref, s_ref) = execute_materialized_with_stats(&plan, &db);
+            for (cap, budget) in [1, 1024].into_iter().flat_map(|c| [(c, None), (c, Some(16))]) {
+                let cfg = ExecConfig::from_env().with_batch_capacity(cap).with_mem_budget(budget);
+                let (t, s) = run_plan(&plan, &db, &cfg);
+                let what = format!("key {key} index {index_build} cap {cap} budget {budget:?}");
+                prop_assert_eq!(&t, &t_ref, "{}", what);
+                prop_assert_eq!(join_levels(&s, true), join_levels(&s_ref, false), "{}", what);
+                // Any build row at all spills under the tight budget.
+                let build = &s.operators[1];
+                prop_assert_eq!(
+                    build.partitions > 0,
+                    budget.is_some() && build.build_rows > 0,
+                    "{}", what
+                );
             }
         }
     }
