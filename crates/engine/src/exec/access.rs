@@ -1,3 +1,8 @@
+//! Access paths: probe bounds resolved to B-tree key ranges (memoized
+//! through the postings cache), the leaf domain, the access-predicate
+//! filter a scan leaf and a build side share, and the run probes an
+//! NLJOIN index scan searches instead of the B-tree.
+
 use super::stage::{ceval, cpred_holds, CBounds, CStage, ColEnv, IntExpr, RunShape, EMPTY_ENV};
 use crate::physical::Access;
 use std::ops::Bound;
@@ -253,7 +258,7 @@ pub(super) fn cindex_range(
 }
 
 /// One operator instance's run probe: the memoized run of the stage's
-/// [`RunSpec`], searched with the spec's lowered range bounds or the outer
+/// `RunSpec`, searched with the spec's lowered range bounds or the outer
 /// row's dictionary code.
 pub(super) enum RunProbe<'a> {
     Prefix {

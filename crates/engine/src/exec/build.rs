@@ -1,3 +1,7 @@
+//! Hash-join build sides and their spill glue: the build enumeration, its
+//! Grace partitions and probe-side partition cache, the budget bookings
+//! of one execution, and the cross-query [`BuildCache`].
+
 use super::access::{stage_domain, AccessFilter};
 use super::stage::{CStage, Stage};
 use crate::physical::Access;
@@ -64,7 +68,7 @@ impl Drop for Booked {
     }
 }
 
-/// Declared first in [`run_with_caches`] so it drops last: by then every
+/// Declared first in `run_with_caches` so it drops last: by then every
 /// operator, sorter, probe cache and booking guard has released its
 /// reservations, and a non-zero balance is an accounting bug.
 pub(super) struct DrainCheck(pub(super) Arc<MemBudget>);
@@ -170,8 +174,8 @@ impl JoinBuild {
                 // and their order are identical to the in-memory backend).
                 let mut g = GraceBuilder::new(spill.dir.clone())?;
                 g.set_interrupt(spill.interrupt.clone());
-                for (bh, rids) in buckets.drain() {
-                    for brid in rids {
+                for (bh, bucket) in buckets.drain() {
+                    for brid in bucket {
                         g.add(bh, brid)?;
                     }
                 }
@@ -344,15 +348,16 @@ const BUILD_BASE_COST: usize = 256;
 /// Concurrent memo of hash-join build sides, keyed by (table, key
 /// columns, pushed-down filters) and invalidated whenever the catalog
 /// version moves (table or index DDL).  Built on the byte-bounded
-/// [`xqjg_store::ShardedLru`], so it is `Arc`-shared across `Processor` instances
-/// (cloning the handle shares the cache) and bounded for long-lived
-/// sessions: each build is charged its resident bucket-table footprint
-/// and least-recently-used builds evict when the bound trips.  Repeated
-/// queries skip re-enumerating and re-bucketing unchanged build sides;
-/// hits surface as `cache_hits` in the operator's [`OpStats`](xqjg_store::OpStats).  The
-/// cached builds are shared read-only (`Arc`) with each execution, which
-/// still books `JoinBuild::reserved` against its
-/// own budget — hit and miss runs make identical spill decisions.
+/// [`xqjg_store::ShardedLru`], so it is `Arc`-shared across `Processor`
+/// instances (cloning the handle shares the cache) and bounded for
+/// long-lived sessions: each build is charged its resident bucket-table
+/// footprint and least-recently-used builds evict when the bound trips.
+/// Repeated queries skip re-enumerating and re-bucketing unchanged build
+/// sides; hits surface as `cache_hits` in the operator's
+/// [`OpStats`](xqjg_store::OpStats).  The cached builds are shared
+/// read-only (`Arc`) with each execution, which still books
+/// `JoinBuild::reserved` against its own budget — hit and miss runs make
+/// identical spill decisions.
 #[derive(Clone)]
 pub struct BuildCache {
     inner: Arc<xqjg_store::ShardedLru<String, JoinBuild>>,

@@ -1,3 +1,6 @@
+//! The three pipeline operators: the scan leaf, the nested-loop join and
+//! the hash-join probe.
+
 use super::access::{cindex_range, retain_rids, AccessFilter, LeafDomain, PostingsCtx, RunProbe};
 use super::build::{BuildBackend, JoinBuild, PartitionProbe};
 use super::request::{ErrSlot, SharedAgg};
@@ -10,10 +13,6 @@ use xqjg_store::{
     gather_i64, gather_u32, hash_keys_typed, hash_values, mask_terms, BitMask, ColOperator,
     ColumnBatch, HashKey, Interrupt, MaskTerm, MemBudget, OpStats, StatsSink, Value,
 };
-
-// ---------------------------------------------------------------------
-// The columnar operator repertoire.
-// ---------------------------------------------------------------------
 
 /// Columnar scan leaf: fills one rid column directly from the leaf domain
 /// (a bulk extend, not a per-tuple push), then filters it through the
@@ -127,10 +126,10 @@ fn emit_extended(batch: &ColumnBatch, phys: usize, rid: usize, out: &mut ColumnB
 /// outer-dependent `i64` comparisons fuse into one multi-term mask pass
 /// per probe, computed integer checks (`outer.pre <= cur.pre + cur.size`)
 /// run per candidate rid over the images, and the rest (strings,
-/// decimals) interprets per candidate rid.  An `IXSCAN` inner under a literal equality prefix fetches by two binary
-/// searches over the prefix's [`PrefixRun`], and a value self-join's by
-/// two over the outer row's code in a [`CodeRun`] (see
-/// [`ColNLJoin::fetch_index`]).
+/// decimals) interprets per candidate rid.  An `IXSCAN` inner under a
+/// literal equality prefix fetches by two binary searches over the
+/// prefix's `PrefixRun`, and a value self-join's by two over the outer
+/// row's code in a `CodeRun` (see [`ColNLJoin::fetch_index`]).
 pub(super) struct ColNLJoin<'a> {
     input: Box<dyn ColOperator + 'a>,
     stage: &'a CStage<'a>,
@@ -186,9 +185,9 @@ impl<'a> ColNLJoin<'a> {
 
     /// Fill `rid_buf` with one `IXSCAN` probe's index entries (index
     /// order) and count them as fetched.  From its second probe on, an
-    /// operator over a [`RunSpec`] stage searches the stage's run — by
-    /// its integer range bounds ([`PrefixRun`]) or by the outer row's
-    /// dictionary code ([`CodeRun`]); the first probe, a probe whose
+    /// operator over a `RunSpec` stage searches the stage's run — by
+    /// its integer range bounds (`PrefixRun`) or by the outer row's
+    /// dictionary code (`CodeRun`); the first probe, a probe whose
     /// range bounds are not integers, and every other stage walk the
     /// B-tree through the postings context.  Waiting
     /// for the second probe keeps single-probe stages from building runs

@@ -1,3 +1,8 @@
+//! The execution request and the loop that serves it: one
+//! [`QueryRequest`] compiles the plan's stages, builds every hash join,
+//! runs the single pipeline and finishes the plan tail
+//! ([`run_with_caches`]).
+
 use super::access::{stage_domain, LeafDomain, PostingsCtx};
 use super::build::{Booked, BuildCache, DrainCheck, JoinBuild, SpillCtx};
 use super::operators::{ColHashJoin, ColNLJoin, ColScanLeaf};
@@ -18,7 +23,7 @@ use xqjg_store::{
 /// infallible, so an operator that fails mid-pipeline — the leaf on
 /// cancellation or timeout, the hash-join probe over a *spilled* build
 /// side on a partition read — records the first failure here and stops
-/// producing; the driver checks the slot after the pipeline closes and
+/// producing; `run_with_caches` checks the slot after the pipeline closes and
 /// fails the execution with that error.
 pub(super) type ErrSlot = Rc<RefCell<Option<ExecError>>>;
 

@@ -1,3 +1,8 @@
+//! Stage compilation: the left-deep join chain flattened into stages,
+//! each with its predicates, hash keys and probe bounds compiled once per
+//! execution ([`CStage`]) and lowered onto typed column images where the
+//! operands allow.
+
 use crate::physical::{Access, JoinNode};
 use crate::sql::{SqlCmp, SqlExpr, SqlPredicate};
 use std::borrow::Cow;
@@ -329,7 +334,7 @@ pub(super) fn compile_expr(
 /// An integer expression lowered onto a stage's `i64` column images:
 /// literals, bound outer columns, the candidate row's columns and sums of
 /// them.  NLJOIN probe operands, computed containment checks and
-/// [`PrefixRun`] bounds all evaluate through it, so a probe over integer
+/// `PrefixRun` bounds all evaluate through it, so a probe over integer
 /// columns reads no [`Value`] row.  `Value` keeps an outer-only
 /// subexpression the images cannot represent (a decimal literal, a mixed
 /// `Int`/`Dec` column) on [`ceval`].
@@ -532,9 +537,9 @@ fn split_nl_preds<'a>(preds: &[CPred], base: &'a Table, outer_tables: &[&'a Tabl
 
 /// One kernelized hash key: the outer side's gatherable image and the
 /// inner side's comparable image.  Probe hashes chain through
-/// [`hash_keys_typed`] bit-identically to [`hash_values`] over the
+/// `hash_keys_typed` bit-identically to `hash_values` over the
 /// corresponding `Value`s, so bucket lookups, Grace partition routing and
-/// [`BuildCache`] reuse are unchanged; NULL outer keys hash to `None` and
+/// `BuildCache` reuse are unchanged; NULL outer keys hash to `None` and
 /// never probe (the build side skipped NULL keys symmetrically).
 pub(super) enum KeyImage<'a> {
     /// `i64` = `i64` equijoin key.
@@ -582,7 +587,7 @@ pub(super) enum GatheredKey {
 
 /// A [`Stage`] with every predicate, hash key and probe bound compiled.
 /// Borrows only from the plan and the database (never from `Stage`), so it
-/// lives alongside the stages inside [`ExecCtx`].
+/// lives alongside the stages for the whole execution.
 pub(super) struct CStage<'a> {
     pub(super) base: &'a Table,
     pub(super) access: &'a Access,
@@ -616,7 +621,7 @@ pub(super) struct CStage<'a> {
     pub(super) typed_keys: Option<Vec<KeyImage<'a>>>,
     /// Base tables of the bound outer aliases (slot order).
     pub(super) outer_tables: Vec<&'a Table>,
-    /// Set when this NLJOIN stage's probes may search a [`PrefixRun`].
+    /// Set when this NLJOIN stage's probes may search a `PrefixRun`.
     pub(super) run: Option<RunSpec<'a>>,
 }
 
@@ -630,7 +635,7 @@ pub(super) struct RunSpec<'a> {
 
 pub(super) enum RunShape<'a> {
     /// The equality prefix is all literals and there is at least one range
-    /// bound: every probe reads the prefix's [`PrefixRun`] and
+    /// bound: every probe reads the prefix's `PrefixRun` and
     /// binary-searches its integer image.  The range bounds are lowered to
     /// [`IntExpr`]s once, at compile time.
     Prefix {
@@ -641,7 +646,7 @@ pub(super) enum RunShape<'a> {
     /// The bounds are equality-only, one term is a column of an outer
     /// alias over the stage's own table and the rest are literals, and the
     /// index column it binds has a dictionary image: the outer row's code
-    /// in that image is a key of the terms' [`CodeRun`] as it stands.
+    /// in that image is a key of the terms' `CodeRun` as it stands.
     Coded {
         /// The equality terms, `None` at the outer column's position.
         terms: Vec<Option<Value>>,

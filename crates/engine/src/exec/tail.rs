@@ -1,3 +1,6 @@
+//! The plan tail — DISTINCT, ORDER BY, RETURN — over gathered columns,
+//! and the two-pass sort-based DISTINCT of a budgeted execution.
+
 use super::build::SpillCtx;
 use super::stage::{ceval, compile_expr, CExpr, ColEnv};
 use crate::physical::PhysPlan;
@@ -50,10 +53,6 @@ pub(super) fn sort_distinct_two_pass(
     sorted.retries += retries1;
     Ok(sorted)
 }
-
-// ---------------------------------------------------------------------
-// The plan tail — DISTINCT, ORDER BY, RETURN — over gathered columns.
-// ---------------------------------------------------------------------
 
 /// Where one tail column's values come from, resolved once per execution.
 enum TailSource<'a> {

@@ -1,3 +1,6 @@
+//! Unit tests of the executor, compared against the materializing
+//! reference where rows, order or work counters are at stake.
+
 use super::build::{BuildBackend, BuildCache, JoinBuild};
 use super::request::{run_sql, ExecCaches, ExecStats, QueryOutcome, QueryRequest};
 use super::stage::{compile_stage, flatten_stages, CExpr, RunShape};

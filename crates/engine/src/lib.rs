@@ -11,9 +11,10 @@
 //! 3. [`exec::QueryRequest`] — the one execution entry point: pipelined,
 //!    columnar execution, one pipeline per query, through a tree of pull-based
 //!    operators (scan leaves, index nested-loop and build-once hash joins,
-//!    the duplicate-eliminating SORT plan tail); the seed's
-//!    materialize-everything strategy survives as the [`materialize`]
-//!    reference the tests compare against,
+//!    the duplicate-eliminating SORT plan tail), all evaluating one compiled
+//!    stage form; the seed's materialize-everything strategy survives as the
+//!    [`materialize`] reference the tests compare against, with a
+//!    row-at-a-time interpreter of its own,
 //! 4. [`explain::explain`] — DB2-visual-explain-style plan rendering
 //!    (Figures 10 and 11),
 //! 5. [`advisor::advise`] — the `db2advis` stand-in that proposes the
